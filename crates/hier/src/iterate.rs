@@ -75,7 +75,7 @@ pub struct FixedPointResult {
 /// * Errors from `F` itself propagate unchanged.
 pub fn fixed_point<F>(f: F, x0: Vec<f64>, opts: &FixedPointOptions) -> Result<FixedPointResult>
 where
-    F: Fn(&[f64]) -> Result<Vec<f64>>,
+    F: FnMut(&[f64]) -> Result<Vec<f64>>,
 {
     fixed_point_observed(f, x0, opts, &mut |_, _| {})
 }
@@ -90,13 +90,13 @@ where
 ///
 /// Same contract as [`fixed_point`].
 pub fn fixed_point_observed<F>(
-    f: F,
+    mut f: F,
     x0: Vec<f64>,
     opts: &FixedPointOptions,
     observe: &mut dyn FnMut(usize, f64),
 ) -> Result<FixedPointResult>
 where
-    F: Fn(&[f64]) -> Result<Vec<f64>>,
+    F: FnMut(&[f64]) -> Result<Vec<f64>>,
 {
     if x0.is_empty() {
         return Err(Error::invalid("fixed-point start vector is empty"));

@@ -81,18 +81,7 @@ impl CtmcBuilder {
         if n == 0 {
             return Err(Error::model("CTMC has no states"));
         }
-        let mut out_rate = vec![0.0f64; n];
-        for &(f, _, r) in &self.transitions {
-            out_rate[f] += r;
-        }
-        // Assemble the full generator (diagonal included) once.
-        let mut trips = self.transitions.clone();
-        for (i, &r) in out_rate.iter().enumerate() {
-            if r > 0.0 {
-                trips.push((i, i, -r));
-            }
-        }
-        let generator = CsrMatrix::from_triplets(n, n, &trips).map_err(crate::num_err)?;
+        let (out_rate, generator) = assemble(n, &self.transitions)?;
         Ok(Ctmc {
             names: self.names,
             transitions: self.transitions,
@@ -100,6 +89,24 @@ impl CtmcBuilder {
             generator,
         })
     }
+}
+
+/// Exit rates, summed in declaration order, and the full generator
+/// (diagonal included) of `n` states joined by validated transitions.
+/// Duplicate `(from, to)` pairs accumulate in the generator.
+fn assemble(n: usize, transitions: &[(usize, usize, f64)]) -> Result<(Vec<f64>, CsrMatrix)> {
+    let mut out_rate = vec![0.0f64; n];
+    for &(f, _, r) in transitions {
+        out_rate[f] += r;
+    }
+    let mut trips = transitions.to_vec();
+    for (i, &r) in out_rate.iter().enumerate() {
+        if r > 0.0 {
+            trips.push((i, i, -r));
+        }
+    }
+    let generator = CsrMatrix::from_triplets(n, n, &trips).map_err(crate::num_err)?;
+    Ok((out_rate, generator))
 }
 
 impl Ctmc {
@@ -125,7 +132,6 @@ impl Ctmc {
         if n == 0 {
             return Err(Error::model("CTMC has no states"));
         }
-        let mut out_rate = vec![0.0f64; n];
         for &(f, t, r) in &transitions {
             if f >= n || t >= n {
                 return Err(Error::model(format!(
@@ -139,21 +145,53 @@ impl Ctmc {
                 )));
             }
             ensure_finite_positive(r, "transition rate")?;
-            out_rate[f] += r;
         }
-        let mut trips = transitions.clone();
-        for (i, &r) in out_rate.iter().enumerate() {
-            if r > 0.0 {
-                trips.push((i, i, -r));
-            }
-        }
-        let generator = CsrMatrix::from_triplets(n, n, &trips).map_err(crate::num_err)?;
+        let (out_rate, generator) = assemble(n, &transitions)?;
         Ok(Ctmc {
             names,
             transitions,
             out_rate,
             generator,
         })
+    }
+
+    /// Replaces the rate of every transition, given in declaration
+    /// order, keeping the states and arcs. The exit rates and the
+    /// generator are re-assembled exactly as [`CtmcBuilder::build`]
+    /// assembles them, so the refilled chain is bitwise the one a
+    /// builder given the same transitions would produce — which lets a
+    /// model re-solved with new rates skip name interning and
+    /// validation of its structure.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Model`] if `rates` does not hold one rate per
+    /// transition, [`Error::InvalidParameter`] for the first rate (in
+    /// declaration order) that is not finite and positive, and
+    /// [`Error::Numerical`] if the exit rates overflow. The chain is
+    /// unchanged on error.
+    pub fn set_rates(&mut self, rates: &[f64]) -> Result<()> {
+        if rates.len() != self.transitions.len() {
+            return Err(Error::model(format!(
+                "{} rates given for {} transitions",
+                rates.len(),
+                self.transitions.len()
+            )));
+        }
+        for &r in rates {
+            ensure_finite_positive(r, "transition rate")?;
+        }
+        let transitions: Vec<(usize, usize, f64)> = self
+            .transitions
+            .iter()
+            .zip(rates)
+            .map(|(&(f, t, _), &r)| (f, t, r))
+            .collect();
+        let (out_rate, generator) = assemble(self.num_states(), &transitions)?;
+        self.transitions = transitions;
+        self.out_rate = out_rate;
+        self.generator = generator;
+        Ok(())
     }
 
     /// Handles of all states in index order — the counterpart of
@@ -310,6 +348,32 @@ mod tests {
         assert_eq!(c.exit_rates()[0], 3.0);
         assert_eq!(c.generator().get(0, 1), 3.0);
         assert_eq!(c.generator().get(0, 0), -3.0);
+    }
+
+    #[test]
+    fn set_rates_matches_a_fresh_build() {
+        let chain = |rates: [f64; 4]| {
+            let mut b = CtmcBuilder::new();
+            let (up, deg, down) = (b.state("up"), b.state("degraded"), b.state("down"));
+            b.transition(up, deg, rates[0]).unwrap();
+            b.transition(deg, up, rates[1]).unwrap();
+            b.transition(deg, down, rates[2]).unwrap();
+            b.transition(up, deg, rates[3]).unwrap();
+            b.build().unwrap()
+        };
+        let mut refilled = chain([1.0, 2.0, 3.0, 4.0]);
+        let fresh = chain([0.1, 0.7, 1e-9, 0.3]);
+        refilled.set_rates(&[0.1, 0.7, 1e-9, 0.3]).unwrap();
+        assert_eq!(refilled.exit_rates(), fresh.exit_rates());
+        assert_eq!(refilled.generator(), fresh.generator());
+        // A bad rate is reported like the builder reports it and leaves
+        // the chain as it was.
+        let err = refilled.set_rates(&[0.1, -1.0, 0.2, 0.3]).unwrap_err();
+        let mut b = CtmcBuilder::new();
+        let (up, down) = (b.state("up"), b.state("down"));
+        assert_eq!(err, b.transition(up, down, -1.0).unwrap_err());
+        assert_eq!(refilled.generator(), fresh.generator());
+        assert!(refilled.set_rates(&[1.0]).is_err());
     }
 
     #[test]

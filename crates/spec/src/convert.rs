@@ -9,7 +9,9 @@ use reliab_dist::{
     Deterministic, Exponential, Gamma, Lifetime, LogNormal, Pareto, Uniform, Weibull,
 };
 use reliab_ftree::{CompileOptions, FaultTreeBuilder, FtNode, VariableOrdering};
-use reliab_markov::{CtmcBuilder, IterativeOptions, StateId, SteadyStateMethod, TransientOptions};
+use reliab_markov::{
+    Ctmc, CtmcBuilder, IterativeOptions, StateId, SteadyStateMethod, TransientOptions,
+};
 use reliab_obs as obs;
 use reliab_rbd::{Block, RbdBuilder};
 use reliab_sim::{Measure as SimRunMeasure, SimOptions, SystemSimulator};
@@ -569,15 +571,31 @@ pub fn solve_str_with(text: &str, opts: &SolveOptions) -> Result<SolveReport> {
 ///
 /// See [`solve_str_with`].
 pub fn solve_with(spec: &ModelSpec, opts: &SolveOptions) -> Result<SolveReport> {
+    solve_model(spec, &mut None, opts, None)
+}
+
+/// The body of every solve. `chain` holds the chain of an earlier solve
+/// of the same CTMC model, which this solve refills with its rates (and
+/// receives the chain a first solve builds); `parent` nests the
+/// `spec.solve` span under a span of another thread.
+pub(crate) fn solve_model(
+    spec: &ModelSpec,
+    chain: &mut Option<CtmcChain>,
+    opts: &SolveOptions,
+    parent: Option<u64>,
+) -> Result<SolveReport> {
     // Mint a request-scoped trace id unless one is already ambient
     // (nested hierarchy/uncertainty sub-solves keep their parent's).
     let _trace = obs::ensure_trace_id();
-    let _span = obs::span("spec.solve");
+    let _span = match parent {
+        Some(id) => obs::span_with_parent("spec.solve", id),
+        None => obs::span("spec.solve"),
+    };
     let start = Instant::now();
     let (measures, mut stats) = match spec {
         ModelSpec::Rbd(r) => solve_rbd(r, opts)?,
         ModelSpec::FaultTree(f) => solve_fault_tree(f, opts)?,
-        ModelSpec::Ctmc(c) => solve_ctmc(c, opts)?,
+        ModelSpec::Ctmc(c) => solve_ctmc(c, chain, opts)?,
         ModelSpec::RelGraph(g) => solve_relgraph(g)?,
         ModelSpec::Spn(s) => solve_spn(s, opts)?,
         ModelSpec::Hierarchy(h) => crate::scenario::solve_hierarchy(h, opts)?,
@@ -1490,29 +1508,74 @@ fn solve_spn_stream(
     ))
 }
 
-fn solve_ctmc(spec: &CtmcSpec, opts: &SolveOptions) -> Result<(SolvedMeasures, SolveStats)> {
-    let mut b = CtmcBuilder::new();
-    let mut ids: FxHashMap<String, StateId> = FxHashMap::default();
-    for s in &spec.states {
-        if ids.contains_key(s) {
-            return Err(Error::model(format!("duplicate state '{s}'")));
+/// Availability from the summed steady-state mass of `terms` up
+/// states. Each addition rounds by at most one ulp of the sum, so a sum
+/// no more than `terms`·ε above 1 is a full mass of 1 and reads as 1; a
+/// larger one stays out of range for the caller to reject.
+pub(crate) fn availability_from_sum(sum: f64, terms: usize) -> f64 {
+    if sum > 1.0 && sum <= 1.0 + terms as f64 * f64::EPSILON {
+        1.0
+    } else {
+        sum
+    }
+}
+
+fn lookup(name: &str, ids: &FxHashMap<String, StateId>) -> Result<StateId> {
+    ids.get(name)
+        .copied()
+        .ok_or_else(|| Error::model(format!("unknown state '{name}'")))
+}
+
+/// A CTMC spec compiled to its chain: states interned and transitions
+/// checked and joined once. A later solve of the same model with new
+/// rates refills the chain instead of building it again.
+pub(crate) struct CtmcChain {
+    ctmc: Ctmc,
+    ids: FxHashMap<String, StateId>,
+}
+
+impl CtmcChain {
+    fn build(spec: &CtmcSpec) -> Result<CtmcChain> {
+        let mut b = CtmcBuilder::new();
+        let mut ids: FxHashMap<String, StateId> = FxHashMap::default();
+        for s in &spec.states {
+            if ids.contains_key(s) {
+                return Err(Error::model(format!("duplicate state '{s}'")));
+            }
+            ids.insert(s.clone(), b.state(s));
         }
-        ids.insert(s.clone(), b.state(s));
+        for t in &spec.transitions {
+            let from = lookup(&t.from, &ids)?;
+            let to = lookup(&t.to, &ids)?;
+            b.transition(from, to, t.rate)?;
+        }
+        Ok(CtmcChain {
+            ctmc: b.build()?,
+            ids,
+        })
     }
-    let lookup = |name: &str, ids: &FxHashMap<String, StateId>| -> Result<StateId> {
-        ids.get(name)
-            .copied()
-            .ok_or_else(|| Error::model(format!("unknown state '{name}'")))
-    };
-    for t in &spec.transitions {
-        let from = lookup(&t.from, &ids)?;
-        let to = lookup(&t.to, &ids)?;
-        b.transition(from, to, t.rate)?;
+}
+
+/// Compiles the chain on a model's first solve and refills its rates
+/// on later ones, then solves it. A chain only exists once a build has
+/// passed every structural check, so a refill can fail only on a rate,
+/// with the error the build would give.
+fn solve_ctmc(
+    spec: &CtmcSpec,
+    chain: &mut Option<CtmcChain>,
+    opts: &SolveOptions,
+) -> Result<(SolvedMeasures, SolveStats)> {
+    match chain {
+        Some(c) => {
+            let rates: Vec<f64> = spec.transitions.iter().map(|t| t.rate).collect();
+            c.ctmc.set_rates(&rates)?;
+        }
+        None => *chain = Some(CtmcChain::build(spec)?),
     }
-    let ctmc = b.build()?;
+    let CtmcChain { ctmc, ids } = chain.as_ref().expect("compiled above");
     let initial_state = match &spec.initial {
-        Some(name) => lookup(name, &ids)?,
-        None => lookup(&spec.states[0], &ids)?,
+        Some(name) => lookup(name, ids)?,
+        None => lookup(&spec.states[0], ids)?,
     };
     let initial = ctmc.point_mass(initial_state);
 
@@ -1535,18 +1598,22 @@ fn solve_ctmc(spec: &CtmcSpec, opts: &SolveOptions) -> Result<(SolvedMeasures, S
         stats.residual = Some(report.residual);
     }
     let steady_pi = steady.map(|r| r.pi);
+    // States are interned in declaration order with no duplicates, so a
+    // state's index is its position in `spec.states`.
     let steady_named = steady_pi.as_ref().map(|pi| {
         spec.states
             .iter()
-            .map(|s| (s.clone(), pi[ids[s].index()]))
+            .zip(pi)
+            .map(|(s, &p)| (s.clone(), p))
             .collect::<Vec<_>>()
     });
     let (availability, downtime) = match (&spec.up_states, &steady_pi) {
         (Some(up), Some(pi)) => {
             let mut a = 0.0;
             for name in up {
-                a += pi[lookup(name, &ids)?.index()];
+                a += pi[lookup(name, ids)?.index()];
             }
+            let a = availability_from_sum(a, up.len());
             (Some(a), Some(downtime_minutes_per_year(a)?))
         }
         (Some(_), None) => {
@@ -1558,8 +1625,7 @@ fn solve_ctmc(spec: &CtmcSpec, opts: &SolveOptions) -> Result<(SolvedMeasures, S
     };
     let mttf = match &spec.absorbing {
         Some(abs) => {
-            let states: Vec<StateId> =
-                abs.iter().map(|n| lookup(n, &ids)).collect::<Result<_>>()?;
+            let states: Vec<StateId> = abs.iter().map(|n| lookup(n, ids)).collect::<Result<_>>()?;
             Some(ctmc.mttf(&initial, &states)?)
         }
         None => None,
@@ -1582,7 +1648,8 @@ fn solve_ctmc(spec: &CtmcSpec, opts: &SolveOptions) -> Result<(SolvedMeasures, S
                         probabilities: spec
                             .states
                             .iter()
-                            .map(|s| (s.clone(), r.distribution[ids[s].index()]))
+                            .zip(&r.distribution)
+                            .map(|(s, &p)| (s.clone(), p))
                             .collect(),
                     })
                     .collect(),
@@ -2302,5 +2369,60 @@ mod tests {
         let kind = crate::json::get_path(&doc, "kind").and_then(|v| v.as_str());
         assert_eq!(kind, Some("rbd"));
         assert!(crate::json::get_path(&doc, "rbd.availability").is_some());
+    }
+
+    /// A birth-death availability chain of `n` states: failure `lambda`
+    /// forward, repair `mu` back, the lower half up.
+    fn birth_death(n: usize, lambda: f64, mu: f64) -> String {
+        let states: Vec<String> = (0..n).map(|i| format!("\"s{i}\"")).collect();
+        let transitions: Vec<String> = (1..n)
+            .map(|i| {
+                format!(
+                    r#"{{"from": "s{}", "to": "s{i}", "rate": {lambda}}},
+                       {{"from": "s{i}", "to": "s{}", "rate": {mu}}}"#,
+                    i - 1,
+                    i - 1
+                )
+            })
+            .collect();
+        format!(
+            r#"{{"ctmc": {{"states": [{}], "transitions": [{}], "up_states": [{}]}}}}"#,
+            states.join(","),
+            transitions.join(","),
+            states[..n / 2].join(",")
+        )
+    }
+
+    #[test]
+    fn availability_rounded_past_one_reads_as_one() {
+        // The up half holds all but ~1e-20 of the mass; its 12 terms sum
+        // to 1.0000000000000002, which used to fail the solve.
+        let chain = birth_death(24, 0.01, 0.5);
+        let SolvedMeasures::Ctmc {
+            availability,
+            downtime_minutes_per_year: downtime,
+            ..
+        } = run(&chain).unwrap().measures
+        else {
+            panic!("expected CTMC measures");
+        };
+        assert_eq!(availability, Some(1.0));
+        assert_eq!(downtime, Some(0.0));
+        // One such sample used to fail a whole uncertainty solve.
+        let wrapped = run(&format!(
+            r#"{{"uncertainty": {{"model": {chain}, "measure": "availability", "samples": 8,
+                 "parameters": [{{"path": "ctmc.transitions.1.rate",
+                                  "prior": {{"uniform": {{"low": 0.49, "high": 0.51}}}}}}]}}}}"#
+        ));
+        let mean = wrapped.unwrap().measures.primary_value().unwrap();
+        assert!(mean > 1.0 - 1e-15 && mean <= 1.0, "mean {mean}");
+        // Only round-off is forgiven: n·ε above one, not more.
+        let n = 12;
+        let edge = 1.0 + n as f64 * f64::EPSILON;
+        assert_eq!(availability_from_sum(edge, n), 1.0);
+        let past = 1.0 + (n + 1) as f64 * f64::EPSILON;
+        assert_eq!(availability_from_sum(past, n), past);
+        assert!(downtime_minutes_per_year(availability_from_sum(past, n)).is_err());
+        assert_eq!(availability_from_sum(0.75, n), 0.75);
     }
 }

@@ -143,6 +143,7 @@ pub mod json;
 mod report;
 mod scenario;
 mod schema;
+mod slot;
 pub mod wire;
 
 pub use convert::{solve_str_with, solve_with, ImportanceRow, SolvedMeasures, TransientRow};

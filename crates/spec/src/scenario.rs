@@ -14,20 +14,21 @@
 //! streams.
 
 use crate::convert::{
-    event_probability, lifetime_from, solve_fault_tree, solve_with, SolvedMeasures,
+    availability_from_sum, event_probability, lifetime_from, solve_fault_tree, solve_model,
+    solve_with, CtmcChain, SolvedMeasures,
 };
-use crate::json::{self, JsonValue};
-use crate::report::{SolveOptions, SolveStats};
+use crate::report::{SolveOptions, SolveReport, SolveStats};
 use crate::schema::{
     BoundsSpec, FaultTreeSpec, GateSpec, HierarchySpec, KOfNGateSpec, ModelSpec, PriorSpec,
     ScenarioMeasure, SemiMarkovSpec, UncertaintySpec,
 };
+use crate::slot::{write_all, Slot};
 use reliab_core::{downtime_minutes_per_year, Error, Result};
 use reliab_dist::Lifetime;
 use reliab_hier::{fixed_point_observed, FixedPointOptions};
 use reliab_obs as obs;
 use reliab_semimarkov::{SemiMarkovBuilder, SmpStateId};
-use reliab_uncert::{propagate, rate_posterior, PropagationOptions, SamplingScheme};
+use reliab_uncert::{propagate_with, rate_posterior, PropagationOptions, SamplingScheme};
 
 /// Extracts the scalar a scenario layer consumes from a solved result.
 fn extract_measure(m: &SolvedMeasures, which: ScenarioMeasure, ctx: &str) -> Result<f64> {
@@ -58,28 +59,69 @@ fn resolve_workers(jobs: usize, work_items: usize) -> usize {
 }
 
 // ---------------------------------------------------------------------
+// Working copies
+
+/// A model a scenario re-solves with new slot values: a working copy of
+/// the typed spec, and the chain of its previous solve when it is a
+/// CTMC. Each worker owns its copies, so no solve clones a model or
+/// shares one.
+struct Working {
+    model: ModelSpec,
+    chain: Option<CtmcChain>,
+}
+
+impl Working {
+    fn new(model: &ModelSpec) -> Working {
+        Working {
+            model: model.clone(),
+            chain: None,
+        }
+    }
+
+    /// Writes `values` through `slots`, reporting a rejected value with
+    /// `invalid`, and solves the written model.
+    fn solve(
+        &mut self,
+        slots: &[&Slot],
+        values: &[f64],
+        opts: &SolveOptions,
+        parent: Option<u64>,
+        invalid: impl FnOnce(Error) -> Error,
+    ) -> Result<SolveReport> {
+        write_all(&mut self.model, slots, values).map_err(invalid)?;
+        solve_model(&self.model, &mut self.chain, opts, parent)
+    }
+}
+
+// ---------------------------------------------------------------------
 // Hierarchy
 
-/// Evaluates one hierarchy submodel at the current export vector.
-fn eval_submodel(
-    spec: &HierarchySpec,
-    base_docs: &[JsonValue],
-    index_of: &dyn Fn(&str) -> usize,
-    i: usize,
-    x: &[f64],
-    opts: &SolveOptions,
-) -> Result<f64> {
-    let sub = &spec.submodels[i];
-    let ctx = format!("hierarchy submodel '{}'", sub.name);
-    let mut doc = base_docs[i].clone();
-    for imp in &sub.imports {
-        json::set_number_at_path(&mut doc, &imp.path, x[index_of(&imp.from)])
-            .map_err(|e| Error::model(format!("{ctx} import from '{}': {e}", imp.from)))?;
+/// A submodel with imports, re-solved once per fixed-point sweep.
+struct Dynamic<'a> {
+    index: usize,
+    measure: ScenarioMeasure,
+    ctx: String,
+    slots: Vec<&'a Slot>,
+    /// Export index each import reads.
+    sources: Vec<usize>,
+    values: Vec<f64>,
+    working: Working,
+}
+
+impl Dynamic<'_> {
+    /// Solves the submodel at the export vector `x`.
+    fn eval(&mut self, x: &[f64], opts: &SolveOptions, parent: Option<u64>) -> Result<f64> {
+        for (v, &from) in self.values.iter_mut().zip(&self.sources) {
+            *v = x[from];
+        }
+        let ctx = &self.ctx;
+        let report = self
+            .working
+            .solve(&self.slots, &self.values, opts, parent, |e| {
+                Error::model(format!("{ctx} became invalid after imports: {e}"))
+            })?;
+        extract_measure(&report.measures, self.measure, ctx)
     }
-    let inner = ModelSpec::from_json(&doc)
-        .map_err(|e| Error::model(format!("{ctx} became invalid after imports: {e}")))?;
-    let report = solve_with(&inner, opts)?;
-    extract_measure(&report.measures, sub.measure, &ctx)
 }
 
 /// Solves a hierarchical composition by damped fixed-point iteration
@@ -88,7 +130,7 @@ pub(crate) fn solve_hierarchy(
     spec: &HierarchySpec,
     opts: &SolveOptions,
 ) -> Result<(SolvedMeasures, SolveStats)> {
-    let _span = obs::span("spec.solve.hierarchy");
+    let span = obs::span("spec.solve.hierarchy");
     let n = spec.submodels.len();
     let names: Vec<&str> = spec.submodels.iter().map(|s| s.name.as_str()).collect();
     let index_of = |name: &str| -> usize {
@@ -97,7 +139,6 @@ pub(crate) fn solve_hierarchy(
             .position(|n| *n == name)
             .expect("import target validated at parse time")
     };
-    let base_docs: Vec<JsonValue> = spec.submodels.iter().map(|s| s.model.to_json()).collect();
 
     let fp_opts = FixedPointOptions::default()
         .with_tolerance(opts.fixed_point_tol.or(spec.tolerance).unwrap_or(1e-10))
@@ -116,39 +157,50 @@ pub(crate) fn solve_hierarchy(
     let workers = resolve_workers(jobs, dynamic.len().max(1));
 
     let mut fixed: Vec<Option<f64>> = vec![None; n];
-    for (i, slot) in fixed.iter_mut().enumerate() {
-        if spec.submodels[i].imports.is_empty() {
-            *slot = Some(eval_submodel(spec, &base_docs, &index_of, i, &[], opts)?);
+    for (slot, sub) in fixed.iter_mut().zip(&spec.submodels) {
+        if sub.imports.is_empty() {
+            let ctx = format!("hierarchy submodel '{}'", sub.name);
+            let report = solve_with(&sub.model, opts)?;
+            *slot = Some(extract_measure(&report.measures, sub.measure, &ctx)?);
         }
     }
 
+    // Strided partition: worker w owns dynamic[w], dynamic[w + workers],
+    // ... and the working copies of those submodels, for every sweep.
+    let mut parts: Vec<Vec<Dynamic>> = (0..workers).map(|_| Vec::new()).collect();
+    for (k, &i) in dynamic.iter().enumerate() {
+        let sub = &spec.submodels[i];
+        parts[k % workers].push(Dynamic {
+            index: i,
+            measure: sub.measure,
+            ctx: format!("hierarchy submodel '{}'", sub.name),
+            slots: sub.imports.iter().map(|imp| &imp.slot).collect(),
+            sources: sub.imports.iter().map(|imp| index_of(&imp.from)).collect(),
+            values: vec![0.0; sub.imports.len()],
+            working: Working::new(&sub.model),
+        });
+    }
+
+    let parent = span.id();
     let sweep = |x: &[f64]| -> Result<Vec<f64>> {
         let mut out: Vec<f64> = (0..n).map(|i| fixed[i].unwrap_or(0.0)).collect();
-        if workers <= 1 || dynamic.len() <= 1 {
-            for &i in &dynamic {
-                out[i] = eval_submodel(spec, &base_docs, &index_of, i, x, opts)?;
+        if let [mine] = parts.as_mut_slice() {
+            for sub in mine {
+                out[sub.index] = sub.eval(x, opts, None)?;
             }
         } else {
-            // Strided partition: worker w owns dynamic[w], dynamic[w +
-            // workers], ... Disjoint slots, so merge order — and thus
-            // the result — is independent of scheduling.
+            // Disjoint slots, so merge order — and thus the result — is
+            // independent of scheduling.
             let trace = obs::current_trace_id();
             let partial: Vec<Result<Vec<(usize, f64)>>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| {
-                        let dynamic = &dynamic;
-                        let base_docs = &base_docs;
-                        let index_of = &index_of;
+                let handles: Vec<_> = parts
+                    .iter_mut()
+                    .map(|mine| {
                         scope.spawn(move || {
                             let _trace = obs::set_trace_id(trace);
-                            let mut mine = Vec::new();
-                            for &i in dynamic.iter().skip(w).step_by(workers) {
-                                mine.push((
-                                    i,
-                                    eval_submodel(spec, base_docs, index_of, i, x, opts)?,
-                                ));
-                            }
-                            Ok(mine)
+                            mine.iter_mut()
+                                .map(|sub| Ok((sub.index, sub.eval(x, opts, Some(parent))?)))
+                                .collect()
                         })
                     })
                     .collect();
@@ -273,7 +325,8 @@ pub(crate) fn solve_semi_markov(
 
     let (availability, downtime) = match &spec.up_states {
         Some(ups) => {
-            let a: f64 = ups.iter().map(|u| pi[id_of(u).index()]).sum();
+            let a =
+                availability_from_sum(ups.iter().map(|u| pi[id_of(u).index()]).sum(), ups.len());
             (Some(a), Some(downtime_minutes_per_year(a)?))
         }
         None => (None, None),
@@ -328,7 +381,7 @@ pub(crate) fn solve_uncertainty(
     spec: &UncertaintySpec,
     opts: &SolveOptions,
 ) -> Result<(SolvedMeasures, SolveStats)> {
-    let _span = obs::span("spec.solve.uncertainty");
+    let span = obs::span("spec.solve.uncertainty");
     let mut params: Vec<Box<dyn Lifetime>> = Vec::with_capacity(spec.parameters.len());
     for p in &spec.parameters {
         params.push(match &p.prior {
@@ -339,26 +392,21 @@ pub(crate) fn solve_uncertainty(
             } => Box::new(rate_posterior(*failures, *total_time)?),
         });
     }
-    let base_doc = spec.model.to_json();
-    let paths: Vec<&str> = spec.parameters.iter().map(|p| p.path.as_str()).collect();
+    let slots: Vec<&Slot> = spec.parameters.iter().map(|p| &p.slot).collect();
     let measure = spec.measure;
 
-    // The closure runs on the sampler's worker threads; re-apply the
-    // ambient trace id there so inner solves stay correlated.
+    // The closure runs on the sampler's worker threads, each with its
+    // own working copy of the inner model; re-apply the ambient trace id
+    // there and nest each sample's solve under this span.
     let trace = obs::current_trace_id();
-    let model = |values: &[f64]| -> Result<f64> {
+    let parent = span.id();
+    let model = |working: &mut Working, values: &[f64]| -> Result<f64> {
         let _trace = obs::set_trace_id(trace);
-        let mut doc = base_doc.clone();
-        for (path, v) in paths.iter().zip(values) {
-            json::set_number_at_path(&mut doc, path, *v)
-                .map_err(|e| Error::model(format!("uncertainty parameter {e}")))?;
-        }
-        let inner = ModelSpec::from_json(&doc).map_err(|e| {
+        let report = working.solve(&slots, values, opts, Some(parent), |e| {
             Error::model(format!(
                 "uncertainty inner model became invalid after sampling: {e}"
             ))
         })?;
-        let report = solve_with(&inner, opts)?;
         extract_measure(&report.measures, measure, "uncertainty inner model")
     };
 
@@ -373,7 +421,7 @@ pub(crate) fn solve_uncertainty(
             SamplingScheme::Random
         },
     };
-    let r = propagate(&params, model, &prop_opts)?;
+    let r = propagate_with(&params, || Working::new(&spec.model), model, &prop_opts)?;
 
     let samples = r.samples.len();
     let measures = SolvedMeasures::Uncertainty {
@@ -550,8 +598,13 @@ pub(crate) fn solve_bounds(
 
 #[cfg(test)]
 mod tests {
-    use crate::convert::{solve_str_with, SolvedMeasures};
-    use crate::report::SolveOptions;
+    use super::Working;
+    use crate::convert::{solve_model, solve_str_with, solve_with, SolvedMeasures};
+    use crate::json::{self, JsonValue};
+    use crate::report::{SolveOptions, SolveReport};
+    use crate::schema::ModelSpec;
+    use crate::slot::{write_all, Slot};
+    use reliab_core::Result;
 
     fn run(text: &str) -> crate::convert::SolvedMeasures {
         solve_str_with(text, &SolveOptions::default())
@@ -590,6 +643,114 @@ mod tests {
         assert!((value - 0.9 * 0.98).abs() < 1e-12, "value = {value}");
         assert!(*iterations >= 1);
         assert_eq!(m.primary_value(), Some(*value));
+    }
+
+    /// Dotted paths and values of every number in a canonical document.
+    fn numeric_leaves(v: &JsonValue, path: &str, out: &mut Vec<(String, f64)>) {
+        let join = |seg: &str| {
+            if path.is_empty() {
+                seg.to_owned()
+            } else {
+                format!("{path}.{seg}")
+            }
+        };
+        match v {
+            JsonValue::Number(x) => out.push((path.to_owned(), *x)),
+            JsonValue::Array(items) => {
+                for (i, item) in items.iter().enumerate() {
+                    numeric_leaves(item, &join(&i.to_string()), out);
+                }
+            }
+            JsonValue::Object(entries) => {
+                for (k, item) in entries {
+                    numeric_leaves(item, &join(k), out);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    fn render(r: Result<SolveReport>) -> String {
+        match r {
+            Ok(report) => report.measures.to_json().to_json(),
+            Err(e) => format!("error: {e}"),
+        }
+    }
+
+    /// Whether a solve of `model` can run for hours whatever it was
+    /// given: a simulation runs to its horizon, which may be 1e308 h,
+    /// and the phase-type expansion behind semi-Markov interval
+    /// availability takes tens of seconds per solve in a debug build.
+    fn unbounded(model: &ModelSpec) -> bool {
+        match model {
+            ModelSpec::Rbd(r) => r.sim.is_some(),
+            ModelSpec::SemiMarkov(s) => s.interval_times.is_some(),
+            _ => false,
+        }
+    }
+
+    /// Every number of every shipped spec but the 10^6-marking net,
+    /// written through its slot into one working copy at seven values in
+    /// turn, gives what the path it replaced gave: patch the canonical
+    /// document, parse it, solve it. The written model equals the parsed
+    /// one (or the write fails with the parser's message), and the solve
+    /// — a refill of the chain for a CTMC — yields the same measures
+    /// JSON or error text. Models whose solve time the value can make
+    /// unbounded (see [`unbounded`]) are compared as models only; their
+    /// solve is the same function of an equal model on both paths.
+    #[test]
+    fn slot_writes_match_patching_the_document() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs");
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .expect("specs/ exists")
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|n| n.ends_with(".json") && n != "tandem_large.json")
+            .collect();
+        names.sort();
+        let opts = SolveOptions::default();
+        let (mut written, mut solved) = (0, 0);
+        for name in &names {
+            let text = std::fs::read_to_string(format!("{dir}/{name}")).unwrap();
+            let model = ModelSpec::from_json_str(&text).unwrap();
+            let doc = model.to_json();
+            let mut leaves = Vec::new();
+            numeric_leaves(&doc, "", &mut leaves);
+            for (path, original) in leaves {
+                let slot = Slot::resolve(&model, &path)
+                    .unwrap_or_else(|| panic!("{name}: '{path}' names a number"));
+                let mut working = Working::new(&model);
+                // The original value goes first, so that every later
+                // value refills the chain a CTMC compiled on it.
+                for v in [original, original * 1.5, 0.0, -1.0, 2.5, f64::NAN, 1e308] {
+                    let what = format!("{name}: {path} = {v}");
+                    let mut patched = doc.clone();
+                    json::set_number_at_path(&mut patched, &path, v).unwrap();
+                    let parsed = ModelSpec::from_json(&patched);
+                    let write = write_all(&mut working.model, &[&slot], &[v]);
+                    match (&write, &parsed) {
+                        (Ok(()), Ok(m)) => {
+                            assert_eq!(format!("{:?}", working.model), format!("{m:?}"), "{what}")
+                        }
+                        (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "{what}"),
+                        _ => panic!("{what}: write {write:?}, parse {:?}", parsed.err()),
+                    }
+                    written += 1;
+                    if unbounded(&model) {
+                        continue;
+                    }
+                    let new = write.and_then(|()| {
+                        solve_model(&working.model, &mut working.chain, &opts, None)
+                    });
+                    let old = parsed.and_then(|m| solve_with(&m, &opts));
+                    assert_eq!(render(new), render(old), "{what}");
+                    solved += 1;
+                }
+            }
+        }
+        assert!(
+            written > 700 && solved > 450,
+            "{written} writes, {solved} solves"
+        );
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! recursive nodes, `deny_unknown_fields`) accepted.
 
 use crate::json::{self, JsonValue};
+use crate::slot::Slot;
 use reliab_core::{Error, Result};
 
 /// A top-level model document: exactly one model class.
@@ -556,8 +557,9 @@ pub struct SubmodelSpec {
 
 /// One hierarchy import binding: before each solve of the importing
 /// submodel, the numeric field at `path` (a dotted JSON path into the
-/// submodel's own document, e.g. `"rbd.components.0.availability"`) is
-/// replaced by the current export of submodel `from`.
+/// submodel's canonical document, e.g.
+/// `"rbd.components.0.availability"`) is replaced by the current export
+/// of submodel `from`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ImportSpec {
     /// Exporting submodel name.
@@ -565,6 +567,8 @@ pub struct ImportSpec {
     /// Dotted JSON path to the imported numeric field, relative to the
     /// importing submodel's document.
     pub path: String,
+    /// The field `path` names, resolved when the document was parsed.
+    pub(crate) slot: Slot,
 }
 
 /// Semi-Markov-process specification: states with general sojourn-time
@@ -646,6 +650,8 @@ pub struct UncertainParamSpec {
     pub path: String,
     /// The prior.
     pub prior: PriorSpec,
+    /// The field `path` names, resolved when the document was parsed.
+    pub(crate) slot: Slot,
 }
 
 /// A prior over an uncertain parameter: an explicit distribution, or
@@ -748,6 +754,174 @@ fn string_list(v: &JsonValue, what: &str) -> Result<Vec<String>> {
                 .ok_or_else(|| schema_err(format!("{what} entries must be strings")))
         })
         .collect()
+}
+
+// ---------------------------------------------------------------------
+// Checked numeric fields. `from_json` and slot writes (`crate::slot`)
+// share these, so a value written into a parsed model is accepted, or
+// rejected with the same message, exactly as in a document.
+
+/// A non-negative integer (`JsonValue::as_usize`), or `msg`.
+fn int_value(x: &JsonValue, msg: impl FnOnce() -> String) -> Result<usize> {
+    x.as_usize().ok_or_else(|| schema_err(msg()))
+}
+
+/// `k` of a k-of-n structure or gate.
+pub(crate) fn k_value(x: &JsonValue) -> Result<usize> {
+    int_value(x, || "'k' must be a non-negative integer".into())
+}
+
+/// A fault tree's `max_cut_sets`.
+pub(crate) fn max_cut_sets_value(x: &JsonValue) -> Result<usize> {
+    int_value(x, || "'max_cut_sets' must be a non-negative integer".into())
+}
+
+/// An integer field of a `sim` block.
+pub(crate) fn sim_int(x: &JsonValue, key: &str) -> Result<usize> {
+    int_value(x, || format!("sim '{key}' must be a non-negative integer"))
+}
+
+/// An integer field of an SPN.
+pub(crate) fn spn_int(x: &JsonValue, key: &str) -> Result<usize> {
+    int_value(x, || format!("'{key}' must be a non-negative integer"))
+}
+
+/// An SPN's `shard_bits`.
+pub(crate) fn shard_bits_value(x: &JsonValue) -> Result<u32> {
+    match spn_int(x, "shard_bits")? {
+        b if b <= 16 => Ok(b as u32),
+        b => Err(schema_err(format!("'shard_bits' must be <= 16 (got {b})"))),
+    }
+}
+
+/// A `u32` count of an SPN: place tokens, a priority, an arc count.
+pub(crate) fn u32_value(x: &JsonValue, key: &str) -> Result<u32> {
+    u32::try_from(spn_int(x, key)?).map_err(|_| schema_err(format!("'{key}' exceeds u32 range")))
+}
+
+/// An integer field of a hierarchy.
+pub(crate) fn hierarchy_int(x: &JsonValue, key: &str) -> Result<usize> {
+    int_value(x, || {
+        format!("hierarchy '{key}' must be a non-negative integer")
+    })
+}
+
+/// A hierarchy's `max_iterations`.
+pub(crate) fn max_iterations_value(x: &JsonValue) -> Result<usize> {
+    match hierarchy_int(x, "max_iterations")? {
+        0 => Err(schema_err("hierarchy 'max_iterations' must be at least 1")),
+        m => Ok(m),
+    }
+}
+
+/// A hierarchy's `tolerance`.
+pub(crate) fn tolerance_value(t: f64) -> Result<f64> {
+    if t > 0.0 && t.is_finite() {
+        Ok(t)
+    } else {
+        Err(schema_err(format!(
+            "hierarchy 'tolerance' must be positive and finite, got {t}"
+        )))
+    }
+}
+
+/// A hierarchy's `damping`.
+pub(crate) fn damping_value(d: f64) -> Result<f64> {
+    if d > 0.0 && d <= 1.0 {
+        Ok(d)
+    } else {
+        Err(schema_err(format!(
+            "hierarchy 'damping' must be in (0, 1], got {d}"
+        )))
+    }
+}
+
+/// An entry of a semi-Markov process's `interval_times`.
+pub(crate) fn interval_time_value(x: &JsonValue) -> Result<f64> {
+    x.as_f64()
+        .filter(|&t| t > 0.0 && t.is_finite())
+        .ok_or_else(|| schema_err("'interval_times' entries must be positive numbers"))
+}
+
+/// An embedded-chain jump probability of a semi-Markov process.
+pub(crate) fn jump_probability_value(p: f64) -> Result<f64> {
+    if p > 0.0 && p <= 1.0 {
+        Ok(p)
+    } else {
+        Err(schema_err(format!(
+            "transition 'probability' must be in (0, 1], got {p}"
+        )))
+    }
+}
+
+/// An integer field of an uncertainty wrapper.
+pub(crate) fn uncertainty_int(x: &JsonValue, key: &str) -> Result<usize> {
+    int_value(x, || {
+        format!("uncertainty '{key}' must be a non-negative integer")
+    })
+}
+
+/// An uncertainty wrapper's `samples`.
+pub(crate) fn samples_value(x: &JsonValue) -> Result<usize> {
+    match uncertainty_int(x, "samples")? {
+        0 => Err(schema_err("uncertainty 'samples' must be at least 1")),
+        n => Ok(n),
+    }
+}
+
+/// An uncertainty wrapper's `level`.
+pub(crate) fn level_value(l: f64) -> Result<f64> {
+    if l > 0.0 && l < 1.0 {
+        Ok(l)
+    } else {
+        Err(schema_err(format!(
+            "uncertainty 'level' must be in (0, 1), got {l}"
+        )))
+    }
+}
+
+/// `failures` of the rate posterior at JSON path `path`.
+pub(crate) fn failures_value(x: &JsonValue, path: &str) -> Result<u32> {
+    x.as_usize()
+        .and_then(|f| u32::try_from(f).ok())
+        .ok_or_else(|| {
+            schema_err(format!(
+                "{path}: rate_posterior 'failures' must be a non-negative integer"
+            ))
+        })
+}
+
+/// `total_time` of the rate posterior at JSON path `path`.
+pub(crate) fn total_time_value(t: f64, path: &str) -> Result<f64> {
+    if t > 0.0 && t.is_finite() {
+        Ok(t)
+    } else {
+        Err(schema_err(format!(
+            "{path}: rate_posterior 'total_time' must be positive and \
+             finite, got {t}"
+        )))
+    }
+}
+
+/// The probability of a bounds event.
+pub(crate) fn event_probability_value(p: f64) -> Result<f64> {
+    if (0.0..=1.0).contains(&p) {
+        Ok(p)
+    } else {
+        Err(schema_err(format!(
+            "event 'probability' must be in [0, 1], got {p}"
+        )))
+    }
+}
+
+/// A bounds document's `truncation_order`.
+pub(crate) fn truncation_order_value(x: &JsonValue) -> Result<usize> {
+    match int_value(x, || {
+        "bounds 'truncation_order' must be a non-negative integer".into()
+    })? {
+        0 => Err(schema_err("bounds 'truncation_order' must be at least 1")),
+        o => Ok(o),
+    }
 }
 
 impl ModelSpec {
@@ -1099,9 +1273,7 @@ impl SimSpec {
         let opt_usize = |key: &str| -> Result<Option<usize>> {
             match v.get(key) {
                 None | Some(JsonValue::Null) => Ok(None),
-                Some(x) => Ok(Some(x.as_usize().ok_or_else(|| {
-                    schema_err(format!("sim '{key}' must be a non-negative integer"))
-                })?)),
+                Some(x) => Ok(Some(sim_int(x, key)?)),
             }
         };
         let spec = SimSpec {
@@ -1184,9 +1356,7 @@ impl StructureSpec {
             }),
             "k_of_n" => {
                 check_keys(as_obj(payload, "k_of_n")?, &["k", "of"], "k_of_n")?;
-                let k = req(payload, "k", "k_of_n")?
-                    .as_usize()
-                    .ok_or_else(|| schema_err("'k' must be a non-negative integer"))?;
+                let k = k_value(req(payload, "k", "k_of_n")?)?;
                 Ok(StructureSpec::KOfN {
                     k_of_n: KOfNSpec {
                         k,
@@ -1241,10 +1411,7 @@ impl FaultTreeSpec {
         let top = GateSpec::from_json(req(v, "top", "fault_tree")?)?;
         let max_cut_sets = match v.get("max_cut_sets") {
             None | Some(JsonValue::Null) => None,
-            Some(m) => Some(
-                m.as_usize()
-                    .ok_or_else(|| schema_err("'max_cut_sets' must be a non-negative integer"))?,
-            ),
+            Some(m) => Some(max_cut_sets_value(m)?),
         };
         let var_order = match v.get("var_order") {
             None | Some(JsonValue::Null) => None,
@@ -1369,9 +1536,7 @@ impl GateSpec {
             }),
             "k_of_n" => {
                 check_keys(as_obj(payload, "k_of_n")?, &["k", "of"], "k_of_n")?;
-                let k = req(payload, "k", "k_of_n")?
-                    .as_usize()
-                    .ok_or_else(|| schema_err("'k' must be a non-negative integer"))?;
+                let k = k_value(req(payload, "k", "k_of_n")?)?;
                 Ok(GateSpec::KOfN {
                     k_of_n: KOfNGateSpec {
                         k,
@@ -1627,17 +1792,12 @@ impl SpnSpec {
         let opt_usize = |key: &str| -> Result<Option<usize>> {
             match v.get(key) {
                 None | Some(JsonValue::Null) => Ok(None),
-                Some(m) => Ok(Some(m.as_usize().ok_or_else(|| {
-                    schema_err(format!("'{key}' must be a non-negative integer"))
-                })?)),
+                Some(m) => Ok(Some(spn_int(m, key)?)),
             }
         };
-        let shard_bits = match opt_usize("shard_bits")? {
-            None => None,
-            Some(b) if b <= 16 => Some(b as u32),
-            Some(b) => {
-                return Err(schema_err(format!("'shard_bits' must be <= 16 (got {b})")));
-            }
+        let shard_bits = match v.get("shard_bits") {
+            None | Some(JsonValue::Null) => None,
+            Some(b) => Some(shard_bits_value(b)?),
         };
         let optional_names = |key: &str| -> Result<Option<Vec<String>>> {
             match v.get(key) {
@@ -1713,11 +1873,7 @@ impl PlaceSpec {
         check_keys(as_obj(v, "place")?, &["name", "tokens"], "place")?;
         let tokens = match v.get("tokens") {
             None | Some(JsonValue::Null) => 0,
-            Some(t) => u32::try_from(
-                t.as_usize()
-                    .ok_or_else(|| schema_err("'tokens' must be a non-negative integer"))?,
-            )
-            .map_err(|_| schema_err("'tokens' exceeds u32 range"))?,
+            Some(t) => u32_value(t, "tokens")?,
         };
         Ok(PlaceSpec {
             name: str_field(v, "name", "place")?,
@@ -1763,14 +1919,10 @@ impl SpnTransitionSpec {
                 }
             }
             (None, Some(w)) => {
-                let priority =
-                    match v.get("priority") {
-                        None | Some(JsonValue::Null) => 0,
-                        Some(p) => u32::try_from(p.as_usize().ok_or_else(|| {
-                            schema_err("'priority' must be a non-negative integer")
-                        })?)
-                        .map_err(|_| schema_err("'priority' exceeds u32 range"))?,
-                    };
+                let priority = match v.get("priority") {
+                    None | Some(JsonValue::Null) => 0,
+                    Some(p) => u32_value(p, "priority")?,
+                };
                 SpnTimingSpec::Immediate {
                     weight: w
                         .as_f64()
@@ -1835,11 +1987,7 @@ impl ArcSpec {
         check_keys(as_obj(v, "arc")?, &["place", "count"], "arc")?;
         let count = match v.get("count") {
             None | Some(JsonValue::Null) => 1,
-            Some(c) => u32::try_from(
-                c.as_usize()
-                    .ok_or_else(|| schema_err("'count' must be a non-negative integer"))?,
-            )
-            .map_err(|_| schema_err("'count' exceeds u32 range"))?,
+            Some(c) => u32_value(c, "count")?,
         };
         Ok(ArcSpec {
             place: str_field(v, "place", "arc")?,
@@ -1871,6 +2019,12 @@ fn dist_at(v: &JsonValue, path: &str) -> Result<DistSpec> {
     })
 }
 
+/// JSON path of the prior of uncertainty parameter `index`, which
+/// qualifies that prior's errors.
+pub(crate) fn prior_path(index: usize) -> String {
+    format!("uncertainty.parameters.{index}.prior")
+}
+
 fn scenario_measure(v: &JsonValue, what: &str) -> Result<ScenarioMeasure> {
     match v.get("measure") {
         None | Some(JsonValue::Null) => Ok(ScenarioMeasure::Primary),
@@ -1888,20 +2042,20 @@ fn scenario_measure(v: &JsonValue, what: &str) -> Result<ScenarioMeasure> {
     }
 }
 
-/// Checks that `path` resolves to a number inside `doc` (the canonical
-/// serialization of the model it is relative to).
-fn check_numeric_path(doc: &JsonValue, path: &str, what: &str) -> Result<()> {
-    match json::get_path(doc, path) {
-        Some(JsonValue::Number(_)) => Ok(()),
-        Some(_) => Err(schema_err(format!(
+/// Resolves `path`, a dotted path into `model`'s canonical document, to
+/// the slot of the number it names. Only a rejected path pays for the
+/// canonical document, to tell the two errors apart.
+fn resolve_slot(model: &ModelSpec, path: &str, what: &str) -> Result<Slot> {
+    Slot::resolve(model, path).ok_or_else(|| match json::get_path(&model.to_json(), path) {
+        Some(_) => schema_err(format!(
             "{what} path '{path}' does not resolve to a number \
              (note: paths are relative to the canonical document, \
              e.g. a normalized 'mean' becomes 'rate')"
-        ))),
-        None => Err(schema_err(format!(
+        )),
+        None => schema_err(format!(
             "{what} path '{path}' does not resolve in the model document"
-        ))),
-    }
+        )),
+    })
 }
 
 impl HierarchySpec {
@@ -1918,36 +2072,42 @@ impl HierarchySpec {
             ],
             "hierarchy",
         )?;
-        let submodels: Vec<SubmodelSpec> = req(v, "submodels", "hierarchy")?
+        let parsed: Vec<(SubmodelSpec, Vec<(String, String)>)> = req(v, "submodels", "hierarchy")?
             .as_array()
             .ok_or_else(|| schema_err("hierarchy 'submodels' must be an array"))?
             .iter()
             .map(SubmodelSpec::from_json)
             .collect::<Result<_>>()?;
-        if submodels.is_empty() {
+        if parsed.is_empty() {
             return Err(schema_err("hierarchy needs at least one submodel"));
         }
-        let mut names: Vec<&str> = Vec::with_capacity(submodels.len());
-        for sub in &submodels {
-            if names.contains(&sub.name.as_str()) {
+        let mut names: Vec<String> = Vec::with_capacity(parsed.len());
+        for (sub, _) in &parsed {
+            if names.contains(&sub.name) {
                 return Err(schema_err(format!(
                     "duplicate submodel name '{}'",
                     sub.name
                 )));
             }
-            names.push(&sub.name);
+            names.push(sub.name.clone());
         }
-        for sub in &submodels {
-            let doc = sub.model.to_json();
-            for imp in &sub.imports {
-                if !names.contains(&imp.from.as_str()) {
+        let mut submodels = Vec::with_capacity(parsed.len());
+        for (mut sub, imports) in parsed {
+            for (from, path) in imports {
+                if !names.contains(&from) {
                     return Err(schema_err(format!(
-                        "submodel '{}' imports from unknown submodel '{}'",
-                        sub.name, imp.from
+                        "submodel '{}' imports from unknown submodel '{from}'",
+                        sub.name
                     )));
                 }
-                check_numeric_path(&doc, &imp.path, &format!("submodel '{}' import", sub.name))?;
+                let slot = resolve_slot(
+                    &sub.model,
+                    &path,
+                    &format!("submodel '{}' import", sub.name),
+                )?;
+                sub.imports.push(ImportSpec { from, path, slot });
             }
+            submodels.push(sub);
         }
         let output = match v.get("output") {
             None | Some(JsonValue::Null) => None,
@@ -1955,7 +2115,7 @@ impl HierarchySpec {
                 let o = o
                     .as_str()
                     .ok_or_else(|| schema_err("hierarchy 'output' must be a submodel name"))?;
-                if !names.contains(&o) {
+                if !names.iter().any(|n| n == o) {
                     return Err(schema_err(format!(
                         "hierarchy 'output' references unknown submodel '{o}'"
                     )));
@@ -1971,41 +2131,23 @@ impl HierarchySpec {
                 })?)),
             }
         };
-        let opt_usize = |key: &str| -> Result<Option<usize>> {
-            match v.get(key) {
-                None | Some(JsonValue::Null) => Ok(None),
-                Some(x) => Ok(Some(x.as_usize().ok_or_else(|| {
-                    schema_err(format!("hierarchy '{key}' must be a non-negative integer"))
-                })?)),
-            }
+        let tolerance = opt_f64("tolerance")?.map(tolerance_value).transpose()?;
+        let damping = opt_f64("damping")?.map(damping_value).transpose()?;
+        let max_iterations = match v.get("max_iterations") {
+            None | Some(JsonValue::Null) => None,
+            Some(x) => Some(max_iterations_value(x)?),
         };
-        let tolerance = opt_f64("tolerance")?;
-        if let Some(t) = tolerance {
-            if !(t > 0.0 && t.is_finite()) {
-                return Err(schema_err(format!(
-                    "hierarchy 'tolerance' must be positive and finite, got {t}"
-                )));
-            }
-        }
-        let damping = opt_f64("damping")?;
-        if let Some(d) = damping {
-            if !(d > 0.0 && d <= 1.0) {
-                return Err(schema_err(format!(
-                    "hierarchy 'damping' must be in (0, 1], got {d}"
-                )));
-            }
-        }
-        let max_iterations = opt_usize("max_iterations")?;
-        if max_iterations == Some(0) {
-            return Err(schema_err("hierarchy 'max_iterations' must be at least 1"));
-        }
+        let jobs = match v.get("jobs") {
+            None | Some(JsonValue::Null) => None,
+            Some(x) => Some(hierarchy_int(x, "jobs")?),
+        };
         Ok(HierarchySpec {
             submodels,
             output,
             tolerance,
             max_iterations,
             damping,
-            jobs: opt_usize("jobs")?,
+            jobs,
         })
     }
 
@@ -2034,7 +2176,9 @@ impl HierarchySpec {
 }
 
 impl SubmodelSpec {
-    fn from_json(v: &JsonValue) -> Result<SubmodelSpec> {
+    /// Parses a submodel; its imports come back as `(from, path)` pairs,
+    /// bound once every submodel is known.
+    fn from_json(v: &JsonValue) -> Result<(SubmodelSpec, Vec<(String, String)>)> {
         check_keys(
             as_obj(v, "submodel")?,
             &["name", "model", "measure", "initial", "imports"],
@@ -2058,13 +2202,14 @@ impl SubmodelSpec {
                 .map(ImportSpec::from_json)
                 .collect::<Result<_>>()?,
         };
-        Ok(SubmodelSpec {
+        let sub = SubmodelSpec {
             name,
             model: Box::new(model),
             measure: scenario_measure(v, "submodel")?,
             initial,
-            imports,
-        })
+            imports: Vec::with_capacity(imports.len()),
+        };
+        Ok((sub, imports))
     }
 
     fn to_json(&self) -> JsonValue {
@@ -2089,12 +2234,13 @@ impl SubmodelSpec {
 }
 
 impl ImportSpec {
-    fn from_json(v: &JsonValue) -> Result<ImportSpec> {
+    /// Parses an import's `(from, path)`.
+    fn from_json(v: &JsonValue) -> Result<(String, String)> {
         check_keys(as_obj(v, "import")?, &["from", "path"], "import")?;
-        Ok(ImportSpec {
-            from: str_field(v, "from", "import")?,
-            path: str_field(v, "path", "import")?,
-        })
+        Ok((
+            str_field(v, "from", "import")?,
+            str_field(v, "path", "import")?,
+        ))
     }
 
     fn to_json(&self) -> JsonValue {
@@ -2191,13 +2337,7 @@ impl SemiMarkovSpec {
                 list.as_array()
                     .ok_or_else(|| schema_err("'interval_times' must be an array"))?
                     .iter()
-                    .map(|t| {
-                        t.as_f64()
-                            .filter(|&t| t > 0.0 && t.is_finite())
-                            .ok_or_else(|| {
-                                schema_err("'interval_times' entries must be positive numbers")
-                            })
-                    })
+                    .map(interval_time_value)
                     .collect::<Result<Vec<f64>>>()?,
             ),
         };
@@ -2273,12 +2413,7 @@ impl SmpTransitionSpec {
             &["from", "to", "probability"],
             "transition",
         )?;
-        let probability = f64_field(v, "probability", "transition")?;
-        if !(probability > 0.0 && probability <= 1.0) {
-            return Err(schema_err(format!(
-                "transition 'probability' must be in (0, 1], got {probability}"
-            )));
-        }
+        let probability = jump_probability_value(f64_field(v, "probability", "transition")?)?;
         Ok(SmpTransitionSpec {
             from: str_field(v, "from", "transition")?,
             to: str_field(v, "to", "transition")?,
@@ -2312,46 +2447,39 @@ impl UncertaintySpec {
             "uncertainty",
         )?;
         let model = ModelSpec::from_json(req(v, "model", "uncertainty")?)?;
-        let parameters: Vec<UncertainParamSpec> = req(v, "parameters", "uncertainty")?
+        let parsed: Vec<(String, PriorSpec)> = req(v, "parameters", "uncertainty")?
             .as_array()
             .ok_or_else(|| schema_err("uncertainty 'parameters' must be an array"))?
             .iter()
             .enumerate()
             .map(|(i, p)| UncertainParamSpec::from_json(p, i))
             .collect::<Result<_>>()?;
-        if parameters.is_empty() {
+        if parsed.is_empty() {
             return Err(schema_err("uncertainty needs at least one parameter"));
         }
-        let doc = model.to_json();
-        for p in &parameters {
-            check_numeric_path(&doc, &p.path, "uncertainty parameter")?;
-        }
+        let parameters = parsed
+            .into_iter()
+            .map(|(path, prior)| {
+                let slot = resolve_slot(&model, &path, "uncertainty parameter")?;
+                Ok(UncertainParamSpec { path, prior, slot })
+            })
+            .collect::<Result<Vec<_>>>()?;
         let opt_usize = |key: &str| -> Result<Option<usize>> {
             match v.get(key) {
                 None | Some(JsonValue::Null) => Ok(None),
-                Some(x) => Ok(Some(x.as_usize().ok_or_else(|| {
-                    schema_err(format!(
-                        "uncertainty '{key}' must be a non-negative integer"
-                    ))
-                })?)),
+                Some(x) => Ok(Some(uncertainty_int(x, key)?)),
             }
         };
-        let samples = opt_usize("samples")?;
-        if samples == Some(0) {
-            return Err(schema_err("uncertainty 'samples' must be at least 1"));
-        }
+        let samples = match v.get("samples") {
+            None | Some(JsonValue::Null) => None,
+            Some(x) => Some(samples_value(x)?),
+        };
         let level = match v.get("level") {
             None | Some(JsonValue::Null) => None,
             Some(x) => {
-                let l = x
-                    .as_f64()
-                    .ok_or_else(|| schema_err("uncertainty 'level' must be a number"))?;
-                if !(l > 0.0 && l < 1.0) {
-                    return Err(schema_err(format!(
-                        "uncertainty 'level' must be in (0, 1), got {l}"
-                    )));
-                }
-                Some(l)
+                Some(level_value(x.as_f64().ok_or_else(|| {
+                    schema_err("uncertainty 'level' must be a number")
+                })?)?)
             }
         };
         let latin_hypercube = match v.get("latin_hypercube") {
@@ -2408,13 +2536,14 @@ impl UncertaintySpec {
 }
 
 impl UncertainParamSpec {
-    fn from_json(v: &JsonValue, index: usize) -> Result<UncertainParamSpec> {
+    /// Parses a parameter's `(path, prior)`; the path is bound once the
+    /// inner model is known.
+    fn from_json(v: &JsonValue, index: usize) -> Result<(String, PriorSpec)> {
         check_keys(as_obj(v, "parameter")?, &["path", "prior"], "parameter")?;
         let path = str_field(v, "path", "parameter")?;
         let prior_json = req(v, "prior", "parameter")?;
-        let prior =
-            PriorSpec::from_json(prior_json, &format!("uncertainty.parameters.{index}.prior"))?;
-        Ok(UncertainParamSpec { path, prior })
+        let prior = PriorSpec::from_json(prior_json, &prior_path(index))?;
+        Ok((path, prior))
     }
 
     fn to_json(&self) -> JsonValue {
@@ -2435,21 +2564,8 @@ impl PriorSpec {
                 &["failures", "total_time"],
                 "rate_posterior",
             )?;
-            let failures = req(p, "failures", "rate_posterior")?
-                .as_usize()
-                .and_then(|f| u32::try_from(f).ok())
-                .ok_or_else(|| {
-                    schema_err(format!(
-                        "{path}: rate_posterior 'failures' must be a non-negative integer"
-                    ))
-                })?;
-            let total_time = f64_field(p, "total_time", "rate_posterior")?;
-            if !(total_time > 0.0 && total_time.is_finite()) {
-                return Err(schema_err(format!(
-                    "{path}: rate_posterior 'total_time' must be positive and \
-                     finite, got {total_time}"
-                )));
-            }
+            let failures = failures_value(req(p, "failures", "rate_posterior")?, path)?;
+            let total_time = total_time_value(f64_field(p, "total_time", "rate_posterior")?, path)?;
             return Ok(PriorSpec::Posterior {
                 failures,
                 total_time,
@@ -2568,15 +2684,7 @@ impl BoundsSpec {
         }
         let truncation_order = match v.get("truncation_order") {
             None | Some(JsonValue::Null) => None,
-            Some(x) => {
-                let o = x.as_usize().ok_or_else(|| {
-                    schema_err("bounds 'truncation_order' must be a non-negative integer")
-                })?;
-                if o == 0 {
-                    return Err(schema_err("bounds 'truncation_order' must be at least 1"));
-                }
-                Some(o)
-            }
+            Some(x) => Some(truncation_order_value(x)?),
         };
         Ok(BoundsSpec {
             events,
@@ -2617,12 +2725,7 @@ impl BoundsSpec {
 impl BoundsEventSpec {
     fn from_json(v: &JsonValue) -> Result<BoundsEventSpec> {
         check_keys(as_obj(v, "event")?, &["name", "probability"], "event")?;
-        let probability = f64_field(v, "probability", "event")?;
-        if !(0.0..=1.0).contains(&probability) {
-            return Err(schema_err(format!(
-                "event 'probability' must be in [0, 1], got {probability}"
-            )));
-        }
+        let probability = event_probability_value(f64_field(v, "probability", "event")?)?;
         Ok(BoundsEventSpec {
             name: str_field(v, "name", "event")?,
             probability,

@@ -151,6 +151,29 @@ pub fn propagate<F>(
 where
     F: Fn(&[f64]) -> Result<f64> + Sync,
 {
+    propagate_with(params, || (), |(), p| model(p), opts)
+}
+
+/// [`propagate`] for a model that keeps per-worker state: each worker
+/// thread calls `init` once and hands the state to every `model` call
+/// it makes, so a model can re-solve one working copy of itself
+/// instead of building a fresh one per sample, with nothing shared
+/// between workers. Results depend only on the samples, never on which
+/// worker drew them.
+///
+/// # Errors
+///
+/// Same contract as [`propagate`].
+pub fn propagate_with<S, I, F>(
+    params: &[Box<dyn Lifetime>],
+    init: I,
+    model: F,
+    opts: &PropagationOptions,
+) -> Result<UncertaintyResult>
+where
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, &[f64]) -> Result<f64> + Sync,
+{
     if params.is_empty() {
         return Err(Error::invalid("no uncertain parameters supplied"));
     }
@@ -200,9 +223,10 @@ where
         for worker in 0..threads {
             let results = &results;
             let first_error = &first_error;
-            let model = &model;
+            let (init, model) = (&init, &model);
             let lhs_perms = &lhs_perms;
             scope.spawn(move || {
+                let mut state = init();
                 let mut point = vec![0.0f64; params.len()];
                 let mut local = Vec::new();
                 let fail = |e: Error| {
@@ -239,7 +263,7 @@ where
                             }
                         }
                     }
-                    match model(&point) {
+                    match model(&mut state, &point) {
                         Ok(v) => local.push((k, v)),
                         Err(e) => {
                             fail(e);

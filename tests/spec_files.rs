@@ -138,6 +138,31 @@ fn sip_hierarchy_spec() {
 }
 
 #[test]
+fn cyclic_hierarchy_spec() {
+    match solve_file("cyclic_hierarchy.json") {
+        SolvedMeasures::Hierarchy {
+            submodels,
+            output,
+            value,
+            iterations,
+            residual,
+        } => {
+            assert_eq!(output, "mgmt");
+            assert_eq!(submodels.len(), 4);
+            for (name, a) in &submodels {
+                assert!(*a > 0.99 && *a < 1.0, "{name} availability {a}");
+            }
+            assert!(value > 0.99 && value < 1.0, "value out of range: {value}");
+            // Every submodel imports its predecessor's availability, so
+            // no sweep order settles the cycle at once.
+            assert!(iterations > 2, "too few sweeps: {iterations}");
+            assert!(residual <= 1e-12);
+        }
+        other => panic!("expected hierarchy result, got {other:?}"),
+    }
+}
+
+#[test]
 fn rejuvenation_smp_spec() {
     match solve_file("rejuvenation_smp.json") {
         SolvedMeasures::SemiMarkov {
