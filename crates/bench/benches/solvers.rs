@@ -16,13 +16,13 @@ fn bench_steady_state_methods(c: &mut Criterion) {
         let chain = birth_death(n, 1.0, 2.0).expect("valid chain");
         group.bench_with_input(BenchmarkId::new("gth", n), &chain, |b, ch| {
             b.iter(|| {
-                ch.steady_state_with(&SteadyStateMethod::Gth)
+                ch.steady_state_report(&SteadyStateMethod::Gth)
                     .expect("solve")
             })
         });
         group.bench_with_input(BenchmarkId::new("sor", n), &chain, |b, ch| {
             b.iter(|| {
-                ch.steady_state_with(&SteadyStateMethod::Sor(Default::default()))
+                ch.steady_state_report(&SteadyStateMethod::Sor(Default::default()))
                     .expect("solve")
             })
         });
@@ -40,7 +40,7 @@ fn bench_uniformization_ssd(c: &mut Criterion) {
     group.bench_function("with_detection", |b| {
         b.iter(|| {
             chain
-                .transient_with(
+                .transient_report(
                     &init,
                     horizon,
                     &TransientOptions {
@@ -54,7 +54,7 @@ fn bench_uniformization_ssd(c: &mut Criterion) {
     group.bench_function("without_detection", |b| {
         b.iter(|| {
             chain
-                .transient_with(
+                .transient_report(
                     &init,
                     horizon,
                     &TransientOptions {

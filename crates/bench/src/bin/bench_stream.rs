@@ -7,9 +7,9 @@
 //! arena is generated, and the streaming tier regenerates generator
 //! rows on demand. Before any number is reported the run asserts
 //! equivalence on a reference net: the streamed steady state must match
-//! the materialized in-core solver to 1e-8, and a tight budget that
-//! forces partial slice caching must reproduce the full-cache result
-//! bitwise.
+//! the materialized chain's SOR — the same kernel over the CSR
+//! generator — to 1e-8, and a tight budget that forces partial slice
+//! caching must reproduce the full-cache result bitwise.
 //!
 //! ```text
 //! cargo run --release -p reliab-bench --bin bench-stream             # full run, writes BENCH_stream.json
@@ -36,9 +36,12 @@
 use std::time::Instant;
 
 use reliab_bench::{detected_cpu_cores, profiled_phases, tandem_spn};
+use reliab_markov::{
+    steady_state, IterativeOptions, MemoryPlan, PlanOutcome, RowSource, SteadyReport,
+    SteadyStateMethod, StreamMethod, StreamOptions,
+};
 use reliab_spec::json::{self, JsonValue};
-use reliab_spn::ReachabilityOptions;
-use reliab_stream::{steady_state, ArenaRowSource, RowSource, StreamMethod, StreamOptions};
+use reliab_spn::{ArenaRowSource, ReachabilityOptions};
 
 struct Args {
     quick: bool,
@@ -97,6 +100,20 @@ fn materialized_peak_estimate(states: usize, arcs: u64, source_bytes: usize) -> 
     triplets + csr + source_bytes as u64 + states as u64 * 8
 }
 
+/// An exact streamed solve and its memory plan; the budgets here are
+/// all chosen to admit one.
+fn solve(src: &dyn RowSource, opts: &StreamOptions) -> (SteadyReport, MemoryPlan) {
+    match steady_state(src, opts).expect("stream solve converges") {
+        PlanOutcome::Exact(report) => {
+            let plan = report.plan.expect("iterative solves report their plan");
+            (report, plan)
+        }
+        PlanOutcome::NeedsBounds { required, budget } => {
+            panic!("budget {budget} is below the exact floor {required}")
+        }
+    }
+}
+
 fn main() {
     let args = parse_args();
     // Large net: 10^6 tangible markings in full mode. Reference net:
@@ -111,8 +128,11 @@ fn main() {
     );
 
     let sopts = StreamOptions {
-        tolerance: 1e-10,
-        max_iterations: 100_000,
+        iterative: IterativeOptions {
+            tolerance: 1e-10,
+            max_iterations: 100_000,
+            relaxation: 1.0,
+        },
         method: StreamMethod::Sor,
         ..Default::default()
     };
@@ -152,11 +172,11 @@ fn main() {
         mem_budget: Some(mem_budget as usize),
         ..sopts
     };
-    let mut src = ArenaRowSource::new(&space);
+    let src = ArenaRowSource::new(&space);
     let t = Instant::now();
-    let report = steady_state(&mut src, &budget_opts).expect("stream solve converges");
+    let (report, plan) = solve(&src, &budget_opts);
     let solve_ns = t.elapsed().as_nanos();
-    let plan_peak = report.plan.peak_bytes();
+    let plan_peak = plan.peak_bytes();
     // Headline measure: steady-state mean stage-3 queue length (place
     // index 2 in `tandem_spn`'s declaration order).
     let stage3: f64 = report
@@ -171,8 +191,8 @@ fn main() {
         solve_ns as f64 / 1e6,
         report.iterations,
         report.residual,
-        report.plan.blocks,
-        report.plan.cached_blocks,
+        plan.blocks,
+        plan.cached_blocks,
         plan_peak as f64 / (1 << 20) as f64
     );
     if plan_peak > mem_budget {
@@ -206,22 +226,16 @@ fn main() {
     let (mat_ns, pi_mat) = {
         let t = Instant::now();
         let solved = ref_net.solve_with(&ref_ropts).expect("bounded net");
-        let pi = solved
+        let report = solved
             .ctmc()
-            .steady_state_with(&reliab_markov::SteadyStateMethod::Sor(
-                reliab_markov::IterativeOptions {
-                    tolerance: sopts.tolerance,
-                    max_iterations: sopts.max_iterations,
-                    relaxation: 1.0,
-                },
-            ))
+            .steady_state_report(&SteadyStateMethod::Sor(sopts.iterative))
             .expect("materialized solve converges");
-        (t.elapsed().as_nanos(), pi)
+        (t.elapsed().as_nanos(), report.pi)
     };
     let ref_space = ref_net.tangible_space(&ref_ropts).expect("bounded net");
-    let mut ref_src = ArenaRowSource::new(&ref_space);
+    let ref_src = ArenaRowSource::new(&ref_space);
     let t = Instant::now();
-    let ref_report = steady_state(&mut ref_src, &sopts).expect("stream solve converges");
+    let (ref_report, ref_plan) = solve(&ref_src, &sopts);
     let stream_ns = t.elapsed().as_nanos();
     let mut max_diff = 0.0f64;
     for (mat, streamed) in pi_mat.iter().zip(&ref_report.pi) {
@@ -243,17 +257,17 @@ fn main() {
     let tight = StreamOptions {
         // Roughly a third of the slice store fits: multiple blocks,
         // some cached, the rest recomputed every sweep.
-        mem_budget: Some((ref_floor + ref_report.plan.slice_bytes / 3) as usize),
+        mem_budget: Some((ref_floor + ref_plan.slice_bytes / 3) as usize),
         ..sopts
     };
-    let tight_report = steady_state(&mut ref_src, &tight).expect("tight solve converges");
+    let (tight_report, tight_plan) = solve(&ref_src, &tight);
     if tight_report.pi != ref_report.pi || tight_report.iterations != ref_report.iterations {
         eprintln!("EQUIVALENCE FAILURE: partial-cache sweep is not bitwise equal to full-cache");
         std::process::exit(1);
     }
     eprintln!(
         "  partial cache: {} blocks ({} cached), bitwise equal",
-        tight_report.plan.blocks, tight_report.plan.cached_blocks
+        tight_plan.blocks, tight_plan.cached_blocks
     );
 
     let cpu_cores = detected_cpu_cores();
@@ -262,8 +276,7 @@ fn main() {
 
     // Untimed instrumented pass over the reference streamed solve.
     let phases = profiled_phases(|| {
-        let mut src = ArenaRowSource::new(&ref_space);
-        let _ = steady_state(&mut src, &sopts);
+        let _ = steady_state(&ArenaRowSource::new(&ref_space), &sopts);
     });
 
     let record = json::object(vec![
@@ -283,10 +296,10 @@ fn main() {
         ("iterations", JsonValue::Number(report.iterations as f64)),
         ("residual", JsonValue::Number(report.residual)),
         ("method", report.method.into()),
-        ("blocks", JsonValue::Number(report.plan.blocks as f64)),
+        ("blocks", JsonValue::Number(plan.blocks as f64)),
         (
             "cached_blocks",
-            JsonValue::Number(report.plan.cached_blocks as f64),
+            JsonValue::Number(plan.cached_blocks as f64),
         ),
         ("plan_peak_bytes", JsonValue::Number(plan_peak as f64)),
         (

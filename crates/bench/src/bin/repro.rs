@@ -250,22 +250,16 @@ fn e6() -> Result<()> {
         v[0] = 1.0;
         v
     };
-    let with = stiff.transient_with(
-        &init,
-        10_000.0,
-        &TransientOptions {
+    let run = |steady_state_detection| {
+        let opts = TransientOptions {
             epsilon: 1e-10,
-            steady_state_detection: Some(1e-12),
-        },
-    )?;
-    let without = stiff.transient_with(
-        &init,
-        10_000.0,
-        &TransientOptions {
-            epsilon: 1e-10,
-            steady_state_detection: None,
-        },
-    )?;
+            steady_state_detection,
+        };
+        stiff
+            .transient_report(&init, 10_000.0, &opts)
+            .map(|r| r.distribution)
+    };
+    let (with, without) = (run(Some(1e-12))?, run(None)?);
     let diff = with
         .iter()
         .zip(&without)

@@ -60,6 +60,36 @@ fn one_bad_input_fails_batch_but_solves_the_rest() {
     assert_eq!(out.status.code(), Some(1));
 }
 
+/// A document nested far past the JSON depth cap is a parse error like
+/// any other malformed input — same error kind, same exit code — not a
+/// stack overflow that aborts the process.
+#[test]
+fn deeply_nested_input_is_a_parse_error() {
+    use reliab_spec::json;
+
+    let dir = std::env::temp_dir().join("reliab-cli-test-deep");
+    std::fs::create_dir_all(&dir).unwrap();
+    let deep = dir.join("deep.json");
+    std::fs::write(&deep, "[".repeat(50_000)).unwrap();
+    let malformed = dir.join("malformed.json");
+    std::fs::write(&malformed, "[1,").unwrap();
+    let outcome = |path: &std::path::Path| {
+        let out = run(cli().arg("--json").arg(path));
+        let doc =
+            json::parse(String::from_utf8_lossy(&out.stdout).trim()).expect("--json output parses");
+        let kind = doc
+            .as_array()
+            .and_then(|entries| entries[0].get("error"))
+            .and_then(|e| e.get("kind"))
+            .and_then(|k| k.as_str().map(str::to_owned))
+            .expect("entry carries an error kind");
+        (out.status.code(), kind)
+    };
+    let (code, kind) = outcome(&deep);
+    assert_eq!(code, Some(1), "deep nesting must not abort the process");
+    assert_eq!((code, kind), outcome(&malformed));
+}
+
 #[test]
 fn usage_errors_exit_two() {
     assert_eq!(run(&mut cli()).status.code(), Some(2));

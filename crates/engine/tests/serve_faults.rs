@@ -239,6 +239,26 @@ fn oversized_body_rejected_413() {
     server.shutdown();
 }
 
+/// A body nested far past the JSON depth cap — 20 KB, well inside the
+/// body limit — is refused 400 like any malformed document, and the
+/// daemon keeps serving: without the cap the recursive parser
+/// overflowed the worker's stack and took the process down.
+#[test]
+fn deeply_nested_body_rejected_400_and_daemon_survives() {
+    let server = boot(|c| c.workers = 1);
+    let addr = server.local_addr().to_string();
+
+    let deep = format!("{}{}", "[".repeat(10_000), "]".repeat(10_000));
+    let refused = post(&addr, "/solve", &deep);
+    assert_eq!(refused.status, 400);
+    let malformed = post(&addr, "/solve", "[1,");
+    assert_eq!(error_kind(&refused), error_kind(&malformed));
+    assert_eq!(get(&addr, "/healthz").status, 200);
+
+    assert_no_leaked_slots(&server, &addr);
+    server.shutdown();
+}
+
 /// Slow-loris: a client that dribbles headers (or never sends its
 /// promised body) is cut off 408 once the read budget elapses, instead
 /// of pinning a connection forever.

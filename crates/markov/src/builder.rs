@@ -258,26 +258,6 @@ impl Ctmc {
         &self.generator
     }
 
-    /// The uniformization rate `q > max_i |q_ii|` used by the transient
-    /// solver.
-    pub(crate) fn uniformization_rate(&self) -> f64 {
-        self.out_rate.iter().fold(0.0f64, |m, &r| m.max(r)) * 1.02 + 1e-300
-    }
-
-    /// Uniformized DTMC transition matrix `P = I + Q/q` in CSR form.
-    pub(crate) fn uniformized_dtmc(&self, q: f64) -> CsrMatrix {
-        let n = self.num_states();
-        let mut trips: Vec<(usize, usize, f64)> = self
-            .transitions
-            .iter()
-            .map(|&(f, t, r)| (f, t, r / q))
-            .collect();
-        for (i, &r) in self.out_rate.iter().enumerate() {
-            trips.push((i, i, 1.0 - r / q));
-        }
-        CsrMatrix::from_triplets(n, n, &trips).expect("valid by construction")
-    }
-
     /// Validates an initial probability vector against this chain.
     pub(crate) fn check_distribution(&self, p: &[f64]) -> Result<()> {
         if p.len() != self.num_states() {

@@ -1,9 +1,10 @@
 //! Discrete-time Markov chains (used standalone and as embedded chains
 //! of semi-Markov processes).
 
+use crate::block::solve_in_core;
 use crate::num_err;
 use reliab_core::{Error, Result};
-use reliab_numeric::{gth_steady_state, power_method, CsrMatrix, DenseMatrix, IterativeOptions};
+use reliab_numeric::{gth_steady_state, CsrMatrix, DenseMatrix};
 
 /// A finite discrete-time Markov chain with row-stochastic transition
 /// matrix `P`.
@@ -161,8 +162,9 @@ impl Dtmc {
         Ok(out)
     }
 
-    /// Stationary distribution. Uses GTH on `P - I` (exact, handles
-    /// periodic chains) for small chains, power iteration beyond.
+    /// Stationary distribution of the generator `P − I`, which is the
+    /// chain's and exists for periodic chains too: GTH for small
+    /// chains, the block SOR kernel beyond.
     ///
     /// # Errors
     ///
@@ -182,7 +184,7 @@ impl Dtmc {
             }
             gth_steady_state(&q).map_err(num_err)
         } else {
-            power_method(&self.p.transpose(), &IterativeOptions::default()).map_err(num_err)
+            solve_in_core(self, &Default::default()).map(|r| r.pi)
         }
     }
 }
@@ -216,6 +218,33 @@ mod tests {
         let d = Dtmc::from_triplets(2, &[(0, 1, 1.0), (1, 0, 1.0)]).unwrap();
         let pi = d.steady_state().unwrap();
         assert!((pi[0] - 0.5).abs() < 1e-13);
+    }
+
+    #[test]
+    fn large_periodic_chain_matches_gth_on_p_minus_i() {
+        // Period 2 over 600 states: each A_i (i < 200) moves to B_{2i}
+        // or B_{2i+1}, which both move on to A_{i+1}. Power iteration
+        // oscillates for ever on such a chain; SOR on P − I does not.
+        let (a, b) = (|i: usize| i % 200, |k: usize| 200 + k);
+        let mut trips = Vec::new();
+        for i in 0..200 {
+            trips.push((a(i), b(2 * i), 0.3));
+            trips.push((a(i), b(2 * i + 1), 0.7));
+            trips.push((b(2 * i), a(i + 1), 1.0));
+            trips.push((b(2 * i + 1), a(i + 1), 1.0));
+        }
+        let d = Dtmc::from_triplets(600, &trips).unwrap();
+        let pi = d.steady_state().unwrap();
+        let mut q = DenseMatrix::zeros(600, 600);
+        for &(i, j, p) in &trips {
+            q.add_to(i, j, p);
+        }
+        let gth = gth_steady_state(&q).unwrap();
+        for (i, (p, g)) in pi.iter().zip(&gth).enumerate() {
+            assert!((p - g).abs() < 1e-15, "state {i}: {p} vs {g}");
+        }
+        assert!((pi[0] - 1.0 / 400.0).abs() < 1e-15);
+        assert!((pi[b(1)] - 0.7 / 400.0).abs() < 1e-15);
     }
 
     #[test]

@@ -13,6 +13,11 @@
 //!   via [`SteadyStateMethod`].
 //! * Transient: uniformization with Poisson tail control and optional
 //!   steady-state detection ([`TransientOptions`]).
+//! * [`RowSource`] — the row-on-demand contract both numerical kernels
+//!   read. A [`Ctmc`] is one; so is a generator regenerated from an SPN
+//!   marking arena, which [`steady_state`] solves under a memory budget
+//!   by block SOR/power with bitwise block-count independence, the same
+//!   kernel the in-core SOR and power methods run.
 //! * Absorbing analysis: MTTF, reliability as transient non-absorption
 //!   probability.
 //! * Markov reward models: steady-state, instantaneous and accumulated
@@ -41,17 +46,22 @@
 #![deny(unsafe_code)]
 
 mod absorbing;
+mod block;
 mod builder;
 mod dtmc;
+mod plan;
 mod rewards;
 mod sensitivity;
+mod source;
 mod steady;
 mod transient;
 
+pub use block::steady_state;
 pub use builder::{Ctmc, CtmcBuilder, StateId};
 pub use dtmc::Dtmc;
-pub use reliab_numeric::{IterationStats, IterativeOptions};
+pub use plan::{IterativeOptions, MemoryPlan, PlanOutcome, StreamMethod, StreamOptions};
 pub use sensitivity::{sensitivity, Sensitivity};
+pub use source::{scan_rates, RateScan, RowSource};
 pub use steady::{SteadyReport, SteadyStateMethod};
 pub use transient::{TransientOptions, TransientReport};
 

@@ -1,26 +1,12 @@
 //! Steady-state solution of irreducible CTMCs.
 
+use crate::block::solve_in_core;
 use crate::builder::Ctmc;
 use crate::num_err;
+use crate::plan::{IterativeOptions, MemoryPlan, StreamMethod, StreamOptions};
 use reliab_core::Result;
-use reliab_numeric::{
-    gth_steady_state_observed, power_method_observed, sor_steady_state_observed, IterativeOptions,
-};
+use reliab_numeric::gth_steady_state_observed;
 use reliab_obs as obs;
-
-/// Emits the per-sweep `markov.iteration` trace event shared by every
-/// steady-state method. Near-free when tracing is disabled (`event`
-/// bails on one relaxed atomic load).
-fn iteration_event(method: &'static str, iter: usize, residual: f64) {
-    obs::event(
-        "markov.iteration",
-        &[
-            ("method", method.into()),
-            ("iter", iter.into()),
-            ("residual", residual.into()),
-        ],
-    );
-}
 
 /// Chains at or below this size are solved by dense GTH by default;
 /// larger chains use sparse SOR.
@@ -50,13 +36,20 @@ pub enum SteadyStateMethod {
 pub struct SteadyReport {
     /// The stationary distribution.
     pub pi: Vec<f64>,
-    /// The method that actually ran (`"gth"`, `"sor"`, or `"power"` —
-    /// `Auto` resolves before solving).
+    /// The method that actually ran: `"gth"`, `"sor"` or `"power"` for
+    /// a materialized chain (`Auto` resolves before solving), or
+    /// `"stream-sor"` / `"stream-power"` for [`crate::steady_state`].
     pub method: &'static str,
     /// Sweeps performed (for GTH: the `n` elimination stages).
     pub iterations: usize,
-    /// Final convergence residual (0 for the direct GTH solve).
+    /// Final convergence residual (0 for the direct GTH solve):
+    /// relative `∞`-norm change for SOR, absolute for power.
     pub residual: f64,
+    /// Final-sweep residual per column block, on the same scale as
+    /// `residual` — the per-shard view of convergence (empty for GTH).
+    pub block_residuals: Vec<f64>,
+    /// The memory plan an iterative solve ran under (`None` for GTH).
+    pub plan: Option<MemoryPlan>,
 }
 
 impl Ctmc {
@@ -68,50 +61,36 @@ impl Ctmc {
     ///   stationary vector).
     /// * [`reliab_core::Error::Convergence`] — SOR budget exhausted.
     pub fn steady_state(&self) -> Result<Vec<f64>> {
-        self.steady_state_with(&SteadyStateMethod::Auto)
+        self.steady_state_report(&SteadyStateMethod::Auto)
+            .map(|r| r.pi)
     }
 
-    /// Stationary distribution with an explicit method.
+    /// Stationary distribution by an explicit method, plus solver
+    /// telemetry — which method ran, how many sweeps it took, and the
+    /// final residual. SOR and power run the block kernel of
+    /// [`crate::steady_state`] over this chain as one fully cached
+    /// block.
     ///
     /// # Errors
     ///
-    /// See [`Ctmc::steady_state`].
-    pub fn steady_state_with(&self, method: &SteadyStateMethod) -> Result<Vec<f64>> {
-        self.steady_state_report(method).map(|r| r.pi)
-    }
-
-    /// Stationary distribution plus solver telemetry — which method
-    /// ran, how many sweeps it took, and the final residual.
-    ///
-    /// # Errors
-    ///
-    /// See [`Ctmc::steady_state`].
+    /// See [`Ctmc::steady_state`]; bad iterative options are
+    /// [`reliab_core::Error::InvalidParameter`].
     pub fn steady_state_report(&self, method: &SteadyStateMethod) -> Result<SteadyReport> {
         let _span = obs::span("markov.steady");
+        let iterative = |iterative: IterativeOptions, method: StreamMethod| {
+            let opts = StreamOptions {
+                iterative,
+                method,
+                ..Default::default()
+            };
+            solve_in_core(self, &opts)
+        };
         let report = match method {
             SteadyStateMethod::Gth => self.gth_report(),
-            SteadyStateMethod::Sor(opts) => self.sor_report(opts),
-            SteadyStateMethod::Power(opts) => {
-                let q = self.uniformization_rate();
-                let p = self.uniformized_dtmc(q);
-                let (pi, stats) = power_method_observed(&p.transpose(), opts, &mut |iter, res| {
-                    iteration_event("power", iter, res);
-                })
-                .map_err(num_err)?;
-                Ok(SteadyReport {
-                    pi,
-                    method: "power",
-                    iterations: stats.iterations,
-                    residual: stats.residual,
-                })
-            }
-            SteadyStateMethod::Auto => {
-                if self.num_states() <= GTH_SIZE_THRESHOLD {
-                    self.gth_report()
-                } else {
-                    self.sor_report(&IterativeOptions::default())
-                }
-            }
+            SteadyStateMethod::Sor(opts) => iterative(*opts, StreamMethod::Sor),
+            SteadyStateMethod::Power(opts) => iterative(*opts, StreamMethod::Power),
+            SteadyStateMethod::Auto if self.num_states() <= GTH_SIZE_THRESHOLD => self.gth_report(),
+            SteadyStateMethod::Auto => iterative(IterativeOptions::default(), StreamMethod::Sor),
         };
         if let Ok(r) = &report {
             obs::counter_add("markov.steady.solves", 1);
@@ -122,7 +101,14 @@ impl Ctmc {
 
     fn gth_report(&self) -> Result<SteadyReport> {
         let pi = gth_steady_state_observed(&self.generator_dense(), &mut |k| {
-            iteration_event("gth", k, 0.0);
+            obs::event(
+                "markov.iteration",
+                &[
+                    ("method", "gth".into()),
+                    ("iter", k.into()),
+                    ("residual", 0.0.into()),
+                ],
+            );
         })
         .map_err(num_err)?;
         Ok(SteadyReport {
@@ -130,20 +116,8 @@ impl Ctmc {
             method: "gth",
             iterations: self.num_states(),
             residual: 0.0,
-        })
-    }
-
-    fn sor_report(&self, opts: &IterativeOptions) -> Result<SteadyReport> {
-        let (pi, stats) =
-            sor_steady_state_observed(&self.generator().transpose(), opts, &mut |iter, res| {
-                iteration_event("sor", iter, res);
-            })
-            .map_err(num_err)?;
-        Ok(SteadyReport {
-            pi,
-            method: "sor",
-            iterations: stats.iterations,
-            residual: stats.residual,
+            block_residuals: Vec::new(),
+            plan: None,
         })
     }
 
@@ -196,13 +170,10 @@ mod tests {
     #[test]
     fn methods_agree() {
         let c = shared_repair_chain(0.2, 1.5);
-        let gth = c.steady_state_with(&SteadyStateMethod::Gth).unwrap();
-        let sor = c
-            .steady_state_with(&SteadyStateMethod::Sor(Default::default()))
-            .unwrap();
-        let power = c
-            .steady_state_with(&SteadyStateMethod::Power(Default::default()))
-            .unwrap();
+        let pi = |m: SteadyStateMethod| c.steady_state_report(&m).unwrap().pi;
+        let gth = pi(SteadyStateMethod::Gth);
+        let sor = pi(SteadyStateMethod::Sor(Default::default()));
+        let power = pi(SteadyStateMethod::Power(Default::default()));
         let auto = c.steady_state().unwrap();
         for i in 0..3 {
             assert!((gth[i] - sor[i]).abs() < 1e-9);

@@ -2,6 +2,7 @@
 
 use crate::builder::Ctmc;
 use crate::num_err;
+use crate::source::{scan_rows, RowSource};
 use reliab_core::{Error, Result};
 use reliab_numeric::poisson_weights;
 use reliab_obs as obs;
@@ -71,27 +72,13 @@ impl Ctmc {
     /// negative `t`, or bad options; numerical errors propagate from the
     /// Poisson-weight computation.
     pub fn transient(&self, initial: &[f64], t: f64) -> Result<Vec<f64>> {
-        self.transient_with(initial, t, &TransientOptions::default())
-    }
-
-    /// [`Ctmc::transient`] with explicit options.
-    ///
-    /// # Errors
-    ///
-    /// See [`Ctmc::transient`].
-    pub fn transient_with(
-        &self,
-        initial: &[f64],
-        t: f64,
-        opts: &TransientOptions,
-    ) -> Result<Vec<f64>> {
-        self.transient_report(initial, t, opts)
+        self.transient_report(initial, t, &TransientOptions::default())
             .map(|r| r.distribution)
     }
 
-    /// [`Ctmc::transient_with`] plus solver telemetry: matrix–vector
-    /// product count, Poisson truncation width, and whether steady-state
-    /// detection cut the sum short.
+    /// [`Ctmc::transient`] with explicit options, plus solver
+    /// telemetry: matrix–vector product count, Poisson truncation
+    /// width, and whether steady-state detection cut the sum short.
     ///
     /// # Errors
     ///
@@ -102,14 +89,9 @@ impl Ctmc {
         t: f64,
         opts: &TransientOptions,
     ) -> Result<TransientReport> {
-        let _span = obs::span("markov.transient");
         self.check_distribution(initial)?;
         opts.validate()?;
-        if t.is_nan() || t < 0.0 || !t.is_finite() {
-            return Err(Error::invalid(format!(
-                "time must be finite and >= 0, got {t}"
-            )));
-        }
+        check_time(t)?;
         if t == 0.0 {
             return Ok(TransientReport {
                 distribution: initial.to_vec(),
@@ -118,178 +100,24 @@ impl Ctmc {
                 converged_at: None,
             });
         }
-        let q = self.uniformization_rate();
-        if q <= 1e-299 {
-            // No transitions at all: distribution never moves.
-            return Ok(TransientReport {
-                distribution: initial.to_vec(),
-                matvecs: 0,
-                poisson_terms: 0,
-                converged_at: None,
-            });
-        }
-        let p = self.uniformized_dtmc(q);
-        let w = poisson_weights(q * t, opts.epsilon).map_err(num_err)?;
-
-        let n = self.num_states();
-        let mut v = initial.to_vec();
-        let mut out = vec![0.0f64; n];
-        let mut converged_at: Option<usize> = None;
-        let mut matvecs = 0usize;
-
-        // Advance to the left truncation point, checking for early
-        // steady-state en route.
-        for _k in 0..w.left {
-            let next = p.vecmat(&v).map_err(num_err)?;
-            matvecs += 1;
-            if let Some(thresh) = opts.steady_state_detection {
-                if max_abs_diff(&v, &next) < thresh {
-                    v = next;
-                    converged_at = Some(0);
-                    break;
-                }
-            }
-            v = next;
-        }
-
-        if converged_at.is_none() {
-            for (idx, &wk) in w.weights.iter().enumerate() {
-                for i in 0..n {
-                    out[i] += wk * v[i];
-                }
-                if idx + 1 < w.weights.len() {
-                    let next = p.vecmat(&v).map_err(num_err)?;
-                    matvecs += 1;
-                    if let Some(thresh) = opts.steady_state_detection {
-                        if max_abs_diff(&v, &next) < thresh {
-                            v = next;
-                            converged_at = Some(idx + 1);
-                            break;
-                        }
-                    }
-                    v = next;
-                }
-            }
-        }
-
-        if let Some(start) = converged_at {
-            // The iterate has converged: the remaining Poisson mass all
-            // multiplies (approximately) the same vector.
-            let consumed: f64 = w.weights[..start].iter().sum();
-            let remaining = 1.0 - consumed;
-            for i in 0..n {
-                out[i] += remaining * v[i];
-            }
-        }
-
-        // Clean round-off: clamp and renormalize.
-        let mut total = 0.0;
-        for o in &mut out {
-            *o = o.max(0.0);
-            total += *o;
-        }
-        if total > 0.0 {
-            for o in &mut out {
-                *o /= total;
-            }
-        }
+        let report = uniformize(
+            self,
+            initial,
+            t,
+            opts.epsilon,
+            Sum::Point(opts.steady_state_detection),
+        )?;
         obs::event(
             "markov.transient.point",
             &[
                 ("t", t.into()),
-                ("matvecs", matvecs.into()),
-                ("poisson_terms", w.weights.len().into()),
+                ("matvecs", report.matvecs.into()),
+                ("poisson_terms", report.poisson_terms.into()),
             ],
         );
         obs::counter_add("markov.transient.points", 1);
-        obs::counter_add("markov.transient.matvecs", matvecs as u64);
-        Ok(TransientReport {
-            distribution: out,
-            matvecs,
-            poisson_terms: w.weights.len(),
-            converged_at,
-        })
-    }
-
-    /// Transient distributions at several time points, evaluated
-    /// concurrently across `jobs` threads (`0` means one thread per
-    /// available CPU). Each point is solved independently from `t = 0`,
-    /// so results are bitwise identical to calling
-    /// [`Ctmc::transient_with`] per point — the parallelism only changes
-    /// wall time, never values.
-    ///
-    /// # Errors
-    ///
-    /// Per-point errors surface as the error of the earliest failing
-    /// time, matching the sequential loop's behavior.
-    pub fn transient_many(
-        &self,
-        initial: &[f64],
-        times: &[f64],
-        opts: &TransientOptions,
-        jobs: usize,
-    ) -> Result<Vec<Vec<f64>>> {
-        Ok(self
-            .transient_many_report(initial, times, opts, jobs)?
-            .into_iter()
-            .map(|r| r.distribution)
-            .collect())
-    }
-
-    /// [`Ctmc::transient_many`] with per-point telemetry.
-    ///
-    /// # Errors
-    ///
-    /// See [`Ctmc::transient_many`].
-    pub fn transient_many_report(
-        &self,
-        initial: &[f64],
-        times: &[f64],
-        opts: &TransientOptions,
-        jobs: usize,
-    ) -> Result<Vec<TransientReport>> {
-        let jobs = if jobs == 0 {
-            std::thread::available_parallelism().map_or(1, |p| p.get())
-        } else {
-            jobs
-        };
-        let workers = jobs.min(times.len());
-        if workers <= 1 {
-            return times
-                .iter()
-                .map(|&t| self.transient_report(initial, t, opts))
-                .collect();
-        }
-
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let next = AtomicUsize::new(0);
-        let trace = obs::current_trace_id();
-        let mut collected: Vec<(usize, Result<TransientReport>)> = Vec::with_capacity(times.len());
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let next = &next;
-                    scope.spawn(move || {
-                        let _trace = obs::set_trace_id(trace);
-                        let mut local = Vec::new();
-                        loop {
-                            let idx = next.fetch_add(1, Ordering::Relaxed);
-                            if idx >= times.len() {
-                                return local;
-                            }
-                            local.push((idx, self.transient_report(initial, times[idx], opts)));
-                        }
-                    })
-                })
-                .collect();
-            for h in handles {
-                // Worker closures don't panic except on internal bugs,
-                // where propagating the panic is the right outcome.
-                collected.extend(h.join().expect("transient worker panicked"));
-            }
-        });
-        collected.sort_by_key(|(idx, _)| *idx);
-        collected.into_iter().map(|(_, r)| r).collect()
+        obs::counter_add("markov.transient.matvecs", report.matvecs as u64);
+        Ok(report)
     }
 
     /// Expected total time spent in each state over `[0, t]`
@@ -304,46 +132,185 @@ impl Ctmc {
     /// Same conditions as [`Ctmc::transient`].
     pub fn accumulated(&self, initial: &[f64], t: f64, epsilon: f64) -> Result<Vec<f64>> {
         self.check_distribution(initial)?;
-        if t.is_nan() || t < 0.0 || !t.is_finite() {
-            return Err(Error::invalid(format!(
-                "time must be finite and >= 0, got {t}"
-            )));
-        }
-        let n = self.num_states();
+        check_time(t)?;
         if t == 0.0 {
-            return Ok(vec![0.0; n]);
+            return Ok(vec![0.0; self.num_states()]);
         }
-        let q = self.uniformization_rate();
-        if q <= 1e-299 {
-            return Ok(initial.iter().map(|&p| p * t).collect());
-        }
-        let p = self.uniformized_dtmc(q);
-        let w = poisson_weights(q * t, epsilon).map_err(num_err)?;
-
-        // cum(k) = sum of weights for j <= k; weights below w.left are
-        // negligible by construction.
-        let mut v = initial.to_vec();
-        let mut out = vec![0.0f64; n];
-        // Terms k < w.left have (1 - cum_k) ≈ 1.
-        for _k in 0..w.left {
-            for i in 0..n {
-                out[i] += v[i] / q;
-            }
-            v = p.vecmat(&v).map_err(num_err)?;
-        }
-        let mut cum = 0.0;
-        for (idx, &wk) in w.weights.iter().enumerate() {
-            cum += wk;
-            let coeff = (1.0 - cum).max(0.0) / q;
-            for i in 0..n {
-                out[i] += coeff * v[i];
-            }
-            if idx + 1 < w.weights.len() {
-                v = p.vecmat(&v).map_err(num_err)?;
-            }
-        }
-        Ok(out)
+        uniformize(self, initial, t, epsilon, Sum::Integral).map(|r| r.distribution)
     }
+}
+
+fn check_time(t: f64) -> Result<()> {
+    if t.is_nan() || t < 0.0 || !t.is_finite() {
+        return Err(Error::invalid(format!(
+            "time must be finite and >= 0, got {t}"
+        )));
+    }
+    Ok(())
+}
+
+/// What a uniformization pass sums over the Poisson terms `v_k =
+/// initial · P^k`.
+#[derive(Debug, Clone, Copy)]
+enum Sum {
+    /// The distribution at `t`: `Σ_k pois_k(qt) v_k`, with optional
+    /// steady-state detection.
+    Point(Option<f64>),
+    /// The occupancy integral over `[0, t]`:
+    /// `Σ_k (1 - Σ_{j≤k} pois_j(qt)) / q · v_k`.
+    Integral,
+}
+
+/// The uniformized chain `P = I + Q/q`, its rows read from a source
+/// once: per state the diagonal `1 − exit/q`, and the off-diagonal
+/// arcs `r/q` in CSR layout.
+struct Uniformized {
+    q: f64,
+    diag: Vec<f64>,
+    row_ptr: Vec<usize>,
+    cols: Vec<u32>,
+    probs: Vec<f64>,
+}
+
+impl Uniformized {
+    fn read(src: &dyn RowSource) -> Result<Uniformized> {
+        let (mut row_ptr, mut cols, mut probs) = (vec![0], Vec::new(), Vec::new());
+        let scan = scan_rows(src, &mut |row| {
+            for &(j, r) in row {
+                cols.push(j);
+                probs.push(r);
+            }
+            row_ptr.push(cols.len());
+        })?;
+        let q = scan.q;
+        for p in &mut probs {
+            *p /= q;
+        }
+        let diag = scan.exit.iter().map(|&e| 1.0 - e / q).collect();
+        Ok(Uniformized {
+            q,
+            diag,
+            row_ptr,
+            cols,
+            probs,
+        })
+    }
+
+    /// One step `next = v · P`, scattered row by row. Each entry of
+    /// `next` takes at most one product per row, in row order, so the
+    /// order of arcs within a row does not touch the bits.
+    fn step(&self, v: &[f64], next: &mut [f64]) {
+        next.fill(0.0);
+        for (i, &vi) in v.iter().enumerate() {
+            if vi == 0.0 {
+                continue;
+            }
+            next[i] += vi * self.diag[i];
+            let (lo, hi) = (self.row_ptr[i], self.row_ptr[i + 1]);
+            for (&j, &p) in self.cols[lo..hi].iter().zip(&self.probs[lo..hi]) {
+                next[j as usize] += vi * p;
+            }
+        }
+    }
+}
+
+/// The one uniformization kernel (Jensen's method with Poisson tail
+/// control): reads the source's rows once, then runs the two-vector
+/// recurrence `v_{k+1} = v_k P` over the truncated Poisson terms,
+/// summing what `sum` asks for.
+fn uniformize(
+    src: &dyn RowSource,
+    initial: &[f64],
+    t: f64,
+    epsilon: f64,
+    sum: Sum,
+) -> Result<TransientReport> {
+    let _span = obs::span("markov.transient");
+    let chain = Uniformized::read(src)?;
+    let q = chain.q;
+    if q <= 1e-299 {
+        // No transitions at all: the distribution never moves.
+        let distribution = match sum {
+            Sum::Point(_) => initial.to_vec(),
+            Sum::Integral => initial.iter().map(|&p| p * t).collect(),
+        };
+        return Ok(TransientReport {
+            distribution,
+            matvecs: 0,
+            poisson_terms: 0,
+            converged_at: None,
+        });
+    }
+    let w = poisson_weights(q * t, epsilon).map_err(num_err)?;
+    let terms = w.left + w.weights.len();
+    let n = initial.len();
+    let mut v = initial.to_vec();
+    let mut next = vec![0.0f64; n];
+    let mut out = vec![0.0f64; n];
+    let mut cum = 0.0;
+    let mut matvecs = 0usize;
+    let mut converged_at: Option<usize> = None;
+    for k in 0..terms {
+        // Terms left of the truncation point carry no point weight and
+        // (to within epsilon) the full integral weight 1/q.
+        let coeff = match (sum, k.checked_sub(w.left)) {
+            (Sum::Point(_), None) => None,
+            (Sum::Point(_), Some(idx)) => Some(w.weights[idx]),
+            (Sum::Integral, None) => {
+                for (o, &x) in out.iter_mut().zip(&v) {
+                    *o += x / q;
+                }
+                None
+            }
+            (Sum::Integral, Some(idx)) => {
+                cum += w.weights[idx];
+                Some((1.0 - cum).max(0.0) / q)
+            }
+        };
+        if let Some(c) = coeff {
+            for (o, &x) in out.iter_mut().zip(&v) {
+                *o += c * x;
+            }
+        }
+        if k + 1 == terms {
+            break;
+        }
+        chain.step(&v, &mut next);
+        matvecs += 1;
+        std::mem::swap(&mut v, &mut next);
+        if let Sum::Point(Some(thresh)) = sum {
+            if max_abs_diff(&v, &next) < thresh {
+                // The iterate has converged: the remaining Poisson mass
+                // all multiplies (approximately) the same vector.
+                let start = (k + 1).saturating_sub(w.left);
+                let remaining = 1.0 - w.weights[..start].iter().sum::<f64>();
+                for (o, &x) in out.iter_mut().zip(&v) {
+                    *o += remaining * x;
+                }
+                converged_at = Some(start);
+                break;
+            }
+        }
+    }
+    if let Sum::Point(_) = sum {
+        // Clean round-off: clamp and renormalize.
+        let mut total = 0.0;
+        for o in &mut out {
+            *o = o.max(0.0);
+            total += *o;
+        }
+        if total > 0.0 {
+            for o in &mut out {
+                *o /= total;
+            }
+        }
+    }
+    Ok(TransientReport {
+        distribution: out,
+        matvecs,
+        poisson_terms: w.weights.len(),
+        converged_at,
+    })
 }
 
 fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
@@ -404,26 +371,14 @@ mod tests {
         // Stiff chain: fast repair, slow failure, long horizon.
         let c = two_state(1e-4, 100.0);
         let p0 = c.point_mass(c.find_state("up").unwrap());
-        let with = c
-            .transient_with(
-                &p0,
-                1000.0,
-                &TransientOptions {
-                    epsilon: 1e-12,
-                    steady_state_detection: Some(1e-14),
-                },
-            )
-            .unwrap();
-        let without = c
-            .transient_with(
-                &p0,
-                1000.0,
-                &TransientOptions {
-                    epsilon: 1e-12,
-                    steady_state_detection: None,
-                },
-            )
-            .unwrap();
+        let run = |detection| {
+            let opts = TransientOptions {
+                epsilon: 1e-12,
+                steady_state_detection: detection,
+            };
+            c.transient_report(&p0, 1000.0, &opts).unwrap().distribution
+        };
+        let (with, without) = (run(Some(1e-14)), run(None));
         assert!((with[0] - without[0]).abs() < 1e-9);
     }
 
@@ -433,26 +388,13 @@ mod tests {
         let p0 = c.point_mass(c.find_state("up").unwrap());
         assert!(c.transient(&p0, -1.0).is_err());
         assert!(c.transient(&[0.5, 0.6], 1.0).is_err());
-        assert!(c
-            .transient_with(
-                &p0,
-                1.0,
-                &TransientOptions {
-                    epsilon: 0.0,
-                    steady_state_detection: None
-                }
-            )
-            .is_err());
-        assert!(c
-            .transient_with(
-                &p0,
-                1.0,
-                &TransientOptions {
-                    epsilon: 1e-10,
-                    steady_state_detection: Some(-1.0)
-                }
-            )
-            .is_err());
+        for (epsilon, steady_state_detection) in [(0.0, None), (1e-10, Some(-1.0))] {
+            let opts = TransientOptions {
+                epsilon,
+                steady_state_detection,
+            };
+            assert!(c.transient_report(&p0, 1.0, &opts).is_err());
+        }
     }
 
     #[test]
@@ -481,32 +423,6 @@ mod tests {
             // Total time accounted for must equal t.
             assert!((acc[0] + acc[1] - t).abs() < 1e-8);
         }
-    }
-
-    #[test]
-    fn transient_many_matches_sequential_bitwise() {
-        let c = two_state(0.4, 1.7);
-        let p0 = c.point_mass(c.find_state("up").unwrap());
-        let times = [0.0, 0.1, 0.5, 1.0, 5.0, 50.0, 200.0];
-        let opts = TransientOptions::default();
-        let sequential: Vec<_> = times
-            .iter()
-            .map(|&t| c.transient_with(&p0, t, &opts).unwrap())
-            .collect();
-        for jobs in [1, 2, 4, 0] {
-            let parallel = c.transient_many(&p0, &times, &opts, jobs).unwrap();
-            assert_eq!(parallel, sequential, "jobs = {jobs}");
-        }
-    }
-
-    #[test]
-    fn transient_many_surfaces_earliest_error() {
-        let c = two_state(1.0, 1.0);
-        let p0 = c.point_mass(c.find_state("up").unwrap());
-        let times = [1.0, -1.0, 2.0];
-        assert!(c
-            .transient_many(&p0, &times, &TransientOptions::default(), 4)
-            .is_err());
     }
 
     #[test]

@@ -4,15 +4,15 @@ use crate::{NumericError, Result};
 
 /// A compressed-sparse-row matrix of `f64`.
 ///
-/// Built from coordinate triplets (duplicates are summed), supports the
-/// operations the iterative Markov solvers need: row iteration,
-/// matrix-vector products from either side, and transposition.
+/// Built from coordinate triplets (duplicates are summed), supports
+/// what the Markov chains need: row iteration, entry lookup and the
+/// vector-matrix product `x^T · M`.
 ///
 /// ```
 /// use reliab_numeric::CsrMatrix;
 /// # fn main() -> Result<(), reliab_numeric::NumericError> {
 /// let m = CsrMatrix::from_triplets(2, 2, &[(0, 1, 3.0), (1, 0, 2.0)])?;
-/// assert_eq!(m.matvec(&[1.0, 1.0])?, vec![3.0, 2.0]);
+/// assert_eq!(m.vecmat(&[1.0, 1.0])?, vec![2.0, 3.0]);
 /// # Ok(())
 /// # }
 /// ```
@@ -28,8 +28,9 @@ pub struct CsrMatrix {
 impl CsrMatrix {
     /// Builds a CSR matrix from `(row, col, value)` triplets.
     ///
-    /// Duplicate coordinates are summed; explicit zeros (including sums
-    /// cancelling to zero) are kept, which is harmless for the solvers.
+    /// Duplicate coordinates are summed in the order given; explicit
+    /// zeros (including sums cancelling to zero) are kept, which is
+    /// harmless for the solvers.
     ///
     /// # Errors
     ///
@@ -86,7 +87,8 @@ impl CsrMatrix {
                     .copied()
                     .zip(vals[lo..hi].iter().copied()),
             );
-            entries.sort_unstable_by_key(|e| e.0);
+            // Stable, so duplicates sum in the order given.
+            entries.sort_by_key(|e| e.0);
             let row_start = col_idx.len();
             for &(c, v) in &entries {
                 if col_idx.len() > row_start && *col_idx.last().expect("nonempty") == c {
@@ -150,30 +152,6 @@ impl CsrMatrix {
         }
     }
 
-    /// Computes `self * x`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumericError::Invalid`] if `x.len() != ncols`.
-    pub fn matvec(&self, x: &[f64]) -> Result<Vec<f64>> {
-        if x.len() != self.ncols {
-            return Err(NumericError::Invalid(format!(
-                "matvec dimension mismatch: {} cols vs vector of {}",
-                self.ncols,
-                x.len()
-            )));
-        }
-        let mut y = vec![0.0; self.nrows];
-        for (i, yi) in y.iter_mut().enumerate() {
-            let mut acc = 0.0;
-            for (j, v) in self.row(i) {
-                acc += v * x[j];
-            }
-            *yi = acc;
-        }
-        Ok(y)
-    }
-
     /// Computes `x^T * self`.
     ///
     /// # Errors
@@ -197,20 +175,6 @@ impl CsrMatrix {
             }
         }
         Ok(y)
-    }
-
-    /// Returns the transpose as a new CSR matrix.
-    pub fn transpose(&self) -> CsrMatrix {
-        let mut triplets = Vec::with_capacity(self.nnz());
-        for i in 0..self.nrows {
-            for (j, v) in self.row(i) {
-                triplets.push((j, i, v));
-            }
-        }
-        // from_triplets cannot fail here: coordinates are in range and
-        // values finite by construction.
-        CsrMatrix::from_triplets(self.ncols, self.nrows, &triplets)
-            .expect("transpose of a valid CSR matrix is valid")
     }
 
     /// Converts to a dense matrix (for tests and small direct solves).
@@ -248,13 +212,29 @@ mod tests {
     }
 
     #[test]
-    fn matvec_vecmat_transpose_consistency() {
+    fn vecmat_multiplies_from_the_left() {
         let m = CsrMatrix::from_triplets(2, 3, &[(0, 0, 1.0), (0, 2, 2.0), (1, 1, 3.0)]).unwrap();
-        let x = [1.0, 2.0];
-        let a = m.vecmat(&x).unwrap();
-        let b = m.transpose().matvec(&x).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(a, vec![1.0, 6.0, 2.0]);
+        assert_eq!(m.vecmat(&[1.0, 2.0]).unwrap(), vec![1.0, 6.0, 2.0]);
+        assert!(m.vecmat(&[1.0, 2.0, 3.0]).is_err());
+    }
+
+    #[test]
+    fn duplicates_sum_in_the_order_given() {
+        // A row wider than the insertion-sort cutoff, with three
+        // duplicates of column 0 placed where an unstable sort reorders
+        // them: (a + b) + c and (c + a) + b differ in the last bit.
+        let (a, b, c) = (0.2, 0.3, 0.1);
+        assert_ne!((a + b) + c, (c + a) + b);
+        let mut dup = [a, b, c].into_iter();
+        let trips: Vec<(usize, usize, f64)> = [
+            1, 2, 3, 4, 5, 6, 7, 0, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23,
+            24, 0, 25, 26, 0, 27, 28, 29, 30,
+        ]
+        .into_iter()
+        .map(|j| (0, j, if j == 0 { dup.next().unwrap() } else { 1.0 }))
+        .collect();
+        let m = CsrMatrix::from_triplets(1, 31, &trips).unwrap();
+        assert_eq!(m.get(0, 0).to_bits(), ((a + b) + c).to_bits());
     }
 
     #[test]
@@ -270,6 +250,6 @@ mod tests {
     fn empty_matrix_works() {
         let m = CsrMatrix::from_triplets(3, 3, &[]).unwrap();
         assert_eq!(m.nnz(), 0);
-        assert_eq!(m.matvec(&[1.0, 1.0, 1.0]).unwrap(), vec![0.0, 0.0, 0.0]);
+        assert_eq!(m.vecmat(&[1.0, 1.0, 1.0]).unwrap(), vec![0.0, 0.0, 0.0]);
     }
 }

@@ -14,8 +14,6 @@
 //! * [`gth_steady_state`] — Grassmann–Taksar–Heyman elimination: the
 //!   subtraction-free, numerically stable direct method for stationary
 //!   vectors of CTMC generators.
-//! * [`sor_steady_state`] / [`power_method`] — iterative alternatives for
-//!   large sparse chains.
 //! * [`poisson_weights`] — truncated, normalized Poisson probabilities for
 //!   uniformization (Fox–Glynn-style tail control).
 //! * [`expm`] — dense matrix exponential (Padé-13 scaling and
@@ -32,7 +30,6 @@ mod csr;
 mod dense;
 mod expm;
 mod gth;
-mod iterative;
 mod poisson;
 pub mod quadrature;
 pub mod roots;
@@ -42,10 +39,6 @@ pub use csr::CsrMatrix;
 pub use dense::DenseMatrix;
 pub use expm::expm;
 pub use gth::{gth_steady_state, gth_steady_state_observed};
-pub use iterative::{
-    power_method, power_method_observed, power_method_with_stats, sor_steady_state,
-    sor_steady_state_observed, sor_steady_state_with_stats, IterationStats, IterativeOptions,
-};
 pub use poisson::{poisson_weights, PoissonWeights};
 
 /// Error type for the numeric layer.

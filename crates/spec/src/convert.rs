@@ -1351,10 +1351,8 @@ fn solve_spn_stream(
     place_ids: &FxHashMap<String, reliab_spn::PlaceId>,
     trans_ids: &FxHashMap<String, reliab_spn::TransitionId>,
 ) -> Result<(SolvedMeasures, SolveStats)> {
-    use reliab_stream::{
-        bounded_steady_reward, macro_states_for_budget, plan_steady, scan_rates, steady_state,
-        ArenaRowSource, PlanOutcome, RowSource, StreamMethod, StreamOptions,
-    };
+    use crate::aggregate::{bounded_steady_reward, macro_states_for_budget};
+    use reliab_markov::{steady_state, PlanOutcome, RowSource, StreamMethod, StreamOptions};
     let space = spn.tangible_space(ropts)?;
     let mut stats = SolveStats::default();
     let sstats = space.stats();
@@ -1385,28 +1383,25 @@ fn solve_spn_stream(
             _ => StreamMethod::Auto,
         };
         let sopts = StreamOptions {
-            tolerance: opts.tolerance,
-            max_iterations: opts.max_iterations,
+            iterative: IterativeOptions {
+                tolerance: opts.tolerance,
+                max_iterations: opts.max_iterations,
+                relaxation: 1.0,
+            },
             method,
             mem_budget: opts.mem_budget,
-            ..Default::default()
+            blocks: None,
         };
-        let mut src = ArenaRowSource::new(&space);
-        let scan = scan_rates(&mut src)?;
-        match plan_steady(
-            space.num_markings(),
-            scan.arcs,
-            src.resident_bytes(),
-            &sopts,
-        ) {
-            PlanOutcome::Exact(_) => {
-                let report = steady_state(&mut src, &sopts)?;
+        let src = reliab_spn::ArenaRowSource::new(&space);
+        match steady_state(&src, &sopts)? {
+            PlanOutcome::Exact(report) => {
+                let plan = report.plan.expect("iterative solves report their plan");
                 stats.method = Some(report.method);
                 stats.iterations += report.iterations;
                 stats.residual = Some(report.residual);
-                stats.stream_blocks = Some(report.plan.blocks);
-                stats.stream_cached_blocks = Some(report.plan.cached_blocks);
-                stats.stream_peak_bytes = Some(report.plan.peak_bytes());
+                stats.stream_blocks = Some(plan.blocks);
+                stats.stream_cached_blocks = Some(plan.cached_blocks);
+                stats.stream_peak_bytes = Some(plan.peak_bytes());
                 stats.stream_bounded = Some(false);
                 let pi = report.pi;
                 let expected_tokens = want_tokens
@@ -1439,11 +1434,11 @@ fn solve_spn_stream(
                     .iter()
                     .map(|name| {
                         let idx = place(name)?.index();
-                        let r = bounded_steady_reward(&mut src, m, &mut |i| {
+                        let b = bounded_steady_reward(&src, m, &mut |i| {
                             f64::from(space.marking(i)[idx])
                         })?;
-                        max_gap = max_gap.max(r.bounds.gap());
-                        Ok((name.clone(), r.bounds.midpoint()))
+                        max_gap = max_gap.max(b.gap());
+                        Ok((name.clone(), b.midpoint()))
                     })
                     .collect::<Result<Vec<_>>>()?;
                 // Throughput as a per-state reward: the transition's
@@ -1477,7 +1472,7 @@ fn solve_spn_stream(
                             .iter()
                             .map(|a| Ok((place(&a.place)?.index(), a.count)))
                             .collect::<Result<Vec<_>>>()?;
-                        let r = bounded_steady_reward(&mut src, m, &mut |i| {
+                        let b = bounded_steady_reward(&src, m, &mut |i| {
                             let mk = space.marking(i);
                             let enabled = inputs.iter().all(|&(p, c)| mk[p] >= c)
                                 && inhibitors.iter().all(|&(p, c)| mk[p] < c);
@@ -1487,8 +1482,8 @@ fn solve_spn_stream(
                                 0.0
                             }
                         })?;
-                        max_gap = max_gap.max(r.bounds.gap());
-                        Ok((name.clone(), r.bounds.midpoint()))
+                        max_gap = max_gap.max(b.gap());
+                        Ok((name.clone(), b.midpoint()))
                     })
                     .collect::<Result<Vec<_>>>()?;
                 stats.stream_bound_gap = Some(max_gap);
@@ -1632,12 +1627,10 @@ fn solve_ctmc(
     };
     let transient = match &spec.at_times {
         Some(times) => {
-            let reports = ctmc.transient_many_report(
-                &initial,
-                times,
-                &TransientOptions::default(),
-                opts.transient_jobs,
-            )?;
+            let reports = times
+                .iter()
+                .map(|&t| ctmc.transient_report(&initial, t, &TransientOptions::default()))
+                .collect::<Result<Vec<_>>>()?;
             stats.iterations += reports.iter().map(|r| r.matvecs).sum::<usize>();
             Some(
                 times
@@ -1888,23 +1881,6 @@ mod tests {
         let a = gth.measures.availability().unwrap();
         assert!((sor.measures.availability().unwrap() - a).abs() < 1e-9);
         assert!((power.measures.availability().unwrap() - a).abs() < 1e-9);
-    }
-
-    #[test]
-    fn transient_jobs_do_not_change_results() {
-        let text = r#"{
-          "ctmc": {
-            "states": ["up", "down"],
-            "transitions": [
-              {"from": "up", "to": "down", "rate": 0.3},
-              {"from": "down", "to": "up", "rate": 2.0}
-            ],
-            "at_times": [0.1, 1.0, 10.0, 100.0]
-          }
-        }"#;
-        let seq = run(text).unwrap();
-        let par = solve_str_with(text, &SolveOptions::default().with_transient_jobs(4)).unwrap();
-        assert_eq!(seq.measures, par.measures);
     }
 
     #[test]

@@ -138,6 +138,7 @@
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
+mod aggregate;
 mod convert;
 pub mod json;
 mod report;

@@ -9,8 +9,7 @@ use std::time::Duration;
 ///
 /// `SolveOptions::default()` reproduces the historical behavior of the
 /// un-parameterized `solve` exactly: automatic steady-state method
-/// selection, `1e-12` tolerance, a 20 000-sweep budget, and sequential
-/// transient evaluation.
+/// selection, `1e-12` tolerance and a 20 000-sweep budget.
 ///
 /// The struct is `#[non_exhaustive]`; construct it with
 /// [`SolveOptions::default`] and adjust fields directly or through the
@@ -34,10 +33,6 @@ pub struct SolveOptions {
     pub max_iterations: usize,
     /// Steady-state method for CTMC models.
     pub steady_solver: SteadySolver,
-    /// Threads for evaluating CTMC transient time points (`at_times`):
-    /// `1` is sequential, `0` means one thread per available CPU.
-    /// Results are bitwise identical at any setting.
-    pub transient_jobs: usize,
     /// BDD variable ordering for fault-tree models. [`VarOrder::Auto`]
     /// defers to the spec's `var_order` field, falling back to the
     /// depth-first heuristic; any other value overrides the spec.
@@ -115,7 +110,6 @@ impl Default for SolveOptions {
             tolerance: 1e-12,
             max_iterations: 20_000,
             steady_solver: SteadySolver::Auto,
-            transient_jobs: 1,
             var_order: VarOrder::Auto,
             ite_cache_capacity: 0,
             gc_node_threshold: 0,
@@ -155,13 +149,6 @@ impl SolveOptions {
     #[must_use]
     pub fn with_steady_solver(mut self, solver: SteadySolver) -> Self {
         self.steady_solver = solver;
-        self
-    }
-
-    /// Sets the transient-sweep thread count.
-    #[must_use]
-    pub fn with_transient_jobs(mut self, jobs: usize) -> Self {
-        self.transient_jobs = jobs;
         self
     }
 
@@ -610,7 +597,6 @@ mod tests {
         assert_eq!(opts.tolerance, 1e-12);
         assert_eq!(opts.max_iterations, 20_000);
         assert_eq!(opts.steady_solver, SteadySolver::Auto);
-        assert_eq!(opts.transient_jobs, 1);
     }
 
     #[test]
@@ -618,12 +604,10 @@ mod tests {
         let opts = SolveOptions::default()
             .with_tolerance(1e-8)
             .with_max_iterations(99)
-            .with_steady_solver(SteadySolver::Gth)
-            .with_transient_jobs(0);
+            .with_steady_solver(SteadySolver::Gth);
         assert_eq!(opts.tolerance, 1e-8);
         assert_eq!(opts.max_iterations, 99);
         assert_eq!(opts.steady_solver, SteadySolver::Gth);
-        assert_eq!(opts.transient_jobs, 0);
     }
 
     #[test]

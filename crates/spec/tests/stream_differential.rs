@@ -1,12 +1,13 @@
 //! Differential harness for the streaming large-model tier: on every
-//! shipped CTMC-bearing specification the streaming solvers must match
-//! the materialized CSR path to 1e-8, and the streamed result must be
-//! identical at any shard count and any memory budget that admits the
-//! model.
+//! shipped CTMC-bearing specification the streamed solve must match
+//! the materialized path to 1e-8 (bitwise where a golden locks both),
+//! the streamed result must be identical at any shard count and any
+//! memory budget that admits the model, and the one uniformization
+//! kernel must match the Padé matrix exponential.
 
-use reliab_markov::{Ctmc, CtmcBuilder, SteadyStateMethod, TransientOptions};
+use reliab_markov::{steady_state, Ctmc, CtmcBuilder, PlanOutcome, StreamOptions};
+use reliab_numeric::{expm, DenseMatrix};
 use reliab_spec::{solve_str_with, ModelSpec, SolveOptions, SolvedMeasures};
-use reliab_stream::{steady_state, transient, CsrRowSource, StreamOptions};
 use std::fs;
 
 /// Shipped spec documents, smallest-first, excluding specs whose
@@ -147,20 +148,22 @@ fn ctmc_of(text: &str) -> Option<Ctmc> {
     Some(b.build().unwrap())
 }
 
-/// Every shipped `ctmc` spec: streaming block-SOR over the CSR adapter
-/// must match the in-core steady-state solver to 1e-8 (skipping
-/// absorbing chains, where no steady state exists for either path).
+/// Every shipped `ctmc` spec: block SOR over the chain as a row source
+/// must match the in-core GTH solve to 1e-8 (skipping absorbing
+/// chains, where no steady state exists for either path).
 #[test]
 fn streamed_ctmc_specs_match_in_core_steady_state() {
     let mut checked = 0;
     for (name, text) in shipped_specs() {
         let Some(ctmc) = ctmc_of(&text) else { continue };
-        let exact = match ctmc.steady_state_with(&SteadyStateMethod::Auto) {
+        let exact = match ctmc.steady_state() {
             Ok(pi) => pi,
             Err(_) => continue, // absorbing spec: nothing to compare
         };
-        let mut src = CsrRowSource::new(&ctmc);
-        let streamed = steady_state(&mut src, &StreamOptions::default()).unwrap();
+        let PlanOutcome::Exact(streamed) = steady_state(&ctmc, &StreamOptions::default()).unwrap()
+        else {
+            panic!("{name}: an unlimited budget plans an exact solve");
+        };
         for (i, (e, s)) in exact.iter().zip(&streamed.pi).enumerate() {
             assert!((e - s).abs() < 1e-8, "{name}, state {i}: {e} vs {s}");
         }
@@ -169,11 +172,11 @@ fn streamed_ctmc_specs_match_in_core_steady_state() {
     assert!(checked >= 1, "no non-absorbing ctmc specs in specs/");
 }
 
-/// Every shipped `ctmc` spec with time points: streaming uniformization
-/// must match the in-core transient solver to 1e-8 at the spec's own
-/// `at_times`.
+/// Every shipped `ctmc` spec with time points: uniformization must
+/// match the dense Padé matrix exponential `π(0)·exp(Qt)` to 1e-8 at
+/// the spec's own `at_times`.
 #[test]
-fn streamed_ctmc_specs_match_in_core_transient() {
+fn ctmc_spec_transients_match_matrix_exponential() {
     let mut checked = 0;
     for (name, text) in shipped_specs() {
         let ModelSpec::Ctmc(spec) = ModelSpec::from_json_str(&text).unwrap() else {
@@ -183,18 +186,26 @@ fn streamed_ctmc_specs_match_in_core_transient() {
             continue;
         };
         let ctmc = ctmc_of(&text).unwrap();
+        let n = ctmc.num_states();
         let initial = spec.initial.as_deref().unwrap_or(&spec.states[0]);
         let i0 = spec.states.iter().position(|s| s == initial).unwrap();
-        let mut p0 = vec![0.0; ctmc.num_states()];
-        p0[i0] = 1.0;
-        let mut src = CsrRowSource::new(&ctmc);
+        let p0 = ctmc.point_mass(ctmc.state_ids()[i0]);
+        let q = ctmc.generator_dense();
         for &t in &times {
-            let exact = ctmc
-                .transient_with(&p0, t, &TransientOptions::default())
-                .unwrap();
-            let streamed = transient(&mut src, &p0, t, &StreamOptions::default()).unwrap();
-            for (i, (e, s)) in exact.iter().zip(&streamed.distribution).enumerate() {
-                assert!((e - s).abs() < 1e-8, "{name}, t {t}, state {i}: {e} vs {s}");
+            let mut qt = DenseMatrix::zeros(n, n);
+            for i in 0..n {
+                for j in 0..n {
+                    qt.set(i, j, q.get(i, j) * t);
+                }
+            }
+            let e = expm(&qt).unwrap();
+            let uniformized = ctmc.transient(&p0, t).unwrap();
+            for (j, u) in uniformized.iter().enumerate() {
+                let oracle = e.get(i0, j);
+                assert!(
+                    (u - oracle).abs() < 1e-8,
+                    "{name}, t {t}, state {j}: {u} vs expm {oracle}"
+                );
             }
         }
         checked += 1;

@@ -11,15 +11,17 @@
 //! id through a read-only intern-table probe. Because the BFS interned
 //! every tangible successor during construction, regeneration
 //! reproduces the materialized per-row arc stream exactly — same order,
-//! same duplicates, same rates — which is what makes the streaming
-//! solvers differential-testable against the CSR path.
+//! same duplicates, same rates — which is what lets [`ArenaRowSource`]
+//! feed the `reliab-markov` kernels the bits of the materialized chain.
 
 use crate::model::Spn;
 use crate::reach::{cap_error, hash_marking, InternTable, ReachabilityOptions};
 use crate::Marking;
 use crate::{PlaceId, TransitionId};
 use reliab_core::{Error, Result};
+use reliab_markov::RowSource;
 use reliab_obs as obs;
+use std::cell::RefCell;
 use std::time::Instant;
 
 /// Reusable per-row scratch for [`TangibleSpace::successors`] — holds
@@ -343,6 +345,63 @@ impl TangibleSpace<'_> {
             )));
         }
         Ok(())
+    }
+}
+
+/// The generator rows of a [`TangibleSpace`], regenerated from the
+/// marking arena on demand: the [`RowSource`] the streamed tier solves.
+/// Each row's parallel arcs are merged in emission order after its exit
+/// rate is summed, so the rows and exit rates are bit for bit those of
+/// the net's materialized [`reliab_markov::Ctmc`].
+#[derive(Debug)]
+pub struct ArenaRowSource<'a, 'b> {
+    space: &'a TangibleSpace<'b>,
+    buf: RefCell<RowBuffer>,
+}
+
+impl<'a, 'b> ArenaRowSource<'a, 'b> {
+    /// Wraps a tangible marking space (see [`Spn::tangible_space`]).
+    #[must_use]
+    pub fn new(space: &'a TangibleSpace<'b>) -> Self {
+        ArenaRowSource {
+            space,
+            buf: RefCell::new(RowBuffer::new()),
+        }
+    }
+}
+
+impl RowSource for ArenaRowSource<'_, '_> {
+    fn num_states(&self) -> usize {
+        self.space.num_markings()
+    }
+
+    fn row(&self, i: u32, out: &mut Vec<(u32, f64)>) -> Result<f64> {
+        // Lend `out` to the regeneration buffer so the arcs land in it
+        // without a copy.
+        let mut buf = self.buf.borrow_mut();
+        std::mem::swap(out, &mut buf.arcs);
+        let regenerated = self.space.successors(i, &mut buf);
+        std::mem::swap(out, &mut buf.arcs);
+        regenerated?;
+        let mut exit = 0.0;
+        for &(_, r) in out.iter() {
+            exit += r;
+        }
+        // Stable, so parallel arcs sum in emission order, as the
+        // materialized generator sums them.
+        out.sort_by_key(|a| a.0);
+        out.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 += later.1;
+            }
+            same
+        });
+        Ok(exit)
+    }
+
+    fn resident_bytes(&self) -> usize {
+        self.space.resident_bytes()
     }
 }
 

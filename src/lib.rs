@@ -11,10 +11,10 @@
 //!   exactly.
 //! * **State-space models** — Markov chains ([`markov`]), stochastic
 //!   Petri nets / stochastic reward nets ([`spn`]), semi-Markov and
-//!   regenerative processes ([`semimarkov`]).
-//! * **Streaming large-model tier** ([`stream`]) — out-of-core
-//!   transient and steady-state solvers that regenerate generator rows
-//!   on demand instead of materializing the matrix.
+//!   regenerative processes ([`semimarkov`]). One steady-state kernel
+//!   and one uniformization kernel read any [`markov::RowSource`], so
+//!   an SPN too large to materialize is solved from rows regenerated
+//!   on demand ([`spn::ArenaRowSource`]) under a memory budget.
 //! * **Hierarchical & fixed-point composition** ([`hier`]).
 //! * **Parametric uncertainty propagation** ([`uncert`]).
 //! * **Discrete-event simulation** ([`sim`]) for cross-validation.
@@ -67,7 +67,6 @@ pub use reliab_hier as hier;
 pub use reliab_markov as markov;
 pub use reliab_semimarkov as semimarkov;
 pub use reliab_spn as spn;
-pub use reliab_stream as stream;
 
 pub use reliab_engine as engine;
 pub use reliab_models as models;

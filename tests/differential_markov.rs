@@ -151,12 +151,9 @@ fn check_steady_three_way(seed: u64, n: usize, density: f64, stiffness: f64, wit
         max_iterations: 2_000_000,
         relaxation: 1.0,
     };
-    let gth = ctmc
-        .steady_state_with(&SteadyStateMethod::Gth)
-        .expect("GTH solves");
-    let sor = ctmc
-        .steady_state_with(&SteadyStateMethod::Sor(tight))
-        .expect("SOR converges");
+    let solve = |method| ctmc.steady_state_report(&method).map(|r| r.pi);
+    let gth = solve(SteadyStateMethod::Gth).expect("GTH solves");
+    let sor = solve(SteadyStateMethod::Sor(tight)).expect("SOR converges");
 
     let mass: f64 = gth.iter().sum();
     assert!((mass - 1.0).abs() < 1e-12, "seed {seed}: GTH mass {mass}");
@@ -167,9 +164,7 @@ fn check_steady_three_way(seed: u64, n: usize, density: f64, stiffness: f64, wit
     );
 
     if with_power {
-        let power = ctmc
-            .steady_state_with(&SteadyStateMethod::Power(tight))
-            .expect("power iteration converges");
+        let power = solve(SteadyStateMethod::Power(tight)).expect("power iteration converges");
         let d_pow = max_abs_diff(&gth, &power);
         assert!(
             d_pow < 1e-10,
