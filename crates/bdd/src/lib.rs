@@ -3,8 +3,9 @@
 //! A reduced ordered binary decision diagram (ROBDD) engine sized for
 //! reliability analysis: Boolean structure functions of fault trees,
 //! block diagrams and network graphs are compiled to BDDs, after which
-//! exact failure probability, Birnbaum derivatives, and minimal cut-set
-//! extraction are linear in the (shared) BDD size.
+//! exact failure probability and Birnbaum derivatives are linear in the
+//! (shared) BDD size, and minimal cut and path sets take one memoized
+//! pass over it.
 //!
 //! The kernel follows the Brace–Rudell–Bryant design, tuned for large
 //! fault trees:
@@ -40,6 +41,11 @@
 //!   sifting over adjacent-level swaps. A level indirection
 //!   (`var ↔ level`) means per-variable probability vectors stay
 //!   valid across reorders.
+//! - **Set families as ZBDDs** — [`Bdd::minimal_family`] runs Rauzy's
+//!   MinSol into a zero-suppressed BDD ([`SetFamily`]), and
+//!   [`Bdd::dual_minimal_family`] does the same for the dual function,
+//!   so minimal cut and path sets are counted exactly before any is
+//!   listed.
 //!
 //! ```
 //! use reliab_bdd::Bdd;
@@ -62,11 +68,13 @@ mod cache;
 mod par;
 mod reorder;
 mod table;
+mod zdd;
 
 use cache::IteCache;
 use reliab_core::fxhash::FxHashMap;
 use std::fmt;
 use table::{Probe, UniqueTable};
+pub use zdd::SetFamily;
 
 /// Variable tag of the two terminal arena slots.
 const TERMINAL_VAR: u16 = u16::MAX;
@@ -1142,60 +1150,7 @@ impl Bdd {
         self.next_gc_at = (self.live_nodes() * 2).max(self.gc_threshold);
     }
 
-    // ---- cut sets & paths ---------------------------------------------
-
-    /// Minimal solutions of a **monotone** (coherent) function: the
-    /// inclusion-minimal sets of variables whose joint truth forces
-    /// `f` true — i.e. the minimal cut sets when `f` is a failure
-    /// function over component-failure variables.
-    ///
-    /// Rauzy's algorithm: one memoized pass over the BDD, so the cost
-    /// is polynomial in BDD size times output size — this is the route
-    /// that scales when explicit top-down expansion (MOCUS) explodes.
-    ///
-    /// The result is only meaningful for monotone `f` (no negated
-    /// variables influence the function); callers guarantee that by
-    /// construction (fault trees / RBDs without NOT gates).
-    pub fn minimal_solutions(&self, f: NodeId) -> Vec<Vec<u32>> {
-        let mut memo: FxHashMap<NodeId, Vec<std::collections::BTreeSet<u32>>> =
-            FxHashMap::default();
-        let sets = self.min_sol_rec(f, &mut memo);
-        let mut out: Vec<Vec<u32>> = sets.into_iter().map(|s| s.into_iter().collect()).collect();
-        out.sort_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
-        out
-    }
-
-    fn min_sol_rec(
-        &self,
-        f: NodeId,
-        memo: &mut FxHashMap<NodeId, Vec<std::collections::BTreeSet<u32>>>,
-    ) -> Vec<std::collections::BTreeSet<u32>> {
-        use std::collections::BTreeSet;
-        if f == NodeId::FALSE {
-            return Vec::new();
-        }
-        if f == NodeId::TRUE {
-            return vec![BTreeSet::new()];
-        }
-        if let Some(r) = memo.get(&f) {
-            return r.clone();
-        }
-        let var = self.topvar(f);
-        let low = self.min_sol_rec(NodeId(self.arena.low(f.0)), memo);
-        let high = self.min_sol_rec(NodeId(self.arena.high(f.0)), memo);
-        let mut result = low.clone();
-        for h in high {
-            // Keep {v} ∪ h only if no low-solution is a subset of it
-            // (those already fire without v).
-            if !low.iter().any(|l| l.is_subset(&h)) {
-                let mut s = h;
-                s.insert(var);
-                result.push(s);
-            }
-        }
-        memo.insert(f, result.clone());
-        result
-    }
+    // ---- paths ---------------------------------------------------------
 
     /// Enumerates the satisfying paths of `f` as partial assignments
     /// `(var, value)` — used by the sum-of-disjoint-products bound

@@ -9,9 +9,14 @@
 //! are bitwise equal; only then is the speedup reported. A third timed
 //! pass rebuilds the tree with the work-partitioned parallel apply at
 //! 4 workers and aborts unless its probability bits *and* reduced node
-//! count match the sequential build — the 1-vs-N determinism gate. A
-//! final, untimed pass with GC disabled records how far the default
-//! kernel's collection bounds the peak live-node count.
+//! count match the sequential build — the 1-vs-N determinism gate. The
+//! minimal cut sets of the same tree are then listed by the ZBDD kernel
+//! and timed; the run aborts unless their count equals the closed form
+//! (each 2-of-10 vote has C(10, 2) failing unit pairs of 7 x 7 cut
+//! sets, so 2 205 per ten units) and the list is strictly sorted by
+//! order, then event ids. A final, untimed pass with GC disabled
+//! records how far the default kernel's collection bounds the peak
+//! live-node count.
 //!
 //! ```text
 //! cargo run --release -p reliab-bench --bin bench-bdd              # full run, writes BENCH_bdd.json
@@ -33,8 +38,8 @@
 //!   where the ratio is pure scheduling noise; the bitwise 1-vs-4
 //!   equivalence gate runs unconditionally, check mode or not).
 //!
-//! Exit status: 0 on success, 1 on a `--check` regression or an
-//! equivalence failure, 2 on usage errors.
+//! Exit status: 0 on success, 1 on a `--check` regression, an
+//! equivalence failure or a cut-set failure, 2 on usage errors.
 
 use std::time::Instant;
 
@@ -186,6 +191,35 @@ fn main() {
         par_stats.par_subproblems
     );
 
+    // Minimal cut sets of the same tree. Both modes use a multiple of
+    // ten units, so every vote is a full 2-of-10.
+    let (builder, top, _) = boeing_class_tree(units);
+    let ft = builder
+        .build_with_ordering(top, VariableOrdering::Declaration)
+        .expect("tree compiles");
+    let (cutsets_ns, cuts) = time_min(reps, || {
+        let t = Instant::now();
+        let cuts = ft.minimal_cut_sets(usize::MAX).expect("no cap");
+        (t.elapsed().as_nanos(), cuts)
+    });
+    let closed_form = 2_205 * units.div_ceil(10);
+    let sorted = cuts
+        .windows(2)
+        .all(|w| (w[0].len(), w[0].events()) < (w[1].len(), w[1].events()));
+    if cuts.len() != closed_form || !sorted {
+        eprintln!(
+            "CUT-SET FAILURE: {} minimal cut sets (closed form {closed_form}), \
+             strictly sorted: {sorted}",
+            cuts.len()
+        );
+        std::process::exit(1);
+    }
+    eprintln!(
+        "  cut sets:      {} in {:.3} ms (closed form, strictly sorted)",
+        cuts.len(),
+        cutsets_ns as f64 / 1e6
+    );
+
     // Untimed instrumented pass: per-phase wall-time breakdown of one
     // compile + evaluation, after every timed measurement is in.
     let phases = profiled_phases(|| {
@@ -223,6 +257,8 @@ fn main() {
         ("speedup", JsonValue::Number(speedup)),
         ("probability", JsonValue::Number(q_new)),
         ("bitwise_equal", JsonValue::Bool(true)),
+        ("cut_sets", JsonValue::Number(closed_form as f64)),
+        ("cutsets_ns", JsonValue::Number(cutsets_ns as f64)),
         (
             "par",
             json::object(vec![

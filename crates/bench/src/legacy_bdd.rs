@@ -495,58 +495,6 @@ impl Bdd {
         seen.len()
     }
 
-    /// Minimal solutions of a **monotone** (coherent) function: the
-    /// inclusion-minimal sets of variables whose joint truth forces
-    /// `f` true — i.e. the minimal cut sets when `f` is a failure
-    /// function over component-failure variables.
-    ///
-    /// Rauzy's algorithm: one memoized pass over the BDD, so the cost
-    /// is polynomial in BDD size times output size — this is the route
-    /// that scales when explicit top-down expansion (MOCUS) explodes.
-    ///
-    /// The result is only meaningful for monotone `f` (no negated
-    /// variables influence the function); callers guarantee that by
-    /// construction (fault trees / RBDs without NOT gates).
-    pub fn minimal_solutions(&self, f: NodeId) -> Vec<Vec<u32>> {
-        let mut memo: HashMap<NodeId, Vec<std::collections::BTreeSet<u32>>> = HashMap::new();
-        let sets = self.min_sol_rec(f, &mut memo);
-        let mut out: Vec<Vec<u32>> = sets.into_iter().map(|s| s.into_iter().collect()).collect();
-        out.sort_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
-        out
-    }
-
-    fn min_sol_rec(
-        &self,
-        f: NodeId,
-        memo: &mut HashMap<NodeId, Vec<std::collections::BTreeSet<u32>>>,
-    ) -> Vec<std::collections::BTreeSet<u32>> {
-        use std::collections::BTreeSet;
-        if f == NodeId::FALSE {
-            return Vec::new();
-        }
-        if f == NodeId::TRUE {
-            return vec![BTreeSet::new()];
-        }
-        if let Some(r) = memo.get(&f) {
-            return r.clone();
-        }
-        let n = self.nodes[f.0 as usize];
-        let low = self.min_sol_rec(n.low, memo);
-        let high = self.min_sol_rec(n.high, memo);
-        let mut result = low.clone();
-        for h in high {
-            // Keep {v} ∪ h only if no low-solution is a subset of it
-            // (those already fire without v).
-            if !low.iter().any(|l| l.is_subset(&h)) {
-                let mut s = h;
-                s.insert(n.var);
-                result.push(s);
-            }
-        }
-        memo.insert(f, result.clone());
-        result
-    }
-
     /// Enumerates the satisfying paths of `f` as partial assignments
     /// `(var, value)` — used by the sum-of-disjoint-products bound
     /// machinery and for debugging small models.

@@ -1,9 +1,6 @@
-//! Minimal cut-set extraction (bottom-up MOCUS with absorption).
+//! The minimal cut-set type.
 
-use crate::tree::{EventId, FtNode};
-use reliab_core::fxhash::FxHashSet;
-use reliab_core::{Error, Result};
-use std::collections::BTreeSet;
+use crate::tree::EventId;
 
 /// A minimal cut set: a minimal set of basic events whose joint failure
 /// causes the top event.
@@ -13,8 +10,7 @@ pub struct CutSet {
 }
 
 impl CutSet {
-    /// Wraps a sorted event list (internal constructor shared with the
-    /// BDD route).
+    /// Wraps a sorted event list.
     pub(crate) fn from_events(events: Vec<EventId>) -> CutSet {
         CutSet { events }
     }
@@ -37,208 +33,5 @@ impl CutSet {
     /// Whether this cut set contains the event.
     pub fn contains(&self, e: EventId) -> bool {
         self.events.binary_search(&e).is_ok()
-    }
-}
-
-type SetOfSets = Vec<BTreeSet<usize>>;
-
-/// Computes the minimal cut sets of a coherent fault tree.
-///
-/// `max_sets` bounds the number of intermediate sets during expansion;
-/// k-of-n gates expand to the OR of all `C(n, k)` AND combinations, so
-/// the guard matters for wide voting gates.
-///
-/// # Errors
-///
-/// Returns [`Error::Model`] if the expansion exceeds `max_sets`.
-pub(crate) fn minimal_cut_sets_of(top: &FtNode, max_sets: usize) -> Result<Vec<CutSet>> {
-    let sets = expand(top, max_sets)?;
-    let minimal = minimize(sets);
-    let mut out: Vec<CutSet> = minimal
-        .into_iter()
-        .map(|s| CutSet {
-            events: s.into_iter().map(EventId).collect(),
-        })
-        .collect();
-    out.sort_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.events.cmp(&b.events)));
-    Ok(out)
-}
-
-fn expand(node: &FtNode, max_sets: usize) -> Result<SetOfSets> {
-    let sets = match node {
-        FtNode::Basic(e) => vec![BTreeSet::from([e.index()])],
-        FtNode::Or(inputs) => {
-            let mut acc: SetOfSets = Vec::new();
-            for i in inputs {
-                acc.extend(expand(i, max_sets)?);
-                guard(acc.len(), max_sets)?;
-            }
-            acc
-        }
-        FtNode::And(inputs) => {
-            let mut acc: SetOfSets = vec![BTreeSet::new()];
-            for i in inputs {
-                let rhs = expand(i, max_sets)?;
-                let mut next = Vec::with_capacity(acc.len() * rhs.len());
-                for a in &acc {
-                    for r in &rhs {
-                        let mut u = a.clone();
-                        u.extend(r.iter().copied());
-                        next.push(u);
-                    }
-                }
-                guard(next.len(), max_sets)?;
-                acc = next;
-            }
-            acc
-        }
-        FtNode::KOfN { k, inputs } => {
-            // OR over all size-k combinations of ANDs.
-            let mut acc: SetOfSets = Vec::new();
-            for combo in combinations(inputs.len(), *k) {
-                let mut cur: SetOfSets = vec![BTreeSet::new()];
-                for &idx in &combo {
-                    let rhs = expand(&inputs[idx], max_sets)?;
-                    let mut next = Vec::with_capacity(cur.len() * rhs.len());
-                    for a in &cur {
-                        for r in &rhs {
-                            let mut u = a.clone();
-                            u.extend(r.iter().copied());
-                            next.push(u);
-                        }
-                    }
-                    guard(next.len(), max_sets)?;
-                    cur = next;
-                }
-                acc.extend(cur);
-                guard(acc.len(), max_sets)?;
-            }
-            acc
-        }
-    };
-    Ok(sets)
-}
-
-/// All size-`k` subsets of `0..n` in lexicographic order.
-fn combinations(n: usize, k: usize) -> Vec<Vec<usize>> {
-    let mut out = Vec::new();
-    let mut cur = Vec::with_capacity(k);
-    fn rec(start: usize, n: usize, k: usize, cur: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
-        if cur.len() == k {
-            out.push(cur.clone());
-            return;
-        }
-        let remaining = k - cur.len();
-        for i in start..=(n - remaining) {
-            cur.push(i);
-            rec(i + 1, n, k, cur, out);
-            cur.pop();
-        }
-    }
-    if k <= n {
-        rec(0, n, k, &mut cur, &mut out);
-    }
-    out
-}
-
-fn guard(len: usize, max_sets: usize) -> Result<()> {
-    if len > max_sets {
-        Err(Error::model(format!(
-            "cut-set expansion exceeded {max_sets} sets; use BDD probability or bounds instead"
-        )))
-    } else {
-        Ok(())
-    }
-}
-
-/// Removes non-minimal (superset) cut sets.
-fn minimize(sets: SetOfSets) -> SetOfSets {
-    // Hash-based dedup (FxHash — this runs on every MOCUS expansion):
-    // catches *all* duplicates, where the former sort-then-`dedup`
-    // only removed adjacent ones.
-    let mut seen: FxHashSet<BTreeSet<usize>> = FxHashSet::default();
-    let mut sets: SetOfSets = sets
-        .into_iter()
-        .filter(|s| seen.insert(s.clone()))
-        .collect();
-    sets.sort_by_key(|s| s.len());
-    let mut kept: SetOfSets = Vec::new();
-    'outer: for s in sets {
-        for k in &kept {
-            if k.is_subset(&s) {
-                continue 'outer;
-            }
-        }
-        kept.push(s);
-    }
-    kept
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::tree::FaultTreeBuilder;
-
-    #[test]
-    fn simple_or_and() {
-        let mut b = FaultTreeBuilder::new();
-        let a = b.basic_event("a");
-        let c = b.basic_event("c");
-        let d = b.basic_event("d");
-        // top = a OR (c AND d)
-        let top = FtNode::or(vec![a.into(), FtNode::and_of(&[c, d])]);
-        let cuts = minimal_cut_sets_of(&top, 1000).unwrap();
-        assert_eq!(cuts.len(), 2);
-        assert_eq!(cuts[0].events(), &[a]);
-        assert_eq!(cuts[1].events(), &[c, d]);
-        assert!(cuts[1].contains(c));
-        assert!(!cuts[1].contains(a));
-    }
-
-    #[test]
-    fn absorption_removes_supersets() {
-        let mut b = FaultTreeBuilder::new();
-        let a = b.basic_event("a");
-        let c = b.basic_event("c");
-        // top = a OR (a AND c): {a} absorbs {a, c}.
-        let top = FtNode::or(vec![a.into(), FtNode::and_of(&[a, c])]);
-        let cuts = minimal_cut_sets_of(&top, 1000).unwrap();
-        assert_eq!(cuts.len(), 1);
-        assert_eq!(cuts[0].events(), &[a]);
-    }
-
-    #[test]
-    fn k_of_n_expands_to_combinations() {
-        let mut b = FaultTreeBuilder::new();
-        let e = b.basic_events("e", 4);
-        let top = FtNode::k_of_n(3, e.iter().map(|&x| x.into()).collect());
-        let cuts = minimal_cut_sets_of(&top, 1000).unwrap();
-        assert_eq!(cuts.len(), 4); // C(4,3)
-        assert!(cuts.iter().all(|c| c.len() == 3));
-    }
-
-    #[test]
-    fn repeated_event_through_kofn_minimizes() {
-        let mut b = FaultTreeBuilder::new();
-        let a = b.basic_event("a");
-        let c = b.basic_event("c");
-        // 2-of-(a, a, c): combinations {a,a}={a}, {a,c}, {a,c} => minimal {a}.
-        let top = FtNode::k_of_n(2, vec![a.into(), a.into(), c.into()]);
-        let cuts = minimal_cut_sets_of(&top, 1000).unwrap();
-        assert_eq!(cuts.len(), 1);
-        assert_eq!(cuts[0].events(), &[a]);
-    }
-
-    #[test]
-    fn blowup_guard_trips() {
-        let mut b = FaultTreeBuilder::new();
-        // AND of 5 ORs of 4 events each: 4^5 = 1024 sets before
-        // minimization.
-        let groups: Vec<FtNode> = (0..5)
-            .map(|g| FtNode::or_of(&b.basic_events(&format!("g{g}"), 4)))
-            .collect();
-        let top = FtNode::and(groups);
-        assert!(minimal_cut_sets_of(&top, 100).is_err());
-        assert!(minimal_cut_sets_of(&top, 2000).is_ok());
     }
 }

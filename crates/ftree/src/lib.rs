@@ -10,7 +10,8 @@
 //! Provided analyses:
 //!
 //! * exact top-event probability and time-dependent unreliability,
-//! * minimal cut sets (bottom-up MOCUS with absorption),
+//! * minimal cut and path sets (Rauzy's MinSol on a zero-suppressed
+//!   BDD, counted exactly before they are listed),
 //! * Birnbaum / criticality / Fussell–Vesely importance,
 //! * rare-event and min-cut upper bounds for cross-checking the exact
 //!   value (the quantities the `reliab-bounds` crate scales up),

@@ -1,7 +1,7 @@
 //! Fault-tree structure, compilation, and probabilistic analyses.
 
 use crate::bdd_err;
-use crate::cutsets::{minimal_cut_sets_of, CutSet};
+use crate::cutsets::CutSet;
 use reliab_bdd::{Bdd, NodeId};
 use reliab_core::{ensure_probability, Error, ImportanceMeasures, Result};
 use reliab_dist::Lifetime;
@@ -295,7 +295,6 @@ impl FaultTreeBuilder {
             bdd,
             fails,
             event_to_var,
-            top,
             _fails_guard: fails_guard,
         })
     }
@@ -531,7 +530,6 @@ pub struct FaultTree {
     bdd: Bdd,
     fails: NodeId,
     event_to_var: Vec<u32>,
-    top: FtNode,
     /// GC root pinning `fails` for the life of the tree.
     _fails_guard: reliab_bdd::BddRef,
 }
@@ -591,58 +589,63 @@ impl FaultTree {
         self.top_event_probability(&probs)
     }
 
-    /// Minimal cut sets of the tree.
+    /// Minimal cut sets of the tree, by order and then event ids.
+    ///
+    /// Rauzy's MinSol over the compiled BDD builds the family as a
+    /// zero-suppressed BDD, which is counted before any set is listed.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Model`] if the expansion exceeds `max_sets`
-    /// intermediate sets (combinatorial blow-up guard) — fall back to
-    /// the BDD probability or the bounding crate in that case.
+    /// Returns [`Error::Model`] if the tree has more than `max_sets`
+    /// minimal cut sets.
     pub fn minimal_cut_sets(&self, max_sets: usize) -> Result<Vec<CutSet>> {
-        let _span = obs::span("ftree.cutsets.mocus");
-        let cuts = minimal_cut_sets_of(&self.top, max_sets)?;
+        let _span = obs::span("ftree.cutsets.bdd");
+        let cuts: Vec<CutSet> = self
+            .listed(&self.bdd.minimal_family(self.fails), max_sets, "cut")?
+            .into_iter()
+            .map(CutSet::from_events)
+            .collect();
         obs::event(
             "ftree.cutsets",
-            &[("algorithm", "mocus".into()), ("count", cuts.len().into())],
+            &[("algorithm", "zbdd".into()), ("count", cuts.len().into())],
         );
         obs::counter_add("ftree.cutsets.enumerations", 1);
         Ok(cuts)
     }
 
-    /// Minimal cut sets computed from the compiled BDD (Rauzy's
-    /// minimal-solutions algorithm) instead of top-down expansion.
+    /// Minimal path sets of the tree: the minimal sets of events whose
+    /// joint non-occurrence keeps the top event from occurring, by
+    /// length and then event ids. They are the minimal solutions of the
+    /// failure function's dual, read off the same BDD.
     ///
-    /// Equivalent result to [`FaultTree::minimal_cut_sets`], but the
-    /// cost is governed by the BDD size rather than the intermediate
-    /// product terms — use this when MOCUS trips its blow-up guard
-    /// (e.g. wide k-of-n gates over AND/OR subtrees).
-    pub fn minimal_cut_sets_bdd(&self) -> Vec<CutSet> {
-        let _span = obs::span("ftree.cutsets.bdd");
-        // Invert the event→variable map.
-        let mut var_to_event = vec![0usize; self.event_to_var.len()];
-        for (e, &v) in self.event_to_var.iter().enumerate() {
-            var_to_event[v as usize] = e;
+    /// # Errors
+    ///
+    /// Returns [`Error::Model`] if the tree has more than `max_sets`
+    /// minimal path sets.
+    pub fn minimal_path_sets(&self, max_sets: usize) -> Result<Vec<Vec<EventId>>> {
+        self.listed(&self.bdd.dual_minimal_family(self.fails), max_sets, "path")
+    }
+
+    /// Lists `family` in event ids after checking its exact size
+    /// against `max_sets`.
+    fn listed(
+        &self,
+        family: &reliab_bdd::SetFamily,
+        max_sets: usize,
+        kind: &str,
+    ) -> Result<Vec<Vec<EventId>>> {
+        let count = family.count();
+        if count > max_sets as u64 {
+            return Err(Error::model(format!(
+                "the fault tree has {count} minimal {kind} sets, more than \
+                 max_cut_sets = {max_sets}"
+            )));
         }
-        let mut cuts: Vec<Vec<EventId>> = self
-            .bdd
-            .minimal_solutions(self.fails)
-            .into_iter()
-            .map(|s| {
-                let mut events: Vec<EventId> = s
-                    .into_iter()
-                    .map(|v| EventId(var_to_event[v as usize]))
-                    .collect();
-                events.sort();
-                events
-            })
-            .collect();
-        cuts.sort_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
-        obs::event(
-            "ftree.cutsets",
-            &[("algorithm", "bdd".into()), ("count", cuts.len().into())],
-        );
-        obs::counter_add("ftree.cutsets.enumerations", 1);
-        cuts.into_iter().map(CutSet::from_events).collect()
+        let mut var_to_event = vec![EventId(0); self.event_to_var.len()];
+        for (e, &v) in self.event_to_var.iter().enumerate() {
+            var_to_event[v as usize] = EventId(e);
+        }
+        Ok(family.sets(|v| var_to_event[v as usize]))
     }
 
     /// Importance measures for every basic event.
@@ -971,40 +974,135 @@ mod tests {
     }
 
     #[test]
-    fn bdd_cut_sets_match_mocus() {
-        let (b, top, _) = multiproc();
-        let ft = b.build(top).unwrap();
-        let mocus = ft.minimal_cut_sets(10_000).unwrap();
-        let bdd = ft.minimal_cut_sets_bdd();
-        assert_eq!(mocus, bdd);
-    }
-
-    #[test]
-    fn bdd_cut_sets_match_mocus_with_dfs_ordering() {
-        // The BDD route must translate variables back to events even
-        // under a permuted ordering.
-        let (b, top, _) = multiproc();
-        let ft = b
-            .build_with_ordering(top, VariableOrdering::DepthFirst)
-            .unwrap();
-        let bdd = ft.minimal_cut_sets_bdd();
-        let mocus = ft.minimal_cut_sets(10_000).unwrap();
-        assert_eq!(mocus, bdd);
-    }
-
-    #[test]
-    fn bdd_cut_sets_survive_mocus_blowup() {
-        // AND of 6 ORs of 4 events: MOCUS generates 4^6 = 4096
-        // intermediate sets; the BDD route handles it regardless.
-        let mut b = FaultTreeBuilder::new();
-        let groups: Vec<FtNode> = (0..6)
-            .map(|g| FtNode::or_of(&b.basic_events(&format!("g{g}"), 4)))
+    fn cut_and_path_sets_agree_under_every_ordering() {
+        // Events: proc 0-1, mem 2-4, bus 5.
+        let cuts = vec![vec![5], vec![0, 1], vec![2, 3], vec![2, 4], vec![3, 4]];
+        // Works iff a processor, two memories and the bus work.
+        let paths: Vec<Vec<usize>> = (0..2)
+            .flat_map(|p| [[2, 3], [2, 4], [3, 4]].map(|m| vec![p, m[0], m[1], 5]))
             .collect();
-        let ft = b.build(FtNode::and(groups)).unwrap();
-        assert!(ft.minimal_cut_sets(1000).is_err());
-        let cuts = ft.minimal_cut_sets_bdd();
+        let ids = |sets: Vec<Vec<EventId>>| -> Vec<Vec<usize>> {
+            sets.into_iter()
+                .map(|s| s.into_iter().map(EventId::index).collect())
+                .collect()
+        };
+        for ordering in [
+            VariableOrdering::Declaration,
+            VariableOrdering::DepthFirst,
+            VariableOrdering::Weighted,
+            VariableOrdering::Sifted,
+        ] {
+            let (b, top, _) = multiproc();
+            let ft = b.build_with_ordering(top, ordering).unwrap();
+            let got: Vec<Vec<EventId>> = ft
+                .minimal_cut_sets(5)
+                .unwrap()
+                .into_iter()
+                .map(|c| c.events().to_vec())
+                .collect();
+            assert_eq!(ids(got), cuts, "{ordering:?}");
+            assert_eq!(ids(ft.minimal_path_sets(6).unwrap()), paths, "{ordering:?}");
+        }
+    }
+
+    #[test]
+    fn absorption_and_voting_gates() {
+        let absorbed = |top: fn(EventId, EventId) -> FtNode| {
+            let mut b = FaultTreeBuilder::new();
+            let a = b.basic_event("a");
+            let c = b.basic_event("c");
+            let cuts = b.build(top(a, c)).unwrap().minimal_cut_sets(10).unwrap();
+            assert_eq!(cuts.len(), 1);
+            assert_eq!(cuts[0].events(), &[a]);
+        };
+        // {a} absorbs {a, c}.
+        absorbed(|a, c| FtNode::or(vec![a.into(), FtNode::and_of(&[a, c])]));
+        // 2-of-(a, a, c): {a, a} = {a} absorbs {a, c}.
+        absorbed(|a, c| FtNode::k_of_n(2, vec![a.into(), a.into(), c.into()]));
+
+        let mut b = FaultTreeBuilder::new();
+        let e = b.basic_events("e", 4);
+        let top = FtNode::k_of_n(3, e.iter().map(|&x| x.into()).collect());
+        let ft = b.build(top).unwrap();
+        let cuts = ft.minimal_cut_sets(10).unwrap();
+        assert_eq!(cuts.len(), 4); // C(4,3)
+        assert!(cuts.iter().all(|c| c.len() == 3));
+        // Any two of the four working keep the vote from failing.
+        assert_eq!(ft.minimal_path_sets(10).unwrap().len(), 6);
+    }
+
+    #[test]
+    fn cap_is_checked_against_the_exact_count() {
+        // AND of 6 ORs of 4 events: 4^6 = 4096 minimal cut sets.
+        let build = || {
+            let mut b = FaultTreeBuilder::new();
+            let groups: Vec<FtNode> = (0..6)
+                .map(|g| FtNode::or_of(&b.basic_events(&format!("g{g}"), 4)))
+                .collect();
+            b.build(FtNode::and(groups)).unwrap()
+        };
+        let ft = build();
+        let err = ft.minimal_cut_sets(4095).unwrap_err().to_string();
+        assert!(
+            err.contains("4096") && err.contains("max_cut_sets"),
+            "{err}"
+        );
+        let cuts = ft.minimal_cut_sets(4096).unwrap();
         assert_eq!(cuts.len(), 4096);
         assert!(cuts.iter().all(|c| c.len() == 6));
+        assert!(cuts.windows(2).all(|w| w[0] < w[1]));
+        // The dual: each OR group is one path set.
+        assert!(ft.minimal_path_sets(5).is_err());
+        let paths = ft.minimal_path_sets(6).unwrap();
+        assert_eq!(paths.len(), 6);
+        assert!(paths.iter().all(|p| p.len() == 4));
+    }
+
+    /// `voters` units vote 2-of-n and two more units 2-of-2; a unit is
+    /// the OR of five AND pairs and two simplex events.
+    fn voting_units(voters: usize) -> FaultTree {
+        let mut b = FaultTreeBuilder::new();
+        let units: Vec<FtNode> = (0..voters + 2)
+            .map(|u| {
+                let mut inputs: Vec<FtNode> = (0..5)
+                    .map(|i| FtNode::and_of(&b.basic_events(&format!("u{u}p{i}"), 2)))
+                    .collect();
+                inputs.extend(
+                    b.basic_events(&format!("u{u}s"), 2)
+                        .into_iter()
+                        .map(FtNode::from),
+                );
+                FtNode::or(inputs)
+            })
+            .collect();
+        let top = FtNode::or(vec![
+            FtNode::k_of_n(2, units[..voters].to_vec()),
+            FtNode::k_of_n(2, units[voters..].to_vec()),
+        ]);
+        b.build_with_ordering(top, VariableOrdering::DepthFirst)
+            .unwrap()
+    }
+
+    #[test]
+    fn voting_units_match_the_closed_form() {
+        // Each failing unit pair gives 7 x 7 = 49 cut sets: 2 x 2 of
+        // order 2, 2 x (2 x 5) of order 3 and 5 x 5 of order 4.
+        for (voters, events, count) in [(10, 144, 2_254), (40, 504, 38_269)] {
+            let ft = voting_units(voters);
+            assert_eq!(ft.num_events(), events);
+            let pairs = voters * (voters - 1) / 2 + 1;
+            assert_eq!(count, 49 * pairs);
+            let cuts = ft.minimal_cut_sets(count).unwrap();
+            assert_eq!(cuts.len(), count);
+            for (order, per_pair) in [(2, 4), (3, 20), (4, 25)] {
+                let n = cuts.iter().filter(|c| c.len() == order).count();
+                assert_eq!(n, per_pair * pairs, "order {order}, {voters} voters");
+            }
+            assert!(cuts
+                .windows(2)
+                .all(|w| (w[0].len(), w[0].events()) < (w[1].len(), w[1].events())));
+            assert!(ft.minimal_cut_sets(count - 1).is_err());
+        }
     }
 
     #[test]

@@ -5,7 +5,6 @@ use reliab_bdd::{Bdd, NodeId as BddNode};
 use reliab_core::{ensure_probability, Error, Result};
 use reliab_dist::Lifetime;
 use reliab_numeric::quadrature::integrate_to_infinity;
-use std::collections::BTreeSet;
 
 /// Handle to a graph node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -94,8 +93,7 @@ impl RelGraphBuilder {
             source: source.0,
             sink: sink.0,
         };
-        let paths = g.minimal_path_sets();
-        if paths.is_empty() {
+        if !g.connected(&vec![None; g.edges.len()], true) {
             return Err(Error::model(
                 "sink is unreachable from source even with all edges up",
             ));
@@ -130,112 +128,43 @@ impl RelGraph {
         &self.edge_names[e.0]
     }
 
-    /// Enumerates all minimal s-t path sets (as sorted edge-id lists).
-    ///
-    /// Uses DFS over simple node paths; a path's edge set is minimal
-    /// unless a strict subset is also a path, which is subsequently
-    /// filtered (parallel-edge corner cases).
+    /// Minimal s-t path sets as sorted edge-id lists, by length and
+    /// then edge ids: the minimal solutions of the works function.
     pub fn minimal_path_sets(&self) -> Vec<Vec<EdgeId>> {
-        // adjacency: node -> (neighbor, edge index)
-        let mut adj: Vec<Vec<(usize, usize)>> = vec![Vec::new(); self.node_names.len()];
-        for (i, e) in self.edges.iter().enumerate() {
-            adj[e.u].push((e.v, i));
-            if !e.directed {
-                adj[e.v].push((e.u, i));
-            }
-        }
-        let mut found: Vec<BTreeSet<usize>> = Vec::new();
-        let mut visited = vec![false; self.node_names.len()];
-        let mut path_edges: Vec<usize> = Vec::new();
-        self.dfs_paths(self.source, &adj, &mut visited, &mut path_edges, &mut found);
-        // Minimize (subset filtering).
-        found.sort_by_key(|s| s.len());
-        found.dedup();
-        let mut kept: Vec<BTreeSet<usize>> = Vec::new();
-        'outer: for s in found {
-            for k in &kept {
-                if k.is_subset(&s) {
-                    continue 'outer;
-                }
-            }
-            kept.push(s);
-        }
-        kept.into_iter()
-            .map(|s| s.into_iter().map(EdgeId).collect())
-            .collect()
+        self.edge_sets(false, usize::MAX)
+            .expect("an uncapped family always lists")
     }
 
-    fn dfs_paths(
-        &self,
-        at: usize,
-        adj: &[Vec<(usize, usize)>],
-        visited: &mut [bool],
-        path_edges: &mut Vec<usize>,
-        found: &mut Vec<BTreeSet<usize>>,
-    ) {
-        if at == self.sink {
-            found.push(path_edges.iter().copied().collect());
-            return;
-        }
-        visited[at] = true;
-        for &(next, eidx) in &adj[at] {
-            if visited[next] {
-                continue;
-            }
-            path_edges.push(eidx);
-            self.dfs_paths(next, adj, visited, path_edges, found);
-            path_edges.pop();
-        }
-        visited[at] = false;
-    }
-
-    /// Minimal cut sets, computed as the minimal transversals (Berge
-    /// dualization) of the minimal path hypergraph.
+    /// Minimal cut sets as sorted edge-id lists, by length and then
+    /// edge ids: the minimal solutions of the works function's dual,
+    /// read off the same BDD as the path sets.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Model`] if intermediate transversal counts
-    /// exceed `max_sets`.
+    /// Returns [`Error::Model`] if the graph has more than `max_sets`
+    /// minimal cut sets.
     pub fn minimal_cut_sets(&self, max_sets: usize) -> Result<Vec<Vec<EdgeId>>> {
-        let paths = self.minimal_path_sets();
-        let mut transversals: Vec<BTreeSet<usize>> = vec![BTreeSet::new()];
-        for p in &paths {
-            let pset: BTreeSet<usize> = p.iter().map(|e| e.0).collect();
-            let mut next: Vec<BTreeSet<usize>> = Vec::new();
-            for t in &transversals {
-                if t.intersection(&pset).next().is_some() {
-                    next.push(t.clone());
-                } else {
-                    for &e in &pset {
-                        let mut t2 = t.clone();
-                        t2.insert(e);
-                        next.push(t2);
-                    }
-                }
-            }
-            // Minimize.
-            next.sort_by_key(|s| s.len());
-            next.dedup();
-            let mut kept: Vec<BTreeSet<usize>> = Vec::new();
-            'outer: for s in next {
-                for k in &kept {
-                    if k.is_subset(&s) {
-                        continue 'outer;
-                    }
-                }
-                kept.push(s);
-            }
-            if kept.len() > max_sets {
-                return Err(Error::model(format!(
-                    "cut-set dualization exceeded {max_sets} sets"
-                )));
-            }
-            transversals = kept;
+        self.edge_sets(true, max_sets)
+    }
+
+    /// Counts the minimal path (or, for `cuts`, cut) sets, then lists
+    /// them unless there are more than `max_sets`.
+    fn edge_sets(&self, cuts: bool, max_sets: usize) -> Result<Vec<Vec<EdgeId>>> {
+        let mut bdd = Bdd::new(self.edges.len() as u32);
+        let works = self.works_bdd(&mut bdd);
+        let family = if cuts {
+            bdd.dual_minimal_family(works)
+        } else {
+            bdd.minimal_family(works)
+        };
+        let count = family.count();
+        if count > max_sets as u64 {
+            return Err(Error::model(format!(
+                "the reliability graph has {count} minimal cut sets, \
+                 more than the cap of {max_sets}"
+            )));
         }
-        Ok(transversals
-            .into_iter()
-            .map(|s| s.into_iter().map(EdgeId).collect())
-            .collect())
+        Ok(family.sets(|v| EdgeId(v as usize)))
     }
 
     /// Exact s-t reliability given per-edge up-probabilities, via a BDD
@@ -258,24 +187,66 @@ impl RelGraph {
     pub fn reliability_with_stats(&self, edge_up: &[f64]) -> Result<(f64, reliab_bdd::BddStats)> {
         self.check_probs(edge_up)?;
         let mut bdd = Bdd::new(self.edges.len() as u32);
-        let works = self.works_bdd(&mut bdd)?;
+        let works = self.works_bdd(&mut bdd);
         let p = bdd.probability(works, edge_up).map_err(bdd_err)?;
         Ok((p, bdd.stats()))
     }
 
-    /// Compiles the works-function BDD (OR over path-set ANDs).
-    pub(crate) fn works_bdd(&self, bdd: &mut Bdd) -> Result<BddNode> {
-        let paths = self.minimal_path_sets();
-        let mut acc = BddNode::FALSE;
-        for p in &paths {
-            let mut conj = BddNode::TRUE;
-            for e in p {
-                let v = bdd.var(e.0 as u32).map_err(bdd_err)?;
-                conj = bdd.and(conj, v);
+    /// Compiles the works function: the OR, over every simple
+    /// source→sink path found by DFS, of the AND of its edges. A simple
+    /// path's edge set contains no other path's, and the BDD is
+    /// canonical, so no path needs filtering.
+    fn works_bdd(&self, bdd: &mut Bdd) -> BddNode {
+        // adjacency: node -> (neighbor, edge index)
+        let mut adj: Vec<Vec<(usize, usize)>> = vec![Vec::new(); self.node_names.len()];
+        for (i, e) in self.edges.iter().enumerate() {
+            adj[e.u].push((e.v, i));
+            if !e.directed {
+                adj[e.v].push((e.u, i));
             }
-            acc = bdd.or(acc, conj);
         }
-        Ok(acc)
+        let mut works = BddNode::FALSE;
+        let mut visited = vec![false; self.node_names.len()];
+        let mut or_path = |path: &[usize]| {
+            let edges: Vec<BddNode> = path
+                .iter()
+                .map(|&e| bdd.var(e as u32).expect("one BDD variable per edge"))
+                .collect();
+            let conj = bdd.and_all(edges);
+            works = bdd.or(works, conj);
+        };
+        self.dfs_paths(
+            self.source,
+            &adj,
+            &mut visited,
+            &mut Vec::new(),
+            &mut or_path,
+        );
+        works
+    }
+
+    fn dfs_paths(
+        &self,
+        at: usize,
+        adj: &[Vec<(usize, usize)>],
+        visited: &mut [bool],
+        path_edges: &mut Vec<usize>,
+        on_path: &mut impl FnMut(&[usize]),
+    ) {
+        if at == self.sink {
+            on_path(path_edges);
+            return;
+        }
+        visited[at] = true;
+        for &(next, eidx) in &adj[at] {
+            if visited[next] {
+                continue;
+            }
+            path_edges.push(eidx);
+            self.dfs_paths(next, adj, visited, path_edges, on_path);
+            path_edges.pop();
+        }
+        visited[at] = false;
     }
 
     /// Exact s-t reliability by recursive edge factoring (pivotal
@@ -508,7 +479,7 @@ impl RelGraph {
             )));
         }
         let mut bdd = Bdd::new(self.edges.len() as u32);
-        let works = self.works_bdd(&mut bdd)?;
+        let works = self.works_bdd(&mut bdd);
         let scale = lifetimes
             .iter()
             .map(|d| d.mean())
@@ -615,16 +586,21 @@ mod tests {
     #[test]
     fn bridge_path_and_cut_sets() {
         let (g, e) = bridge();
+        let set = |ids: &[usize]| ids.iter().map(|&i| e[i]).collect::<Vec<_>>();
+        // By length, then edge ids.
         let paths = g.minimal_path_sets();
-        // {e1,e4}, {e2,e5}, {e1,e3,e5}, {e2,e3,e4}
-        assert_eq!(paths.len(), 4);
-        assert!(paths.contains(&vec![e[0], e[3]]));
-        assert!(paths.contains(&vec![e[1], e[4]]));
-        let cuts = g.minimal_cut_sets(10_000).unwrap();
-        // {e1,e2}, {e4,e5}, {e1,e3,e5}, {e2,e3,e4}
-        assert_eq!(cuts.len(), 4);
-        assert!(cuts.contains(&vec![e[0], e[1]]));
-        assert!(cuts.contains(&vec![e[3], e[4]]));
+        assert_eq!(
+            paths,
+            vec![set(&[0, 3]), set(&[1, 4]), set(&[0, 2, 4]), set(&[1, 2, 3])]
+        );
+        let cuts = g.minimal_cut_sets(4).unwrap();
+        assert_eq!(
+            cuts,
+            vec![set(&[0, 1]), set(&[3, 4]), set(&[0, 2, 4]), set(&[1, 2, 3])]
+        );
+        // The cap is checked against the exact count.
+        let err = g.minimal_cut_sets(3).unwrap_err().to_string();
+        assert!(err.contains("4 minimal cut sets"), "{err}");
     }
 
     #[test]

@@ -9,14 +9,14 @@
 //! Analyses:
 //!
 //! * exact two-terminal reliability by BDD over edge variables
-//!   (minimal paths → OR of ANDs, compiled into a shared BDD, so
+//!   (simple paths → OR of ANDs, compiled into a shared BDD, so
 //!   overlapping paths are handled exactly),
 //! * exact reliability by recursive edge factoring (pivotal
 //!   decomposition) for cross-validation and ablation,
 //! * all-terminal and general k-terminal reliability (factoring with
 //!   connectivity short-circuits),
-//! * minimal path sets (DFS simple-path enumeration),
-//! * minimal cut sets (Berge dualization of the path hypergraph),
+//! * minimal path and cut sets (Rauzy's MinSol of that BDD and of its
+//!   dual, on a zero-suppressed BDD),
 //! * MTTF under edge lifetime distributions.
 //!
 //! ```

@@ -8,7 +8,7 @@ use reliab_core::{downtime_minutes_per_year, Error, Result};
 use reliab_dist::{
     Deterministic, Exponential, Gamma, Lifetime, LogNormal, Pareto, Uniform, Weibull,
 };
-use reliab_ftree::{CompileOptions, FaultTreeBuilder, FtNode, VariableOrdering};
+use reliab_ftree::{CompileOptions, FaultTree, FaultTreeBuilder, FtNode, VariableOrdering};
 use reliab_markov::{
     Ctmc, CtmcBuilder, IterativeOptions, StateId, SteadyStateMethod, TransientOptions,
 };
@@ -681,7 +681,7 @@ fn solve_relgraph(spec: &RelGraphSpec) -> Result<(SolvedMeasures, SolveStats)> {
     };
     let minimal_path_sets = g.minimal_path_sets().into_iter().map(&name_of).collect();
     let minimal_cut_sets = g
-        .minimal_cut_sets(100_000)?
+        .minimal_cut_sets(DEFAULT_MAX_CUT_SETS)?
         .into_iter()
         .map(&name_of)
         .collect();
@@ -1087,6 +1087,10 @@ fn effective_ordering(spec: &FaultTreeSpec, opts: &SolveOptions) -> VariableOrde
     }
 }
 
+/// Minimal cut (or path) sets a solve lists unless the spec sets
+/// `max_cut_sets`.
+pub(crate) const DEFAULT_MAX_CUT_SETS: usize = 100_000;
+
 pub(crate) fn solve_fault_tree(
     spec: &FaultTreeSpec,
     opts: &SolveOptions,
@@ -1107,6 +1111,17 @@ pub(crate) fn solve_fault_tree(
         let simulator = ftree_simulator(spec, node)?;
         return run_simulation(&simulator, sim, opts);
     }
+    let (measures, stats, _) = solve_fault_tree_analytic(spec, opts)?;
+    Ok((measures, stats))
+}
+
+/// The BDD solve of a fault tree: top-event probability, minimal cut
+/// sets (at most `max_cut_sets` of them) and importance, plus the
+/// compiled tree for callers that read more off it.
+pub(crate) fn solve_fault_tree_analytic(
+    spec: &FaultTreeSpec,
+    opts: &SolveOptions,
+) -> Result<(SolvedMeasures, SolveStats, FaultTree)> {
     let mut b = FaultTreeBuilder::new();
     let mut ids = FxHashMap::default();
     let mut probs = Vec::new();
@@ -1125,9 +1140,7 @@ pub(crate) fn solve_fault_tree(
         .with_bdd_jobs(opts.bdd_jobs);
     let mut ft = b.build_with(top, &compile)?;
     let q = ft.top_event_probability(&probs)?;
-    let cuts = ft
-        .minimal_cut_sets(spec.max_cut_sets.unwrap_or(100_000))
-        .unwrap_or_else(|_| ft.minimal_cut_sets_bdd());
+    let cuts = ft.minimal_cut_sets(spec.max_cut_sets.unwrap_or(DEFAULT_MAX_CUT_SETS))?;
     let named_cuts: Vec<Vec<String>> = cuts
         .iter()
         .map(|c| {
@@ -1159,6 +1172,7 @@ pub(crate) fn solve_fault_tree(
             importance,
         },
         stats,
+        ft,
     ))
 }
 
@@ -1725,6 +1739,46 @@ mod tests {
             }
             _ => panic!("expected fault-tree result"),
         }
+    }
+
+    #[test]
+    fn max_cut_sets_caps_the_exact_count() {
+        // The multiprocessor tree has exactly five minimal cut sets.
+        let spec = |cap: usize| {
+            format!(
+                r#"{{
+                  "fault_tree": {{
+                    "events": [
+                      {{"name": "p0", "probability": 0.01}},
+                      {{"name": "p1", "probability": 0.01}},
+                      {{"name": "m0", "probability": 0.05}},
+                      {{"name": "m1", "probability": 0.05}},
+                      {{"name": "m2", "probability": 0.05}},
+                      {{"name": "bus", "probability": 0.001}}
+                    ],
+                    "top": {{"or": [
+                      {{"and": ["p0", "p1"]}},
+                      {{"k_of_n": {{"k": 2, "of": ["m0", "m1", "m2"]}}}},
+                      "bus"
+                    ]}},
+                    "max_cut_sets": {cap}
+                  }}
+                }}"#
+            )
+        };
+        match run(&spec(5)).unwrap().measures {
+            SolvedMeasures::FaultTree {
+                minimal_cut_sets, ..
+            } => assert_eq!(minimal_cut_sets.len(), 5),
+            _ => panic!("expected fault-tree result"),
+        }
+        let err = run(&spec(4)).unwrap_err();
+        assert!(matches!(err, Error::Model(_)), "{err:?}");
+        let msg = err.to_string();
+        assert!(
+            msg.contains('5') && msg.contains("max_cut_sets = 4"),
+            "{msg}"
+        );
     }
 
     #[test]

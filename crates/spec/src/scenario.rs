@@ -6,21 +6,21 @@
 //! [`crate::convert`]: a hierarchy re-solves its submodels inside a
 //! damped fixed-point sweep, an uncertainty wrapper re-solves its inner
 //! model once per Monte-Carlo sample, and the bounds class reuses the
-//! fault-tree solver (and its BDD) for exact probabilities and dual
-//! path sets. Both parallel sweeps (hierarchy submodels, uncertainty
-//! samples) are bitwise deterministic at any worker count: hierarchy
-//! workers write disjoint result slots, and uncertainty sampling is a
-//! pure function of `(seed, sample index)` via counter-based RNG
-//! streams.
+//! fault-tree solver for exact probabilities and reads the path sets
+//! off the same BDD's dual. Both parallel sweeps (hierarchy submodels,
+//! uncertainty samples) are bitwise deterministic at any worker count:
+//! hierarchy workers write disjoint result slots, and uncertainty
+//! sampling is a pure function of `(seed, sample index)` via
+//! counter-based RNG streams.
 
 use crate::convert::{
-    availability_from_sum, event_probability, lifetime_from, solve_fault_tree, solve_model,
-    solve_with, CtmcChain, SolvedMeasures,
+    availability_from_sum, event_probability, lifetime_from, solve_fault_tree_analytic,
+    solve_model, solve_with, CtmcChain, SolvedMeasures, DEFAULT_MAX_CUT_SETS,
 };
 use crate::report::{SolveOptions, SolveReport, SolveStats};
 use crate::schema::{
-    BoundsSpec, FaultTreeSpec, GateSpec, HierarchySpec, KOfNGateSpec, ModelSpec, PriorSpec,
-    ScenarioMeasure, SemiMarkovSpec, UncertaintySpec,
+    BoundsSpec, HierarchySpec, ModelSpec, PriorSpec, ScenarioMeasure, SemiMarkovSpec,
+    UncertaintySpec,
 };
 use crate::slot::{write_all, Slot};
 use reliab_core::{downtime_minutes_per_year, Error, Result};
@@ -445,26 +445,6 @@ pub(crate) fn solve_uncertainty(
 // ---------------------------------------------------------------------
 // Bounds
 
-/// The dual of a fault-tree gate: swapping AND/OR (and complementing
-/// voting thresholds) turns minimal cut sets into minimal path sets.
-fn dual_gate(g: &GateSpec) -> GateSpec {
-    match g {
-        GateSpec::Event(name) => GateSpec::Event(name.clone()),
-        GateSpec::And { and } => GateSpec::Or {
-            or: and.iter().map(dual_gate).collect(),
-        },
-        GateSpec::Or { or } => GateSpec::And {
-            and: or.iter().map(dual_gate).collect(),
-        },
-        GateSpec::KOfN { k_of_n } => GateSpec::KOfN {
-            k_of_n: KOfNGateSpec {
-                k: k_of_n.of.len() - k_of_n.k + 1,
-                of: k_of_n.of.iter().map(dual_gate).collect(),
-            },
-        },
-    }
-}
-
 /// Event names, failure probabilities, cut/path index sets, and the
 /// exact top probability — the common currency of both bounds forms.
 type ResolvedSets = (
@@ -514,9 +494,9 @@ pub(crate) fn solve_bounds(
                     "bounds 'fault_tree' cannot carry a 'sim' block",
                 ));
             }
-            let mut analytic = opts.clone();
-            analytic.simulate = false;
-            let (m, ft_stats) = solve_fault_tree(ft, &analytic)?;
+            // The path sets are the dual minimal solutions of the tree
+            // the cut sets came from.
+            let (m, ft_stats, tree) = solve_fault_tree_analytic(ft, opts)?;
             stats = ft_stats;
             let SolvedMeasures::FaultTree {
                 top_event_probability,
@@ -528,21 +508,11 @@ pub(crate) fn solve_bounds(
                     "fault-tree solve returned unexpected measures",
                 ));
             };
-            let dual = FaultTreeSpec {
-                events: ft.events.clone(),
-                top: dual_gate(&ft.top),
-                max_cut_sets: ft.max_cut_sets,
-                var_order: ft.var_order,
-                sim: None,
-            };
-            let (dm, _) = solve_fault_tree(&dual, &analytic)?;
-            let SolvedMeasures::FaultTree {
-                minimal_cut_sets: minimal_path_sets,
-                ..
-            } = dm
-            else {
-                return Err(Error::model("dual-tree solve returned unexpected measures"));
-            };
+            paths = tree
+                .minimal_path_sets(ft.max_cut_sets.unwrap_or(DEFAULT_MAX_CUT_SETS))?
+                .into_iter()
+                .map(|p| p.into_iter().map(reliab_ftree::EventId::index).collect())
+                .collect();
             names = ft.events.iter().map(|e| e.name.clone()).collect();
             q = ft
                 .events
@@ -550,7 +520,6 @@ pub(crate) fn solve_bounds(
                 .map(event_probability)
                 .collect::<Result<_>>()?;
             cuts = set_indices(&names, &minimal_cut_sets);
-            paths = set_indices(&names, &minimal_path_sets);
             exact = Some(top_event_probability);
         }
         None => {

@@ -379,8 +379,9 @@ pub struct FaultTreeSpec {
     pub events: Vec<EventSpec>,
     /// The top gate.
     pub top: GateSpec,
-    /// Cap on intermediate cut sets during enumeration (default
-    /// 100 000; the BDD probability itself has no such cap).
+    /// Cap on the listed minimal cut sets (default 100 000), checked
+    /// against their exact count before any is listed; a larger family
+    /// is a model error. The BDD probability has no such cap.
     pub max_cut_sets: Option<usize>,
     /// BDD variable-ordering hint: `"auto"`, `"input"`, `"dfs"`,
     /// `"weighted"`, or `"sift"`. Overridden by a non-`Auto`

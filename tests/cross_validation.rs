@@ -308,7 +308,8 @@ fn bdd_cut_sets_match_graph_cut_sets() {
     );
     let ft = fb.build(top).unwrap();
     let ft_cuts: Vec<Vec<usize>> = ft
-        .minimal_cut_sets_bdd()
+        .minimal_cut_sets(1000)
+        .unwrap()
         .into_iter()
         .map(|cs| cs.events().iter().map(|e| e.index()).collect())
         .collect();

@@ -173,13 +173,31 @@ proptest! {
     }
 }
 
-/// Random coherent fault trees: MOCUS and BDD cut-set extraction must
-/// agree, and the top-event probability must equal the union
-/// probability of the minimal cut sets.
+/// The inclusion-minimal masks over `n` bits among those satisfying
+/// `holds`, as sorted index lists ordered by length and then ids — the
+/// brute-force oracle for minimal cut and path sets.
+fn minimal_masks(n: usize, holds: impl Fn(u32) -> bool) -> Vec<Vec<usize>> {
+    let masks: Vec<u32> = (0..1u32 << n).filter(|&m| holds(m)).collect();
+    let mut out: Vec<Vec<usize>> = masks
+        .iter()
+        .filter(|&&m| !masks.iter().any(|&s| s != m && s & m == s))
+        .map(|&m| (0..n).filter(|i| m >> i & 1 == 1).collect())
+        .collect();
+    out.sort_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
+    out
+}
+
+/// Random coherent fault trees: the ZBDD cut sets must equal the
+/// brute-force minimal sets of failed events that force the top event
+/// over all 2^n assignments, the path sets the minimal sets of working
+/// events that keep it from occurring, and the union probabilities of
+/// both families must reproduce the BDD top-event probability.
 mod random_tree_equivalence {
     use proptest::prelude::*;
     use reliab::bounds::union_probability;
-    use reliab::ftree::{EventId, FaultTreeBuilder, FtNode};
+    use reliab::ftree::{EventId, FaultTreeBuilder, FtNode, VariableOrdering};
+
+    const EVENTS: usize = 6;
 
     /// Builder-independent tree shape generated by proptest; converted
     /// to [`FtNode`] once event handles exist.
@@ -188,53 +206,191 @@ mod random_tree_equivalence {
         Leaf(usize),
         And(Vec<Shape>),
         Or(Vec<Shape>),
+        KOfN(usize, Vec<Shape>),
     }
 
     fn to_node(s: &Shape, events: &[EventId]) -> FtNode {
+        let all = |xs: &[Shape]| xs.iter().map(|x| to_node(x, events)).collect();
         match s {
             Shape::Leaf(i) => FtNode::Basic(events[*i]),
-            Shape::And(xs) => FtNode::And(xs.iter().map(|x| to_node(x, events)).collect()),
-            Shape::Or(xs) => FtNode::Or(xs.iter().map(|x| to_node(x, events)).collect()),
+            Shape::And(xs) => FtNode::And(all(xs)),
+            Shape::Or(xs) => FtNode::Or(all(xs)),
+            Shape::KOfN(k, xs) => FtNode::k_of_n(*k, all(xs)),
         }
     }
 
-    /// Strategy: random tree over `n` events with AND/OR gates of
-    /// width 2-3 and depth <= 3, leaves drawn from the event pool
-    /// (repetition allowed => shared events).
-    fn tree_strategy(n_events: usize) -> impl Strategy<Value = Shape> {
-        let leaf = (0..n_events).prop_map(Shape::Leaf);
+    /// Whether the top event occurs when the events in `failed` (a bit
+    /// mask) have occurred.
+    fn occurs(s: &Shape, failed: u32) -> bool {
+        match s {
+            Shape::Leaf(i) => failed >> i & 1 == 1,
+            Shape::And(xs) => xs.iter().all(|x| occurs(x, failed)),
+            Shape::Or(xs) => xs.iter().any(|x| occurs(x, failed)),
+            Shape::KOfN(k, xs) => xs.iter().filter(|x| occurs(x, failed)).count() >= *k,
+        }
+    }
+
+    /// Strategy: random tree of depth <= 3 with AND/OR gates of width
+    /// 2-3 and 2-of-n / (n-1)-of-n votes of width 3-4, leaves drawn
+    /// from the event pool (repetition allowed => shared events).
+    fn tree_strategy() -> impl Strategy<Value = Shape> {
+        let leaf = (0..EVENTS).prop_map(Shape::Leaf);
         leaf.prop_recursive(3, 24, 3, |inner| {
             prop_oneof![
+                inner.clone(),
                 proptest::collection::vec(inner.clone(), 2..=3).prop_map(Shape::And),
-                proptest::collection::vec(inner, 2..=3).prop_map(Shape::Or),
+                proptest::collection::vec(inner.clone(), 2..=3).prop_map(Shape::Or),
+                proptest::collection::vec(inner.clone(), 3..=4).prop_map(|xs| Shape::KOfN(2, xs)),
+                proptest::collection::vec(inner, 3..=4)
+                    .prop_map(|xs| Shape::KOfN(xs.len() - 1, xs)),
             ]
         })
     }
 
+    const ORDERINGS: [VariableOrdering; 4] = [
+        VariableOrdering::Declaration,
+        VariableOrdering::DepthFirst,
+        VariableOrdering::Weighted,
+        VariableOrdering::Sifted,
+    ];
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
         #[test]
-        fn mocus_equals_bdd_and_cut_sets_reproduce_probability(
-            shape in tree_strategy(5),
-            probs in proptest::collection::vec(0.01f64..0.6, 5),
+        fn zbdd_sets_match_brute_force_and_reproduce_probability(
+            shape in tree_strategy(),
+            ordering in 0usize..4,
+            probs in proptest::collection::vec(0.01f64..0.6, EVENTS),
         ) {
             let mut b = FaultTreeBuilder::new();
             let events: Vec<EventId> =
-                (0..5).map(|i| b.basic_event(&format!("e{i}"))).collect();
-            let top = to_node(&shape, &events);
-            let ft = b.build(top).unwrap();
-            let mocus = ft.minimal_cut_sets(500_000).unwrap();
-            let bdd = ft.minimal_cut_sets_bdd();
-            prop_assert_eq!(&mocus, &bdd);
-            // Exact union probability of the minimal cut sets equals
-            // the BDD top-event probability.
+                (0..EVENTS).map(|i| b.basic_event(&format!("e{i}"))).collect();
+            let ft = b
+                .build_with_ordering(to_node(&shape, &events), ORDERINGS[ordering])
+                .unwrap();
+            let index_sets = |sets: Vec<Vec<EventId>>| -> Vec<Vec<usize>> {
+                sets.into_iter()
+                    .map(|s| s.into_iter().map(EventId::index).collect())
+                    .collect()
+            };
+            let cuts = index_sets(
+                ft.minimal_cut_sets(1 << EVENTS)
+                    .unwrap()
+                    .iter()
+                    .map(|c| c.events().to_vec())
+                    .collect(),
+            );
+            prop_assert_eq!(&cuts, &super::minimal_masks(EVENTS, |failed| occurs(&shape, failed)));
+            let all = (1u32 << EVENTS) - 1;
+            let paths = index_sets(ft.minimal_path_sets(1 << EVENTS).unwrap());
+            prop_assert_eq!(
+                &paths,
+                &super::minimal_masks(EVENTS, |working| !occurs(&shape, all & !working))
+            );
+            // Exact union probabilities of both families equal the BDD
+            // top-event probability.
             let q_top = ft.top_event_probability(&probs).unwrap();
-            let sets: Vec<Vec<usize>> = mocus
-                .iter()
-                .map(|c| c.events().iter().map(|e| e.index()).collect())
-                .collect();
-            let q_union = union_probability(&sets, &probs, 5).unwrap();
+            let q_union = union_probability(&cuts, &probs, EVENTS).unwrap();
             prop_assert!((q_top - q_union).abs() < 1e-12, "{q_top} vs {q_union}");
+            let up: Vec<f64> = probs.iter().map(|q| 1.0 - q).collect();
+            let r_union = union_probability(&paths, &up, EVENTS).unwrap();
+            prop_assert!((1.0 - q_top - r_union).abs() < 1e-12, "{q_top} vs 1 - {r_union}");
+        }
+    }
+}
+
+/// Random reliability graphs of at most 8 edges: the path sets (from the
+/// works BDD) and cut sets (from its dual) must equal the brute-force
+/// minimal connecting and disconnecting edge sets over every edge
+/// subset, and the reliability the brute-force sum.
+mod random_graph_equivalence {
+    use proptest::prelude::*;
+    use reliab::relgraph::{EdgeId, RelGraphBuilder};
+
+    const NODES: usize = 5;
+
+    /// An edge drawn as one code: endpoints, then whether it is an arc.
+    fn decode(code: usize) -> (usize, usize, bool) {
+        (code % NODES, code / NODES % NODES, code >= NODES * NODES)
+    }
+
+    /// Whether node 0 reaches node 1 over the edges in `up`.
+    fn connected(edges: &[(usize, usize, bool)], up: u32) -> bool {
+        let mut seen = [false; NODES];
+        seen[0] = true;
+        let mut stack = vec![0];
+        while let Some(n) = stack.pop() {
+            if n == 1 {
+                return true;
+            }
+            for (i, &(u, v, arc)) in edges.iter().enumerate() {
+                if up >> i & 1 == 0 {
+                    continue;
+                }
+                let next = if u == n {
+                    v
+                } else if v == n && !arc {
+                    u
+                } else {
+                    continue;
+                };
+                if !seen[next] {
+                    seen[next] = true;
+                    stack.push(next);
+                }
+            }
+        }
+        false
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+        #[test]
+        fn path_and_cut_sets_match_brute_force_connectivity(
+            codes in proptest::collection::vec(0usize..2 * NODES * NODES, 1..=8),
+            p in proptest::collection::vec(0.05f64..0.95, 8),
+        ) {
+            let edges: Vec<(usize, usize, bool)> = codes.iter().map(|&c| decode(c)).collect();
+            let n = edges.len();
+            let mut gb = RelGraphBuilder::new();
+            let nodes: Vec<_> = (0..NODES).map(|i| gb.node(&format!("n{i}"))).collect();
+            for (i, &(u, v, arc)) in edges.iter().enumerate() {
+                let name = format!("e{i}");
+                if arc {
+                    gb.arc(nodes[u], nodes[v], &name);
+                } else {
+                    gb.edge(nodes[u], nodes[v], &name);
+                }
+            }
+            let all = (1u32 << n) - 1;
+            let built = gb.build(nodes[0], nodes[1]);
+            prop_assert_eq!(built.is_ok(), connected(&edges, all));
+            if let Ok(g) = built {
+                let ids = |sets: Vec<Vec<EdgeId>>| -> Vec<Vec<usize>> {
+                    sets.into_iter()
+                        .map(|s| s.into_iter().map(|e| e.index()).collect())
+                        .collect()
+                };
+                prop_assert_eq!(
+                    ids(g.minimal_path_sets()),
+                    super::minimal_masks(n, |up| connected(&edges, up))
+                );
+                prop_assert_eq!(
+                    ids(g.minimal_cut_sets(1 << n).unwrap()),
+                    super::minimal_masks(n, |down| !connected(&edges, all & !down))
+                );
+                let p = &p[..n];
+                let brute: f64 = (0..=all)
+                    .filter(|&up| connected(&edges, up))
+                    .map(|up| {
+                        (0..n)
+                            .map(|i| if up >> i & 1 == 1 { p[i] } else { 1.0 - p[i] })
+                            .product::<f64>()
+                    })
+                    .sum();
+                let r = g.reliability(p).unwrap();
+                prop_assert!((r - brute).abs() < 1e-12, "{r} vs {brute}");
+            }
         }
     }
 }

@@ -4,7 +4,18 @@
 
 use reliab::obs;
 use reliab::spec::{solve_str_with, SolveOptions, SolveReport, SteadySolver};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
+
+/// The trace subscriber is process-global, so a solve in one test
+/// would land its spans in the other's snapshot: the tests of this
+/// binary run one at a time under this lock.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 const SPEC_FILES: [&str; 4] = [
     "bridge_network.json",
@@ -40,6 +51,7 @@ fn kind_of(name: &str) -> &'static str {
 
 #[test]
 fn every_spec_and_method_populates_stats() {
+    let _serial = serial();
     for file in SPEC_FILES {
         for method in METHODS {
             let report = solve_file(file, method);
@@ -91,10 +103,11 @@ fn every_spec_and_method_populates_stats() {
 }
 
 /// Single in-process trace test: subscribers are process-global, so
-/// keeping all assertions in one `#[test]` (with `>=`-style counts)
-/// avoids racing other tests in this binary.
+/// all assertions live in one `#[test]`, which holds [`SERIAL`] while
+/// its subscriber is installed.
 #[test]
 fn trace_covers_solver_layers() {
+    let _serial = serial();
     let mem = Arc::new(obs::MemorySubscriber::default());
     obs::install_subscriber(mem.clone());
     obs::set_metrics_enabled(true);
