@@ -151,14 +151,6 @@ impl IteCache {
         self.pressure = 0;
     }
 
-    /// Folds per-worker computed-table counters from a parallel apply
-    /// into the manager totals, so hit-rate reporting covers the
-    /// worker-local caches too.
-    pub(crate) fn fold_external(&mut self, lookups: u64, hits: u64) {
-        self.lookups += lookups;
-        self.hits += hits;
-    }
-
     /// Retires every entry by bumping the generation tag. Called by
     /// GC: freed node ids may be re-allocated to different functions,
     /// so stale results must never be served.

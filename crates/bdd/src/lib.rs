@@ -31,12 +31,6 @@
 //!   through [`Bdd::current`] after a collection. [`Bdd::maybe_gc`]
 //!   triggers on an allocation threshold so long batch runs stop
 //!   leaking dead nodes.
-//! - **Work-partitioned parallel apply** — with [`BddConfig::jobs`] > 1,
-//!   large ITE calls are split by cofactoring the operands over the
-//!   top `k` levels into independent subproblems solved on a
-//!   `thread::scope` pool over a sharded side table, then re-interned
-//!   sequentially in a fixed order. Every jobs count yields the same
-//!   canonical BDD, so probabilities are bitwise identical.
 //! - **Dynamic variable reordering** — [`Bdd::sift`] runs Rudell's
 //!   sifting over adjacent-level swaps. A level indirection
 //!   (`var ↔ level`) means per-variable probability vectors stay
@@ -65,7 +59,6 @@
 #![deny(unsafe_code)]
 
 mod cache;
-mod par;
 mod reorder;
 mod table;
 mod zdd;
@@ -96,11 +89,6 @@ pub const MAX_VARS: u32 = u16::MAX as u32;
 /// models that genuinely need a large live set ramp up instead of
 /// thrashing.
 pub const DEFAULT_GC_THRESHOLD: usize = 1 << 15;
-
-/// Default arena population below which [`BddConfig::jobs`] > 1 still
-/// runs the sequential apply: splitting a small call across threads
-/// costs more than it saves.
-pub const DEFAULT_PAR_NODE_THRESHOLD: usize = 1 << 14;
 
 /// Errors from the BDD layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -270,14 +258,6 @@ pub struct BddConfig {
     /// Live-node count at which [`Bdd::maybe_gc`] starts collecting
     /// (`0` = default, currently 2^15; see [`DEFAULT_GC_THRESHOLD`]).
     pub gc_node_threshold: usize,
-    /// Worker threads for the partitioned parallel apply (`0` or `1`
-    /// = sequential). Every jobs count produces the same canonical
-    /// BDD, so results are bitwise reproducible regardless.
-    pub jobs: usize,
-    /// Arena population below which parallel apply falls back to the
-    /// sequential path (`0` = default, currently 2^14; see
-    /// [`DEFAULT_PAR_NODE_THRESHOLD`]).
-    pub par_node_threshold: usize,
 }
 
 impl BddConfig {
@@ -298,8 +278,7 @@ pub struct BddStats {
     pub unique_entries: usize,
     /// Live entries in the ITE computed-table (current generation).
     pub ite_cache_entries: usize,
-    /// ITE computed-table lookups since construction (including
-    /// per-worker lookups from parallel applies).
+    /// ITE computed-table lookups since construction.
     pub ite_cache_lookups: u64,
     /// ITE computed-table hits since construction.
     pub ite_cache_hits: u64,
@@ -314,12 +293,6 @@ pub struct BddStats {
     /// Total live nodes relocated by GC compaction (the preorder
     /// re-sort's data-movement cost).
     pub gc_moved: u64,
-    /// ITE calls dispatched to the work-partitioned parallel apply.
-    pub par_apply_calls: u64,
-    /// Independent subproblems solved across all parallel applies.
-    pub par_subproblems: u64,
-    /// Configured worker threads (1 = sequential).
-    pub jobs: usize,
     /// Sifting reorder passes run.
     pub sift_runs: u64,
     /// Adjacent-level swaps performed across all sifting passes.
@@ -367,13 +340,9 @@ pub struct Bdd {
     peak_live: usize,
     gc_threshold: usize,
     next_gc_at: usize,
-    jobs: usize,
-    par_node_threshold: usize,
     gc_runs: u64,
     gc_reclaimed: u64,
     gc_moved: u64,
-    par_apply_calls: u64,
-    par_subproblems: u64,
     pub(crate) sift_runs: u64,
     pub(crate) sift_swaps: u64,
 }
@@ -390,7 +359,7 @@ impl Bdd {
         Bdd::new_with(nvars, BddConfig::default())
     }
 
-    /// Creates a manager with explicit cache/GC/parallelism tuning.
+    /// Creates a manager with explicit cache/GC tuning.
     ///
     /// # Panics
     ///
@@ -416,17 +385,9 @@ impl Bdd {
             peak_live: 0,
             gc_threshold,
             next_gc_at: gc_threshold,
-            jobs: config.jobs.max(1),
-            par_node_threshold: if config.par_node_threshold == 0 {
-                DEFAULT_PAR_NODE_THRESHOLD
-            } else {
-                config.par_node_threshold
-            },
             gc_runs: 0,
             gc_reclaimed: 0,
             gc_moved: 0,
-            par_apply_calls: 0,
-            par_subproblems: 0,
             sift_runs: 0,
             sift_swaps: 0,
         }
@@ -435,11 +396,6 @@ impl Bdd {
     /// Declared variable count.
     pub fn nvars(&self) -> u32 {
         self.nvars
-    }
-
-    /// Configured apply worker threads (1 = sequential).
-    pub fn jobs(&self) -> usize {
-        self.jobs
     }
 
     /// Total arena slots, including the two terminals (diagnostic).
@@ -475,7 +431,6 @@ impl Bdd {
     /// operation counters into the global metrics registry (counters
     /// `bdd.ite.lookups` / `bdd.ite.hits` / `bdd.ite.evictions`,
     /// `bdd.gc.runs` / `bdd.gc.reclaimed` / `bdd.gc.moved`,
-    /// `bdd.par.apply_calls` / `bdd.par.subproblems`,
     /// `bdd.sift.swaps`, gauge `bdd.ite.hit_rate`, histogram
     /// `bdd.arena_nodes`). Solver front-ends call this once per
     /// completed solve; near-free when observability is disabled.
@@ -498,8 +453,6 @@ impl Bdd {
             reliab_obs::counter_add("bdd.gc.runs", self.gc_runs);
             reliab_obs::counter_add("bdd.gc.reclaimed", self.gc_reclaimed);
             reliab_obs::counter_add("bdd.gc.moved", self.gc_moved);
-            reliab_obs::counter_add("bdd.par.apply_calls", self.par_apply_calls);
-            reliab_obs::counter_add("bdd.par.subproblems", self.par_subproblems);
             reliab_obs::counter_add("bdd.sift.swaps", self.sift_swaps);
             reliab_obs::registry()
                 .histogram_with_buckets(
@@ -524,9 +477,6 @@ impl Bdd {
             gc_runs: self.gc_runs,
             gc_reclaimed: self.gc_reclaimed,
             gc_moved: self.gc_moved,
-            par_apply_calls: self.par_apply_calls,
-            par_subproblems: self.par_subproblems,
-            jobs: self.jobs,
             sift_runs: self.sift_runs,
             sift_swaps: self.sift_swaps,
             live_nodes: self.live_nodes(),
@@ -613,10 +563,6 @@ impl Bdd {
     }
 
     /// If-then-else: `(f ∧ g) ∨ (¬f ∧ h)` — the universal connective.
-    ///
-    /// With [`BddConfig::jobs`] > 1 and a large enough arena, the call
-    /// is decomposed over the top levels and solved on a worker pool;
-    /// the result is the same canonical node either way.
     pub fn ite(&mut self, f: NodeId, g: NodeId, h: NodeId) -> NodeId {
         if f == NodeId::TRUE {
             return g;
@@ -626,11 +572,6 @@ impl Bdd {
         }
         if g == h {
             return g;
-        }
-        if self.jobs > 1 && self.live_nodes() >= self.par_node_threshold {
-            if let Some(r) = self.ite_par(f, g, h) {
-                return r;
-            }
         }
         self.ite_rec(f, g, h)
     }

@@ -75,18 +75,6 @@ impl UniqueTable {
         }
     }
 
-    /// Read-only lookup for concurrent readers: the canonical node for
-    /// `(var, low, high)` if it exists. Parallel apply workers probe
-    /// the main table through a shared `&Bdd` while interning fresh
-    /// nodes into their own sharded side table.
-    #[inline]
-    pub(crate) fn find(&self, arena: &NodeArena, var: u16, low: u32, high: u32) -> Option<u32> {
-        match self.probe(arena, var, low, high) {
-            Probe::Found(id) => Some(id),
-            Probe::Insert(_) => None,
-        }
-    }
-
     /// Fills the slot returned by [`UniqueTable::probe`] with `id`.
     /// Returns `true` if the caller must follow up with
     /// [`UniqueTable::rebuild`] (load factor exceeded).

@@ -6,11 +6,8 @@
 //! probability on both the frozen pre-rework kernel and the current
 //! one, with identical (declaration) variable ordering so both build
 //! the same canonical DAG. The run aborts unless the two probabilities
-//! are bitwise equal; only then is the speedup reported. A third timed
-//! pass rebuilds the tree with the work-partitioned parallel apply at
-//! 4 workers and aborts unless its probability bits *and* reduced node
-//! count match the sequential build — the 1-vs-N determinism gate. The
-//! minimal cut sets of the same tree are then listed by the ZBDD kernel
+//! are bitwise equal; only then is the speedup reported. The minimal
+//! cut sets of the same tree are then listed by the ZBDD kernel
 //! and timed; the run aborts unless their count equals the closed form
 //! (each 2-of-10 vote has C(10, 2) failing unit pairs of 7 x 7 cut
 //! sets, so 2 205 per ten units) and the list is strictly sorted by
@@ -32,11 +29,7 @@
 //!   `BENCH_bdd.json`; full mode only unless given explicitly).
 //! * `--check FILE` — compare against a committed baseline: exit 1 if
 //!   the new kernel's wall time regressed by more than 3x relative to
-//!   the baseline's ratio of new-kernel to legacy-kernel time, or if
-//!   the 4-worker pass is more than 1.5x slower than sequential on a
-//!   multi-CPU machine (the par timing gate is skipped on one CPU,
-//!   where the ratio is pure scheduling noise; the bitwise 1-vs-4
-//!   equivalence gate runs unconditionally, check mode or not).
+//!   the baseline's ratio of new-kernel to legacy-kernel time.
 //!
 //! Exit status: 0 on success, 1 on a `--check` regression, an
 //! equivalence failure or a cut-set failure, 2 on usage errors.
@@ -44,7 +37,7 @@
 use std::time::Instant;
 
 use reliab_bench::{
-    boeing_class_tree, compile_legacy, detected_cpu_cores, legacy_bdd, profiled_phases,
+    boeing_class_tree, compile_legacy, detected_cpu_cores, legacy_bdd, profiled_phases, time_min,
 };
 use reliab_ftree::{CompileOptions, VariableOrdering};
 use reliab_spec::json::{self, JsonValue};
@@ -84,20 +77,6 @@ fn parse_args() -> Args {
         }
     }
     args
-}
-
-/// Minimum self-reported wall time over `reps` runs of `f` — minimum,
-/// not mean, because scheduling noise only ever adds time. The closure
-/// times its own measured region so per-rep setup stays off the clock.
-fn time_min<T>(reps: usize, mut f: impl FnMut() -> (u128, T)) -> (u128, T) {
-    let mut best: Option<(u128, T)> = None;
-    for _ in 0..reps {
-        let (ns, out) = f();
-        if best.as_ref().is_none_or(|(b, _)| ns < *b) {
-            best = Some((ns, out));
-        }
-    }
-    best.expect("reps > 0")
 }
 
 fn main() {
@@ -155,41 +134,6 @@ fn main() {
     let cpu_cores = detected_cpu_cores();
     eprintln!("  probability:   {q_new:.12e} (bitwise equal)");
     eprintln!("  speedup:       {speedup:.2}x ({cpu_cores} CPU detected)");
-
-    // Work-partitioned parallel apply at 4 workers. The reduced BDD is
-    // canonical for a fixed (function, ordering), so both the top-event
-    // probability bits and the reduced node count must match the
-    // sequential build exactly; this gate runs on every invocation,
-    // including single-CPU machines, because it checks determinism, not
-    // speed.
-    const PAR_JOBS: usize = 4;
-    let (par_ns, (q_par, par_size, par_stats)) = time_min(reps, || {
-        let (builder, top, probs) = boeing_class_tree(units);
-        let opts = CompileOptions::new()
-            .with_ordering(VariableOrdering::Declaration)
-            .with_bdd_jobs(PAR_JOBS);
-        let t = Instant::now();
-        let ft = builder.build_with(top, &opts).expect("tree compiles");
-        let q = ft
-            .top_event_probability(&probs)
-            .expect("valid probabilities");
-        (t.elapsed().as_nanos(), (q, ft.bdd_size(), ft.bdd_stats()))
-    });
-    if q_new.to_bits() != q_par.to_bits() || new_size != par_size {
-        eprintln!(
-            "PARALLEL EQUIVALENCE FAILURE: sequential {q_new:.17e} ({new_size} nodes) \
-             != {PAR_JOBS}-worker {q_par:.17e} ({par_size} nodes)"
-        );
-        std::process::exit(1);
-    }
-    let par_speedup = new_ns as f64 / par_ns as f64;
-    eprintln!(
-        "  parallel:      {:.3} ms at {PAR_JOBS} workers ({par_speedup:.2}x vs sequential, \
-         {} partitioned applies, {} subproblems; bitwise equal)",
-        par_ns as f64 / 1e6,
-        par_stats.par_apply_calls,
-        par_stats.par_subproblems
-    );
 
     // Minimal cut sets of the same tree. Both modes use a multiple of
     // ten units, so every vote is a full 2-of-10.
@@ -260,23 +204,6 @@ fn main() {
         ("cut_sets", JsonValue::Number(closed_form as f64)),
         ("cutsets_ns", JsonValue::Number(cutsets_ns as f64)),
         (
-            "par",
-            json::object(vec![
-                ("bdd_jobs", JsonValue::Number(PAR_JOBS as f64)),
-                ("par_ns", JsonValue::Number(par_ns as f64)),
-                ("speedup_vs_sequential", JsonValue::Number(par_speedup)),
-                ("bitwise_equal", JsonValue::Bool(true)),
-                (
-                    "par_apply_calls",
-                    JsonValue::Number(par_stats.par_apply_calls as f64),
-                ),
-                (
-                    "par_subproblems",
-                    JsonValue::Number(par_stats.par_subproblems as f64),
-                ),
-            ]),
-        ),
-        (
             "new_stats",
             json::object(vec![
                 ("bdd_nodes", JsonValue::Number(stats.arena_nodes as f64)),
@@ -322,24 +249,6 @@ fn main() {
                 eprintln!("REGRESSION: {msg}");
                 std::process::exit(1);
             }
-        }
-        if cpu_cores <= 1 {
-            eprintln!(
-                "  par timing check skipped: {cpu_cores} CPU detected, par/seq ratio is noise"
-            );
-        } else if (par_ns as f64) > 1.5 * new_ns as f64 {
-            eprintln!(
-                "REGRESSION: {PAR_JOBS}-worker pass {:.3} ms is >1.5x sequential {:.3} ms \
-                 on a {cpu_cores}-CPU machine",
-                par_ns as f64 / 1e6,
-                new_ns as f64 / 1e6
-            );
-            std::process::exit(1);
-        } else {
-            eprintln!(
-                "  par check ok: {PAR_JOBS}-worker/sequential ratio {:.3} within 1.5x",
-                par_ns as f64 / new_ns as f64
-            );
         }
     }
 

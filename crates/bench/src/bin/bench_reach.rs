@@ -9,6 +9,10 @@
 //! equivalence: identical tangible marking sets, matching total
 //! transition outflow, and — for the parallel path — a CTMC bitwise
 //! identical to the sequential reference at every probed worker count.
+//! A last timing interleaves five sequential and parallel generations
+//! (one worker per detected CPU), each pass repeating the generation
+//! until it lasts at least 0.3 s; the record carries the median and
+//! min/max of both sides, and `"unmeasured"` as the speedup on one CPU.
 //!
 //! ```text
 //! cargo run --release -p reliab-bench --bin bench-reach              # full run, writes BENCH_reach.json
@@ -33,7 +37,9 @@
 use std::time::Instant;
 
 use reliab_bench::legacy_reach::LegacyReachOptions;
-use reliab_bench::{detected_cpu_cores, profiled_phases, tandem_legacy, tandem_spn};
+use reliab_bench::{
+    detected_cpu_cores, profiled_phases, tandem_legacy, tandem_spn, time_min, ParallelTiming,
+};
 use reliab_spec::json::{self, JsonValue};
 use reliab_spn::ReachabilityOptions;
 
@@ -72,19 +78,6 @@ fn parse_args() -> Args {
         }
     }
     args
-}
-
-/// Minimum self-reported wall time over `reps` runs of `f` — minimum,
-/// not mean, because scheduling noise only ever adds time.
-fn time_min<T>(reps: usize, mut f: impl FnMut() -> (u128, T)) -> (u128, T) {
-    let mut best: Option<(u128, T)> = None;
-    for _ in 0..reps {
-        let (ns, out) = f();
-        if best.as_ref().is_none_or(|(b, _)| ns < *b) {
-            best = Some((ns, out));
-        }
-    }
-    best.expect("reps > 0")
 }
 
 /// Sum of all off-diagonal generator rates — a state-numbering-
@@ -184,11 +177,20 @@ fn main() {
         }
     }
 
+    let timing = ParallelTiming::measure(|jobs| {
+        let opts = ReachabilityOptions {
+            jobs,
+            ..Default::default()
+        };
+        new_net.solve_with(&opts).expect("bounded net");
+    });
+
     let speedup = legacy_ns as f64 / new_ns as f64;
     let cpu_cores = detected_cpu_cores();
     eprintln!("  outflow:          {flow_new:.12e} (matches legacy)");
     eprintln!("  parallel:         bitwise identical at 2 and 4 workers");
     eprintln!("  speedup:          {speedup:.2}x ({cpu_cores} CPU detected)");
+    eprintln!("  timing:           {}", timing.summary());
 
     // Untimed instrumented pass: per-phase wall-time breakdown of one
     // sequential generation, after every timed measurement is in.
@@ -208,6 +210,7 @@ fn main() {
         ("speedup", JsonValue::Number(speedup)),
         ("total_outflow", JsonValue::Number(flow_new)),
         ("parallel_bitwise_equal", JsonValue::Bool(true)),
+        ("parallel", timing.to_json()),
         (
             "new_stats",
             json::object(vec![

@@ -4,10 +4,14 @@
 //! Runs a fixed replication budget of the wide workstation-farm model
 //! (see [`reliab_bench::wide_wfs_simulator`]; 100 components, 50-of-99
 //! workstations in series with a file server, lognormal repairs) on the
-//! sequential driver and on the 4-worker work-stealing driver. Before
-//! any speedup is reported the run asserts the PR's reproducibility
-//! guarantee: the full `SimReport` — point estimate, CI, event count,
-//! trajectory — is bitwise identical at 1, 2, and 4 workers.
+//! sequential driver and on the work-stealing driver at one worker per
+//! detected CPU. Before any speedup is reported the run asserts the
+//! driver's reproducibility guarantee: the full `SimReport` — point
+//! estimate, CI, event count, trajectory — is bitwise identical at 1,
+//! 2, and 4 workers. The timing interleaves five sequential and
+//! parallel passes, each repeating the run until it lasts at least
+//! 0.3 s; the record carries the median and min/max of both sides, and
+//! `"unmeasured"` as the speedup on one CPU.
 //!
 //! ```text
 //! cargo run --release -p reliab-bench --bin bench-sim              # full run, writes BENCH_sim.json
@@ -17,23 +21,23 @@
 //!
 //! Options:
 //!
-//! * `--quick` — 64 replications with fewer repetitions; skips writing
-//!   the output file unless `--out` is given.
+//! * `--quick` — 64 replications; skips writing the output file unless
+//!   `--out` is given.
 //! * `--out FILE` — where to write the JSON record (default
 //!   `BENCH_sim.json`; full mode only unless given explicitly).
 //! * `--check FILE` — compare against a committed baseline: exit 1 if
-//!   the parallel driver's time relative to the sequential driver
-//!   regressed by more than 2x the baseline's par-to-seq ratio. The
-//!   ratio gate is skipped (with a note) when only one CPU is
-//!   detected: a par/seq ratio measured without real parallelism is
-//!   scheduling noise, not signal.
+//!   the parallel driver's median pass time relative to the sequential
+//!   driver's regressed by more than 2x the baseline's par-to-seq
+//!   ratio. The ratio gate is skipped (with a note) when this run or
+//!   the baseline saw one CPU: a par/seq ratio measured without real
+//!   parallelism is scheduling noise, not signal.
 //!
 //! Exit status: 0 on success, 1 on a `--check` regression or an
 //! equivalence failure, 2 on usage errors.
 
 use std::time::Instant;
 
-use reliab_bench::{detected_cpu_cores, profiled_phases, wide_wfs_simulator};
+use reliab_bench::{detected_cpu_cores, profiled_phases, wide_wfs_simulator, ParallelTiming};
 use reliab_sim::{Measure, SimOptions, SimReport};
 use reliab_spec::json::{self, JsonValue};
 
@@ -74,19 +78,6 @@ fn parse_args() -> Args {
     args
 }
 
-/// Minimum self-reported wall time over `reps` runs of `f` — minimum,
-/// not mean, because scheduling noise only ever adds time.
-fn time_min<T>(reps: usize, mut f: impl FnMut() -> (u128, T)) -> (u128, T) {
-    let mut best: Option<(u128, T)> = None;
-    for _ in 0..reps {
-        let (ns, out) = f();
-        if best.as_ref().is_none_or(|(b, _)| ns < *b) {
-            best = Some((ns, out));
-        }
-    }
-    best.expect("reps > 0")
-}
-
 /// Everything in a `SimReport` except `workers` — which records the
 /// thread count and is the one field allowed to differ between runs.
 fn results_equal(a: &SimReport, b: &SimReport) -> bool {
@@ -99,17 +90,13 @@ fn results_equal(a: &SimReport, b: &SimReport) -> bool {
 
 fn main() {
     let args = parse_args();
-    let (replications, reps) = if args.quick {
-        (64usize, 3)
-    } else {
-        (512usize, 3)
-    };
+    let replications = if args.quick { 64usize } else { 512usize };
     const N_WS: usize = 99;
     const K: usize = 50;
     const HORIZON: f64 = 2_000.0;
     eprintln!(
         "bench-sim: {}-component farm ({K}-of-{N_WS} + file server), \
-         availability to t = {HORIZON}, {replications} replications, {reps} reps",
+         availability to t = {HORIZON}, {replications} replications",
         N_WS + 1
     );
 
@@ -124,14 +111,15 @@ fn main() {
         .with_max_replications(replications);
     base_opts.min_replications = replications;
     base_opts.round_replications = replications;
+    let run = |jobs: usize| {
+        sim.simulate(measure, &base_opts.clone().with_jobs(jobs))
+            .expect("valid simulation")
+    };
 
     // Sequential reference driver.
-    let seq_opts = base_opts.clone();
-    let (seq_ns, seq_report) = time_min(reps, || {
-        let t = Instant::now();
-        let report = sim.simulate(measure, &seq_opts).expect("valid simulation");
-        (t.elapsed().as_nanos(), report)
-    });
+    let t = Instant::now();
+    let seq_report = run(1);
+    let seq_ns = t.elapsed().as_nanos();
     eprintln!(
         "  sequential: {:.3} ms ({} events, point {:.6})",
         seq_ns as f64 / 1e6,
@@ -142,39 +130,25 @@ fn main() {
     // Equivalence gate: the parallel driver must reproduce the
     // sequential report bitwise at every probed worker count.
     for jobs in [2usize, 4] {
-        let par = sim
-            .simulate(measure, &base_opts.clone().with_jobs(jobs))
-            .expect("valid simulation");
-        if !results_equal(&par, &seq_report) {
+        if !results_equal(&run(jobs), &seq_report) {
             eprintln!("EQUIVALENCE FAILURE: {jobs}-worker simulation differs from sequential");
             std::process::exit(1);
         }
     }
 
-    // Parallel driver, 4 workers.
-    let par_opts = base_opts.clone().with_jobs(4);
-    let (par_ns, par_report) = time_min(reps, || {
-        let t = Instant::now();
-        let report = sim.simulate(measure, &par_opts).expect("valid simulation");
-        (t.elapsed().as_nanos(), report)
+    let timing = ParallelTiming::measure(|jobs| {
+        run(jobs);
     });
-    eprintln!(
-        "  4 workers:  {:.3} ms ({} events)",
-        par_ns as f64 / 1e6,
-        par_report.events
-    );
-
-    let speedup = seq_ns as f64 / par_ns as f64;
-    let events_per_sec = seq_report.events as f64 / (seq_ns as f64 / 1e9);
+    let events_per_sec = seq_report.events as f64 * timing.runs as f64 / (timing.seq.median / 1e9);
     let cpu_cores = detected_cpu_cores();
     eprintln!("  parallel:   bitwise identical at 2 and 4 workers");
     eprintln!("  throughput: {events_per_sec:.0} events/s sequential");
-    eprintln!("  speedup:    {speedup:.2}x ({cpu_cores} CPU detected)");
+    eprintln!("  timing:     {}", timing.summary());
 
     // Untimed instrumented pass: per-phase wall-time breakdown of one
     // sequential solve, after every timed measurement is in.
     let phases = profiled_phases(|| {
-        let _ = sim.simulate(measure, &seq_opts);
+        let _ = run(1);
     });
 
     let record = json::object(vec![
@@ -183,10 +157,7 @@ fn main() {
         ("cpu_cores", JsonValue::Number(cpu_cores as f64)),
         ("components", JsonValue::Number((N_WS + 1) as f64)),
         ("replications", JsonValue::Number(replications as f64)),
-        ("reps", JsonValue::Number(reps as f64)),
-        ("seq_ns", JsonValue::Number(seq_ns as f64)),
-        ("par_ns", JsonValue::Number(par_ns as f64)),
-        ("speedup", JsonValue::Number(speedup)),
+        ("parallel", timing.to_json()),
         ("events", JsonValue::Number(seq_report.events as f64)),
         (
             "events_per_sec_sequential",
@@ -202,15 +173,12 @@ fn main() {
     ]);
 
     if let Some(baseline_path) = &args.check {
-        if cpu_cores <= 1 {
-            eprintln!("  check skipped: {cpu_cores} CPU detected, par/seq speedup ratio is noise");
-        } else {
-            match check_regression(baseline_path, seq_ns as f64, par_ns as f64) {
-                Ok(msg) => eprintln!("  {msg}"),
-                Err(msg) => {
-                    eprintln!("REGRESSION: {msg}");
-                    std::process::exit(1);
-                }
+        match timing.check(baseline_path, 2.0) {
+            Ok(Some(msg)) => eprintln!("  {msg}"),
+            Ok(None) => eprintln!("  check skipped: one CPU here or in the baseline"),
+            Err(msg) => {
+                eprintln!("REGRESSION: {msg}");
+                std::process::exit(1);
             }
         }
     }
@@ -229,31 +197,5 @@ fn main() {
         eprintln!("  wrote {path}");
     } else {
         println!("{}", record.to_json_pretty());
-    }
-}
-
-/// Compares this run against a committed baseline record. Machines
-/// differ, so the comparison is relative: the ratio of parallel to
-/// sequential time on *this* machine must not exceed 2x the same ratio
-/// in the baseline. (Lower is better for the ratio; a ratio blowing up
-/// means the parallel driver stopped scaling.)
-fn check_regression(path: &str, seq_ns: f64, par_ns: f64) -> Result<String, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let v = json::parse(&text).map_err(|e| format!("cannot parse {path}: {e}"))?;
-    let field = |key: &str| -> Result<f64, String> {
-        v.get(key)
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| format!("{path} is missing numeric field '{key}'"))
-    };
-    let base_ratio = field("par_ns")? / field("seq_ns")?;
-    let ratio = par_ns / seq_ns;
-    if ratio > 2.0 * base_ratio {
-        Err(format!(
-            "par/seq ratio {ratio:.3} exceeds 2x baseline ratio {base_ratio:.3}"
-        ))
-    } else {
-        Ok(format!(
-            "check ok: par/seq ratio {ratio:.3} within 2x of baseline {base_ratio:.3}"
-        ))
     }
 }

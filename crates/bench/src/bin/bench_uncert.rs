@@ -3,11 +3,16 @@
 //!
 //! Solves an `"uncertainty"` spec wrapping a birth–death CTMC: every
 //! Monte-Carlo sample re-solves the inner chain with rates drawn from
-//! gamma priors, on one worker thread and on four. Before any speedup
-//! is reported the run asserts the scenario layer's reproducibility
-//! guarantee: the solved measures JSON — mean, standard deviation,
-//! percentile interval — is bitwise identical at 1, 2, and 4 workers,
-//! because sampling is a pure function of `(seed, sample index)`.
+//! gamma priors. Before any speedup is reported the run asserts the
+//! scenario layer's reproducibility guarantee: the solved measures JSON
+//! — mean, standard deviation, percentile interval — is bitwise
+//! identical at thread budgets 1, 2 and 4, and each solve reports that
+//! many sampler workers, because sampling is a pure function of
+//! `(seed, sample index)`. The timing then interleaves five sequential
+//! and parallel passes (one worker per detected CPU), each pass
+//! repeating the solve until it lasts at least 0.3 s; the record
+//! carries the median and min/max of both sides, and `"unmeasured"` as
+//! the speedup on one CPU.
 //!
 //! ```text
 //! cargo run --release -p reliab-bench --bin bench-uncert              # full run, writes BENCH_uncert.json
@@ -22,18 +27,18 @@
 //! * `--out FILE` — where to write the JSON record (default
 //!   `BENCH_uncert.json`; full mode only unless given explicitly).
 //! * `--check FILE` — compare against a committed baseline: exit 1 if
-//!   the 4-worker time relative to the 1-worker time regressed by more
-//!   than 2x the baseline's par-to-seq ratio. The ratio gate is
-//!   skipped (with a note) when only one CPU is detected: a par/seq
-//!   ratio measured without real parallelism is scheduling noise, not
-//!   signal.
+//!   the median parallel pass time relative to the median sequential
+//!   one regressed by more than 2x the baseline's par-to-seq ratio.
+//!   The ratio gate is skipped (with a note) when this run or the
+//!   baseline saw one CPU: a par/seq ratio measured without real
+//!   parallelism is scheduling noise, not signal.
 //!
 //! Exit status: 0 on success, 1 on a `--check` regression or an
 //! equivalence failure, 2 on usage errors.
 
 use std::time::Instant;
 
-use reliab_bench::{detected_cpu_cores, profiled_phases};
+use reliab_bench::{detected_cpu_cores, profiled_phases, ParallelTiming};
 use reliab_spec::json::{self, JsonValue};
 use reliab_spec::{solve_str_with, SolveOptions, SolveReport};
 
@@ -76,9 +81,8 @@ fn parse_args() -> Args {
 
 /// An `"uncertainty"` spec over an `n`-state birth–death availability
 /// chain (the lower half of the states up, the rest degraded), with
-/// gamma priors on the first failure and repair rates and `jobs`
-/// worker threads.
-fn uncert_doc(n: usize, samples: usize, jobs: usize) -> String {
+/// gamma priors on the first failure and repair rates.
+fn uncert_doc(n: usize, samples: usize) -> String {
     let states: Vec<String> = (0..n).map(|i| format!("\"s{i}\"")).collect();
     let up: Vec<String> = (0..n / 2).map(|i| format!("\"s{i}\"")).collect();
     // Load factor 0.9: the stationary mass decays slowly, so the
@@ -107,25 +111,11 @@ fn uncert_doc(n: usize, samples: usize, jobs: usize) -> String {
             "measure": "availability",
             "samples": {samples},
             "seed": 48879,
-            "jobs": {jobs},
             "latin_hypercube": true}}}}"#,
         states = states.join(","),
         transitions = transitions.join(","),
         up = up.join(","),
     )
-}
-
-/// Minimum self-reported wall time over `reps` runs of `f` — minimum,
-/// not mean, because scheduling noise only ever adds time.
-fn time_min<T>(reps: usize, mut f: impl FnMut() -> (u128, T)) -> (u128, T) {
-    let mut best: Option<(u128, T)> = None;
-    for _ in 0..reps {
-        let (ns, out) = f();
-        if best.as_ref().is_none_or(|(b, _)| ns < *b) {
-            best = Some((ns, out));
-        }
-    }
-    best.expect("reps > 0")
 }
 
 /// Canonical measures JSON — the whole solved record except stats
@@ -137,61 +127,59 @@ fn measures_json(report: &SolveReport) -> String {
 
 fn main() {
     let args = parse_args();
-    let (n_states, samples, reps) = if args.quick {
-        (48usize, 96usize, 3)
+    let (n_states, samples) = if args.quick {
+        (48usize, 96usize)
     } else {
-        (96usize, 384usize, 3)
+        (96usize, 384usize)
     };
     eprintln!(
         "bench-uncert: {n_states}-state birth-death chain, 2 gamma priors, \
-         {samples} Latin-hypercube samples, {reps} reps"
+         {samples} Latin-hypercube samples"
     );
 
-    let opts = SolveOptions::default();
+    let doc = uncert_doc(n_states, samples);
+    let solve = |threads: usize| {
+        solve_str_with(&doc, &SolveOptions::default().with_threads(threads)).expect("valid spec")
+    };
 
-    // Sequential reference: one worker thread.
-    let seq_doc = uncert_doc(n_states, samples, 1);
-    let (seq_ns, seq_report) = time_min(reps, || {
-        let t = Instant::now();
-        let report = solve_str_with(&seq_doc, &opts).expect("valid spec");
-        (t.elapsed().as_nanos(), report)
-    });
+    // Sequential reference: a budget of one thread.
+    let t = Instant::now();
+    let seq_report = solve(1);
+    let seq_ns = t.elapsed().as_nanos();
     let seq_measures = measures_json(&seq_report);
     eprintln!("  1 worker:  {:.3} ms", seq_ns as f64 / 1e6);
 
     // Equivalence gate: the threaded sampler must reproduce the
-    // one-worker measures bitwise at every probed worker count.
-    for jobs in [2usize, 4] {
-        let par = solve_str_with(&uncert_doc(n_states, samples, jobs), &opts).expect("valid spec");
-        if measures_json(&par) != seq_measures {
-            eprintln!("EQUIVALENCE FAILURE: {jobs}-worker propagation differs from sequential");
+    // one-worker measures bitwise at every probed budget, and run as
+    // many sampler workers as the budget allows.
+    for threads in [1usize, 2, 4] {
+        let par = solve(threads);
+        if measures_json(&par) != seq_measures || par.stats.workers != threads {
+            eprintln!(
+                "EQUIVALENCE FAILURE: budget {threads} ran {} workers; measures equal: {}",
+                par.stats.workers,
+                measures_json(&par) == seq_measures
+            );
             std::process::exit(1);
         }
     }
 
-    // Parallel sampler, 4 workers.
-    let par_doc = uncert_doc(n_states, samples, 4);
-    let (par_ns, _) = time_min(reps, || {
-        let t = Instant::now();
-        let report = solve_str_with(&par_doc, &opts).expect("valid spec");
-        (t.elapsed().as_nanos(), report)
+    let timing = ParallelTiming::measure(|threads| {
+        solve(threads);
     });
-    eprintln!("  4 workers: {:.3} ms", par_ns as f64 / 1e6);
-
-    let speedup = seq_ns as f64 / par_ns as f64;
-    let samples_per_sec = samples as f64 / (seq_ns as f64 / 1e9);
+    let samples_per_sec = samples as f64 * timing.runs as f64 / (timing.seq.median / 1e9);
     let mean = json::get_path(&seq_report.measures.to_json(), "uncertainty.mean")
         .and_then(JsonValue::as_f64)
         .expect("uncertainty measures carry a mean");
     let cpu_cores = detected_cpu_cores();
-    eprintln!("  parallel:  bitwise identical at 2 and 4 workers");
+    eprintln!("  parallel:  bitwise identical at budgets 1, 2 and 4");
     eprintln!("  rate:      {samples_per_sec:.0} model solves/s sequential");
-    eprintln!("  speedup:   {speedup:.2}x ({cpu_cores} CPU detected)");
+    eprintln!("  timing:    {}", timing.summary());
 
     // Untimed instrumented pass: per-phase wall-time breakdown of one
     // sequential solve, after every timed measurement is in.
     let phases = profiled_phases(|| {
-        let _ = solve_str_with(&seq_doc, &opts);
+        let _ = solve(1);
     });
 
     let record = json::object(vec![
@@ -200,10 +188,7 @@ fn main() {
         ("cpu_cores", JsonValue::Number(cpu_cores as f64)),
         ("states", JsonValue::Number(n_states as f64)),
         ("samples", JsonValue::Number(samples as f64)),
-        ("reps", JsonValue::Number(reps as f64)),
-        ("seq_ns", JsonValue::Number(seq_ns as f64)),
-        ("par_ns", JsonValue::Number(par_ns as f64)),
-        ("speedup", JsonValue::Number(speedup)),
+        ("parallel", timing.to_json()),
         (
             "samples_per_sec_sequential",
             JsonValue::Number(samples_per_sec),
@@ -214,15 +199,12 @@ fn main() {
     ]);
 
     if let Some(baseline_path) = &args.check {
-        if cpu_cores <= 1 {
-            eprintln!("  check skipped: {cpu_cores} CPU detected, par/seq speedup ratio is noise");
-        } else {
-            match check_regression(baseline_path, seq_ns as f64, par_ns as f64) {
-                Ok(msg) => eprintln!("  {msg}"),
-                Err(msg) => {
-                    eprintln!("REGRESSION: {msg}");
-                    std::process::exit(1);
-                }
+        match timing.check(baseline_path, 2.0) {
+            Ok(Some(msg)) => eprintln!("  {msg}"),
+            Ok(None) => eprintln!("  check skipped: one CPU here or in the baseline"),
+            Err(msg) => {
+                eprintln!("REGRESSION: {msg}");
+                std::process::exit(1);
             }
         }
     }
@@ -241,31 +223,5 @@ fn main() {
         eprintln!("  wrote {path}");
     } else {
         println!("{}", record.to_json_pretty());
-    }
-}
-
-/// Compares this run against a committed baseline record. Machines
-/// differ, so the comparison is relative: the ratio of parallel to
-/// sequential time on *this* machine must not exceed 2x the same ratio
-/// in the baseline. (Lower is better for the ratio; a ratio blowing up
-/// means the threaded sampler stopped scaling.)
-fn check_regression(path: &str, seq_ns: f64, par_ns: f64) -> Result<String, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let v = json::parse(&text).map_err(|e| format!("cannot parse {path}: {e}"))?;
-    let field = |key: &str| -> Result<f64, String> {
-        v.get(key)
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| format!("{path} is missing numeric field '{key}'"))
-    };
-    let base_ratio = field("par_ns")? / field("seq_ns")?;
-    let ratio = par_ns / seq_ns;
-    if ratio > 2.0 * base_ratio {
-        Err(format!(
-            "par/seq ratio {ratio:.3} exceeds 2x baseline ratio {base_ratio:.3}"
-        ))
-    } else {
-        Ok(format!(
-            "check ok: par/seq ratio {ratio:.3} within 2x of baseline {base_ratio:.3}"
-        ))
     }
 }

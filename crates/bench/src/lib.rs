@@ -323,7 +323,207 @@ pub fn birth_death(n: usize, lambda: f64, mu: f64) -> Result<Ctmc> {
 /// real parallel speedup from single-CPU scheduling noise.
 #[must_use]
 pub fn detected_cpu_cores() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    reliab_core::resolve_threads(0)
+}
+
+/// Minimum self-reported wall time over `reps` runs of `f` — minimum,
+/// not mean, because scheduling noise only ever adds time. The closure
+/// times its own measured region so per-rep setup stays off the clock.
+pub fn time_min<T>(reps: usize, mut f: impl FnMut() -> (u128, T)) -> (u128, T) {
+    let mut best: Option<(u128, T)> = None;
+    for _ in 0..reps {
+        let (ns, out) = f();
+        if best.as_ref().is_none_or(|(b, _)| ns < *b) {
+            best = Some((ns, out));
+        }
+    }
+    best.expect("reps > 0")
+}
+
+/// Shortest wall time a timed parallel pass may last: below it, thread
+/// start-up and scheduling noise swamp the speedup being measured.
+const MIN_PASS_SECS: f64 = 0.3;
+
+/// Sequential/parallel pairs a parallel comparison times, interleaved
+/// so that slow phases of the host hit both sides alike.
+const PARALLEL_REPS: usize = 5;
+
+/// Median, minimum and maximum of repeated wall-time samples, in ns.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Spread {
+    /// Median sample (mean of the middle two for an even count).
+    pub median: f64,
+    /// Fastest sample.
+    pub min: f64,
+    /// Slowest sample.
+    pub max: f64,
+}
+
+impl Spread {
+    /// The spread of `samples` (at least one).
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty sample list.
+    #[must_use]
+    pub fn of(samples: &[u128]) -> Spread {
+        let mut v: Vec<f64> = samples.iter().map(|&ns| ns as f64).collect();
+        v.sort_by(f64::total_cmp);
+        let n = v.len();
+        assert!(n > 0, "a spread needs samples");
+        Spread {
+            median: (v[(n - 1) / 2] + v[n / 2]) / 2.0,
+            min: v[0],
+            max: v[n - 1],
+        }
+    }
+
+    fn to_json(self) -> reliab_spec::json::JsonValue {
+        use reliab_spec::json::{self, JsonValue};
+        json::object(vec![
+            ("median_ns", JsonValue::Number(self.median)),
+            ("min_ns", JsonValue::Number(self.min)),
+            ("max_ns", JsonValue::Number(self.max)),
+        ])
+    }
+}
+
+/// A sequential-versus-parallel timing of one workload: five
+/// interleaved pairs of passes, each pass `runs` back-to-back runs, with
+/// the parallel side at one worker per detected CPU. On one CPU there
+/// is no parallel side to time, and the speedup reads `"unmeasured"`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ParallelTiming {
+    /// Worker threads of the parallel side (the detected CPU count).
+    pub workers: usize,
+    /// Runs of the workload per timed pass.
+    pub runs: usize,
+    /// Sequential pass times.
+    pub seq: Spread,
+    /// Parallel pass times; `None` on one CPU.
+    pub par: Option<Spread>,
+}
+
+impl ParallelTiming {
+    /// Times `run(1)` against `run(workers)` with `workers` = detected
+    /// CPUs. One untimed sequential run warms caches and sizes the pass
+    /// so that the parallel pass lasts at least 0.3 s even
+    /// at a perfect speedup.
+    pub fn measure(mut run: impl FnMut(usize)) -> ParallelTiming {
+        let workers = detected_cpu_cores();
+        let t = std::time::Instant::now();
+        run(1);
+        let one = t.elapsed().as_secs_f64().max(1e-9);
+        let runs = (MIN_PASS_SECS * workers as f64 / one).ceil().max(1.0) as usize;
+        let mut pass = |jobs: usize| {
+            let t = std::time::Instant::now();
+            for _ in 0..runs {
+                run(jobs);
+            }
+            t.elapsed().as_nanos()
+        };
+        let (mut seq, mut par) = (Vec::new(), Vec::new());
+        for _ in 0..PARALLEL_REPS {
+            seq.push(pass(1));
+            if workers > 1 {
+                par.push(pass(workers));
+            }
+        }
+        ParallelTiming {
+            workers,
+            runs,
+            seq: Spread::of(&seq),
+            par: (workers > 1).then(|| Spread::of(&par)),
+        }
+    }
+
+    /// Median sequential over median parallel pass time; `None` on one
+    /// CPU.
+    #[must_use]
+    pub fn speedup(&self) -> Option<f64> {
+        self.par.map(|p| self.seq.median / p.median)
+    }
+
+    /// One-line summary for a bench's progress output.
+    #[must_use]
+    pub fn summary(&self) -> String {
+        let ms = |x: f64| x / 1e6;
+        match (self.par, self.speedup()) {
+            (Some(p), Some(s)) => format!(
+                "{} runs/pass, seq median {:.1} ms [{:.1}, {:.1}], \
+                 {} workers median {:.1} ms [{:.1}, {:.1}]: {s:.2}x",
+                self.runs,
+                ms(self.seq.median),
+                ms(self.seq.min),
+                ms(self.seq.max),
+                self.workers,
+                ms(p.median),
+                ms(p.min),
+                ms(p.max),
+            ),
+            _ => format!(
+                "{} runs/pass, seq median {:.1} ms; 1 CPU, speedup unmeasured",
+                self.runs,
+                ms(self.seq.median)
+            ),
+        }
+    }
+
+    /// The record's `parallel` block.
+    #[must_use]
+    pub fn to_json(&self) -> reliab_spec::json::JsonValue {
+        use reliab_spec::json::{self, JsonValue};
+        json::object(vec![
+            ("workers", JsonValue::Number(self.workers as f64)),
+            ("runs_per_pass", JsonValue::Number(self.runs as f64)),
+            ("reps", JsonValue::Number(PARALLEL_REPS as f64)),
+            ("seq_pass", self.seq.to_json()),
+            (
+                "par_pass",
+                self.par.map_or(JsonValue::Null, Spread::to_json),
+            ),
+            (
+                "speedup",
+                self.speedup()
+                    .map_or_else(|| "unmeasured".into(), JsonValue::Number),
+            ),
+        ])
+    }
+
+    /// The `--check` gate of the parallel benches: the median
+    /// parallel-to-sequential pass ratio must not exceed `factor` times
+    /// the ratio in the baseline record at `path`. Machines differ, so
+    /// the comparison is relative; a ratio blowing up means the
+    /// parallel path stopped scaling. `Ok(None)` when either side ran
+    /// on one CPU, where the ratio is not a measurement.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the regression, or an unreadable baseline.
+    pub fn check(&self, path: &str, factor: f64) -> std::result::Result<Option<String>, String> {
+        use reliab_spec::json::{self, JsonValue};
+        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+        let v = json::parse(&text).map_err(|e| format!("cannot parse {path}: {e}"))?;
+        let median = |side: &str| {
+            json::get_path(&v, &format!("parallel.{side}.median_ns")).and_then(JsonValue::as_f64)
+        };
+        let (Some(par), Some(base_seq), Some(base_par)) =
+            (self.par, median("seq_pass"), median("par_pass"))
+        else {
+            return Ok(None);
+        };
+        let base_ratio = base_par / base_seq;
+        let ratio = par.median / self.seq.median;
+        if ratio > factor * base_ratio {
+            Err(format!(
+                "par/seq ratio {ratio:.3} exceeds {factor}x baseline ratio {base_ratio:.3}"
+            ))
+        } else {
+            Ok(Some(format!(
+                "check ok: par/seq ratio {ratio:.3} within {factor}x of baseline {base_ratio:.3}"
+            )))
+        }
+    }
 }
 
 /// Runs `f` once under a freshly installed
@@ -387,6 +587,13 @@ mod tests {
         let decl = ordering_ablation_tree(8, VariableOrdering::Declaration).unwrap();
         let dfs = ordering_ablation_tree(8, VariableOrdering::DepthFirst).unwrap();
         assert!(dfs.bdd_size() < decl.bdd_size());
+    }
+
+    #[test]
+    fn spread_reads_median_and_extremes() {
+        let odd = Spread::of(&[30, 10, 20]);
+        assert_eq!((odd.median, odd.min, odd.max), (20.0, 10.0, 30.0));
+        assert_eq!(Spread::of(&[4, 1, 3, 2]).median, 2.5);
     }
 
     #[test]

@@ -26,6 +26,7 @@
 mod error;
 pub mod fxhash;
 mod measures;
+mod threads;
 mod traits;
 mod types;
 
@@ -33,5 +34,6 @@ pub use error::{Error, Result};
 pub use measures::{
     downtime_minutes_per_year, Availability, ConfidenceInterval, ImportanceMeasures,
 };
+pub use threads::{resolve_threads, Split};
 pub use traits::{MeanTimeToFailure, Reliability, SteadyStateAvailability};
 pub use types::{ensure_finite_nonneg, ensure_finite_positive, ensure_probability, Probability};

@@ -11,8 +11,12 @@
 //!
 //! Options:
 //!
-//! * `--jobs N` — worker threads for the batch (0 = one per CPU;
-//!   default 0). Results are bitwise identical at any setting.
+//! * `--jobs N` — the thread budget (0 = one per CPU; default 0). A
+//!   batch runs `min(N, inputs)` workers and solves each input on one
+//!   thread; a lone worker hands its solves the whole budget, which the
+//!   uncertainty sampler, the hierarchy sweep, SPN reachability and
+//!   simulation replications split the same way. Results are bitwise
+//!   identical at any setting.
 //! * `--json` — emit a single JSON array covering every input (errors
 //!   included per entry) instead of pretty text per file.
 //! * `--stats` — include solver telemetry (wall time, iterations,
@@ -27,9 +31,6 @@
 //!   stopping).
 //! * `--sim-seed N` — master seed for simulation (overrides the spec's
 //!   `seed`). Results are a pure function of the seed and the model.
-//! * `--sim-jobs N` — worker threads for simulation replications (0 =
-//!   one per CPU; default 1). Estimates are bitwise identical at any
-//!   setting.
 //! * `--var-order auto|input|dfs|weighted|sift` — BDD variable
 //!   ordering for fault-tree models. `auto` (default) honors the
 //!   spec's `var_order` field, falling back to the depth-first
@@ -38,16 +39,6 @@
 //!   (0 = kernel default).
 //! * `--gc-threshold N` — live BDD nodes before garbage collection
 //!   (0 = kernel default).
-//! * `--reach-jobs N` — worker threads for SPN state-space generation
-//!   (0 = one per CPU; default 1). The generated chain — and therefore
-//!   every measure — is bitwise identical at any setting.
-//! * `--hier-jobs N` — worker threads for hierarchy fixed-point sweeps
-//!   (0 = one per CPU; default 1, or the spec's `jobs`). Results are
-//!   bitwise identical at any setting.
-//! * `--bdd-jobs N` — worker threads for the BDD kernel's partitioned
-//!   parallel apply (fault-tree / RBD / bounds models; 0 = one per
-//!   CPU; default 1). The compiled BDD is canonical, so every measure
-//!   is bitwise identical at any setting.
 //! * `--stream` — force the streaming large-model tier for SPN models:
 //!   generator rows are regenerated from the marking arena on demand
 //!   instead of being materialized in CSR. Measures match the
@@ -121,9 +112,9 @@ impl Emitter {
 fn usage(code: i32) -> ! {
     eprintln!(
         "usage: reliab-cli [--jobs N] [--json] [--stats] [--method M] \
-         [--var-order O] [--ite-cache N] [--gc-threshold N] [--reach-jobs N] \
-         [--sim-reps N] [--sim-precision X] [--sim-seed N] [--sim-jobs N] \
-         [--hier-jobs N] [--bdd-jobs N] [--stream] [--mem-budget BYTES] \
+         [--var-order O] [--ite-cache N] [--gc-threshold N] \
+         [--sim-reps N] [--sim-precision X] [--sim-seed N] \
+         [--stream] [--mem-budget BYTES] \
          [--uncert-samples N] [--fixed-point-tol X] \
          [--truncation-order N] [--trace FILE] [--profile FILE] \
          [--record FILE] [--metrics FILE] \
@@ -132,7 +123,8 @@ fn usage(code: i32) -> ! {
     );
     eprintln!("solves reliab model specifications (rbd / fault_tree / ctmc / rel_graph / spn /");
     eprintln!("  hierarchy / semi_markov / uncertainty / bounds)");
-    eprintln!("  --jobs N            worker threads (0 = one per CPU; default 0)");
+    eprintln!("  --jobs N            thread budget (0 = one per CPU; default 0): min(N, inputs)");
+    eprintln!("                      batch workers; a lone input gets the whole budget");
     eprintln!("  --json              one machine-readable JSON array for the whole batch");
     eprintln!("  --stats             include solver telemetry with each result");
     eprintln!("  --method M          steady-state method auto|gth|sor|power, or sim to");
@@ -140,13 +132,9 @@ fn usage(code: i32) -> ! {
     eprintln!("  --sim-reps N        simulation replication cap (overrides the spec)");
     eprintln!("  --sim-precision X   relative CI half-width target (0 = fixed budget)");
     eprintln!("  --sim-seed N        simulation master seed (overrides the spec)");
-    eprintln!("  --sim-jobs N        simulation workers (0 = one per CPU; default 1)");
     eprintln!("  --var-order O       BDD variable ordering: auto|input|dfs|weighted|sift");
     eprintln!("  --ite-cache N       ITE cache capacity in entries (0 = kernel default)");
     eprintln!("  --gc-threshold N    live BDD nodes before GC (0 = kernel default)");
-    eprintln!("  --reach-jobs N      SPN state-space workers (0 = one per CPU; default 1)");
-    eprintln!("  --hier-jobs N       hierarchy sweep workers (0 = one per CPU; default 1)");
-    eprintln!("  --bdd-jobs N        BDD apply workers (0 = one per CPU; default 1)");
     eprintln!("  --stream            stream SPN generator rows from the marking arena");
     eprintln!("                      instead of materializing the CTMC");
     eprintln!("  --mem-budget BYTES  streaming-tier byte budget (K/M/G suffixes; also");
@@ -204,13 +192,9 @@ struct Cli {
     sim_reps: Option<usize>,
     sim_precision: Option<f64>,
     sim_seed: Option<u64>,
-    sim_jobs: usize,
     var_order: VarOrder,
     ite_cache: usize,
     gc_threshold: usize,
-    reach_jobs: usize,
-    hier_jobs: usize,
-    bdd_jobs: usize,
     stream: bool,
     mem_budget: Option<usize>,
     uncert_samples: Option<usize>,
@@ -236,13 +220,9 @@ fn parse_args(args: &[String]) -> Cli {
         sim_reps: None,
         sim_precision: None,
         sim_seed: None,
-        sim_jobs: 1,
         var_order: VarOrder::Auto,
         ite_cache: 0,
         gc_threshold: 0,
-        reach_jobs: 1,
-        hier_jobs: 1,
-        bdd_jobs: 1,
         stream: false,
         mem_budget: None,
         uncert_samples: None,
@@ -311,13 +291,6 @@ fn parse_args(args: &[String]) -> Cli {
                     usage(2);
                 }
             },
-            "--sim-jobs" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => cli.sim_jobs = n,
-                None => {
-                    eprintln!("--sim-jobs requires a non-negative integer");
-                    usage(2);
-                }
-            },
             "--var-order" => {
                 cli.var_order = match it.next().and_then(|v| VarOrder::parse(v)) {
                     Some(order) => order,
@@ -338,27 +311,6 @@ fn parse_args(args: &[String]) -> Cli {
                 Some(n) => cli.gc_threshold = n,
                 None => {
                     eprintln!("--gc-threshold requires a non-negative integer");
-                    usage(2);
-                }
-            },
-            "--reach-jobs" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => cli.reach_jobs = n,
-                None => {
-                    eprintln!("--reach-jobs requires a non-negative integer");
-                    usage(2);
-                }
-            },
-            "--hier-jobs" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => cli.hier_jobs = n,
-                None => {
-                    eprintln!("--hier-jobs requires a non-negative integer");
-                    usage(2);
-                }
-            },
-            "--bdd-jobs" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => cli.bdd_jobs = n,
-                None => {
-                    eprintln!("--bdd-jobs requires a non-negative integer");
                     usage(2);
                 }
             },
@@ -665,11 +617,7 @@ fn main() {
         .with_var_order(cli.var_order)
         .with_ite_cache_capacity(cli.ite_cache)
         .with_gc_node_threshold(cli.gc_threshold)
-        .with_reach_jobs(cli.reach_jobs)
         .with_simulate(cli.simulate)
-        .with_sim_jobs(cli.sim_jobs)
-        .with_hier_jobs(cli.hier_jobs)
-        .with_bdd_jobs(cli.bdd_jobs)
         .with_stream(cli.stream);
     if let Some(b) = cli.mem_budget {
         solve_opts = solve_opts.with_mem_budget(b);

@@ -6,7 +6,10 @@
 //! results bitwise identical to solving sequentially.
 //!
 //! Every model is solved independently from its spec, so parallelism
-//! changes wall time only, never values. A shared memo cache keyed on
+//! changes wall time only, never values. The engine's worker count is
+//! the batch's thread budget, split by [`Split`]: `min(budget, inputs)`
+//! workers, each input solved on one thread, or a lone worker whose
+//! solves get the whole budget. A shared memo cache keyed on
 //! the canonical form of each spec ([`ModelSpec::canonical_string`])
 //! lets structurally identical documents in one batch — common when
 //! sweeping a parameter grid that leaves some models unchanged, or
@@ -40,7 +43,7 @@
 pub mod serve;
 
 use reliab_core::fxhash::FxHashMap;
-use reliab_core::{Error, Result};
+use reliab_core::{Error, Result, Split};
 use reliab_obs as obs;
 use reliab_spec::{ModelSpec, SolveOptions, SolveReport};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -134,8 +137,8 @@ impl Default for BatchEngine {
 }
 
 impl BatchEngine {
-    /// An engine with default [`SolveOptions`], memoization on, and one
-    /// worker per available CPU.
+    /// An engine with default [`SolveOptions`], memoization on, and a
+    /// thread budget of one per available CPU.
     #[must_use]
     pub fn new() -> Self {
         BatchEngine {
@@ -149,8 +152,11 @@ impl BatchEngine {
         }
     }
 
-    /// Sets the worker count: `0` means one worker per available CPU,
-    /// `1` solves sequentially on the calling thread.
+    /// Sets the thread budget: `0` means one per available CPU, `1`
+    /// solves sequentially on the calling thread. A batch runs
+    /// `min(jobs, inputs)` workers; each solve's
+    /// [`SolveOptions::threads`] is derived from the budget by
+    /// [`Split`], whatever [`BatchEngine::with_options`] set.
     #[must_use]
     pub fn with_jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs;
@@ -158,6 +164,8 @@ impl BatchEngine {
     }
 
     /// Sets the per-solve options applied to every spec in the batch.
+    /// Their `threads` is ignored: the engine's budget
+    /// ([`BatchEngine::with_jobs`]) sets it.
     #[must_use]
     pub fn with_options(mut self, options: SolveOptions) -> Self {
         self.options = options;
@@ -229,7 +237,10 @@ impl BatchEngine {
     fn run(&self, inputs: Vec<Result<&ModelSpec>>) -> Vec<Result<SolveReport>> {
         *lock(&self.last_stats) = BatchStats::default();
         lock(&self.kind_counts).clear();
-        let workers = self.worker_count(inputs.len());
+        let split = Split::new(self.jobs, inputs.len());
+        let workers = split.workers;
+        let options = self.options.clone().with_threads(split.per_item);
+        let options = &options;
         // One batch = one request: every span and event below shares
         // the trace id minted here (unless the caller set one already).
         let _trace = obs::ensure_trace_id();
@@ -252,7 +263,7 @@ impl BatchEngine {
             inputs
                 .into_iter()
                 .enumerate()
-                .map(|(i, input)| (i, self.solve_one(i, input)))
+                .map(|(i, input)| (i, self.solve_one(i, input, options)))
                 .collect()
         } else {
             let inputs = &inputs;
@@ -283,7 +294,7 @@ impl BatchEngine {
                                     return local;
                                 }
                                 let input = inputs[idx].as_ref().copied().map_err(clone_err);
-                                local.push((idx, self.solve_one(idx, input)));
+                                local.push((idx, self.solve_one(idx, input, options)));
                             }
                         })
                     })
@@ -299,16 +310,12 @@ impl BatchEngine {
         results.into_iter().map(|(_, r)| r).collect()
     }
 
-    fn worker_count(&self, batch_len: usize) -> usize {
-        let jobs = if self.jobs == 0 {
-            std::thread::available_parallelism().map_or(1, |p| p.get())
-        } else {
-            self.jobs
-        };
-        jobs.min(batch_len)
-    }
-
-    fn solve_one(&self, idx: usize, input: Result<&ModelSpec>) -> Result<SolveReport> {
+    fn solve_one(
+        &self,
+        idx: usize,
+        input: Result<&ModelSpec>,
+        options: &SolveOptions,
+    ) -> Result<SolveReport> {
         let _span = obs::span("engine.solve");
         lifecycle(idx, "start", None);
         let spec = match input {
@@ -336,7 +343,7 @@ impl BatchEngine {
         } else {
             None
         };
-        let result = reliab_spec::solve_with(spec, &self.options);
+        let result = reliab_spec::solve_with(spec, options);
         match &result {
             Ok(report) => {
                 let kind = report.measures.kind();

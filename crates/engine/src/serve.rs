@@ -197,11 +197,7 @@ impl Server {
             obs::install_subscriber(rec.clone());
             rec
         });
-        let worker_count = if config.workers == 0 {
-            std::thread::available_parallelism().map_or(1, |p| p.get())
-        } else {
-            config.workers
-        };
+        let worker_count = reliab_core::resolve_threads(config.workers);
         let library = config
             .spec_dir
             .as_ref()

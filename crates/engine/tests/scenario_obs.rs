@@ -7,14 +7,14 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use reliab_core::resolve_threads;
 use reliab_engine::BatchEngine;
 use reliab_obs::{self as obs, ProfileSubscriber};
 use reliab_spec::json::{self, JsonValue};
-use reliab_spec::{SolveOptions, SolvedMeasures};
+use reliab_spec::SolvedMeasures;
 
-/// An uncertainty sweep of `samples` solves of a three-state CTMC on
-/// `jobs` sampler threads.
-fn uncertainty(samples: usize, jobs: usize) -> String {
+/// An uncertainty sweep of `samples` solves of a three-state CTMC.
+fn uncertainty(samples: usize) -> String {
     format!(
         r#"{{"uncertainty": {{
              "model": {{"ctmc": {{
@@ -31,8 +31,7 @@ fn uncertainty(samples: usize, jobs: usize) -> String {
                {{"path": "ctmc.transitions.1.rate",
                  "prior": {{"gamma": {{"shape": 4.0, "rate": 4.0}}}}}}],
              "measure": "availability",
-             "samples": {samples},
-             "jobs": {jobs}}}}}"#
+             "samples": {samples}}}}}"#
     )
 }
 
@@ -65,13 +64,18 @@ fn scenario_solves_are_counted_and_nested_under_the_batch() {
     let solves = || obs::registry().counter("spec.solves").get();
 
     // N samples: N inner solves plus the uncertainty solve itself, at
-    // one sampler thread, one per CPU, and three.
-    let engine = BatchEngine::new().with_jobs(1);
+    // budgets of one thread, one per CPU, and three: a lone document
+    // gets the engine's whole budget, and the sampler runs that many
+    // workers.
     for jobs in [1, 0, 3] {
+        let engine = BatchEngine::new().with_jobs(jobs);
         let before = solves();
-        let reports = engine.solve_texts(&[uncertainty(40, jobs)]);
-        assert!(reports[0].is_ok(), "jobs {jobs}: {:?}", reports[0]);
+        let report = engine
+            .solve_texts(&[uncertainty(40)])
+            .remove(0)
+            .unwrap_or_else(|e| panic!("jobs {jobs}: {e}"));
         assert_eq!(solves() - before, 41, "jobs {jobs}");
+        assert_eq!(report.stats.workers, resolve_threads(jobs), "jobs {jobs}");
     }
 
     // A cyclic hierarchy of four CTMCs swept on two workers: four
@@ -81,11 +85,10 @@ fn scenario_solves_are_counted_and_nested_under_the_batch() {
         "/../../specs/cyclic_hierarchy.json"
     ))
     .unwrap();
-    let engine = BatchEngine::new()
-        .with_jobs(1)
-        .with_options(SolveOptions::default().with_hier_jobs(2));
+    let engine = BatchEngine::new().with_jobs(2);
     let before = solves();
     let report = engine.solve_texts(&[cyclic]).remove(0).expect("solves");
+    assert_eq!(report.stats.workers, 2);
     let SolvedMeasures::Hierarchy { iterations, .. } = report.measures else {
         panic!("expected a hierarchy");
     };

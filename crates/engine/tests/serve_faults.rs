@@ -132,6 +132,40 @@ fn slow_samples() -> usize {
     })
 }
 
+/// A document cannot pick its own thread count: the daemon's workers
+/// are its only parallel layer and every solve runs on a budget of one
+/// thread, so an SPN carrying `reach_jobs` and an uncertainty carrying
+/// `jobs` each solve on one thread.
+#[test]
+fn document_thread_keys_are_ignored() {
+    let server = boot(|_| {});
+    let addr = server.local_addr().to_string();
+    let spn = r#"{"spn": {"places": [{"name": "q", "tokens": 0}],
+      "transitions": [
+        {"name": "in", "rate": 1.0, "outputs": [{"place": "q"}],
+         "inhibitors": [{"place": "q", "count": 4}]},
+        {"name": "out", "rate": 2.0, "inputs": [{"place": "q"}]}],
+      "reach_jobs": 8}}"#;
+    let uncertainty = slow_doc(7, 64).replace(r#""jobs": 1"#, r#""jobs": 8"#);
+    assert!(uncertainty.contains(r#""jobs": 8"#));
+    for doc in [spn, uncertainty.as_str()] {
+        let response = post(
+            &addr,
+            "/solve",
+            &format!(r#"{{"kind": "solve", "model": {doc}, "stats": true}}"#),
+        );
+        assert_eq!(response.status, 200, "{}", response.body);
+        let workers = json::parse(&response.body)
+            .expect("response is JSON")
+            .get("stats")
+            .and_then(|s| s.get("workers"))
+            .and_then(JsonValue::as_f64);
+        assert_eq!(workers, Some(1.0), "{doc}");
+    }
+    assert_no_leaked_slots(&server, &addr);
+    server.shutdown();
+}
+
 /// Overflow: with one worker and a queue of depth 2, a burst of slow
 /// solves fills every slot; the next request is shed with 429
 /// `overloaded` *at admission* (it never waits), and once the burst

@@ -98,7 +98,7 @@ pub enum VariableOrdering {
 /// `0` means "kernel default" for the numeric fields, so
 /// `CompileOptions::default()` matches [`FaultTreeBuilder::build`]
 /// except for the ordering chosen.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub struct CompileOptions {
     /// Variable-ordering strategy.
@@ -108,35 +108,12 @@ pub struct CompileOptions {
     /// Live-node threshold for automatic garbage collection
     /// (`0` = kernel default).
     pub gc_node_threshold: usize,
-    /// Worker threads for the BDD's partitioned parallel apply:
-    /// `1` (default) = sequential, `0` = one per available core,
-    /// `n` = exactly `n`. Every setting produces a bitwise-identical
-    /// probability — the compiled BDD is canonical regardless.
-    pub bdd_jobs: usize,
-}
-
-impl Default for CompileOptions {
-    fn default() -> Self {
-        CompileOptions {
-            ordering: VariableOrdering::default(),
-            ite_cache_capacity: 0,
-            gc_node_threshold: 0,
-            bdd_jobs: 1,
-        }
-    }
 }
 
 impl CompileOptions {
-    /// All-defaults options (declaration ordering, sequential apply).
+    /// All-defaults options (declaration ordering).
     pub fn new() -> Self {
         CompileOptions::default()
-    }
-
-    /// Sets the apply worker count (`1` = sequential, `0` = auto).
-    #[must_use]
-    pub fn with_bdd_jobs(mut self, jobs: usize) -> Self {
-        self.bdd_jobs = jobs;
-        self
     }
 
     /// Sets the ordering strategy.
@@ -247,13 +224,6 @@ impl FaultTreeBuilder {
         let mut config = reliab_bdd::BddConfig::new();
         config.ite_cache_capacity = options.ite_cache_capacity;
         config.gc_node_threshold = options.gc_node_threshold;
-        config.jobs = if options.bdd_jobs == 0 {
-            std::thread::available_parallelism()
-                .map(|c| c.get())
-                .unwrap_or(1)
-        } else {
-            options.bdd_jobs
-        };
         let mut bdd = Bdd::new_with(n as u32, config);
         let mut ctx = CompileCtx {
             event_to_var: &event_to_var,
@@ -393,8 +363,8 @@ struct CompileCtx<'a> {
     /// Sift at safe points during compilation (Sifted ordering only).
     dynamic_sift: bool,
     /// Safe points passed so far — a *structural* counter (one per
-    /// gate-input accumulation), identical for every `bdd_jobs`
-    /// setting, which is what keeps dynamic sifting deterministic.
+    /// gate-input accumulation), which is what keeps dynamic sifting
+    /// deterministic.
     safe_points: usize,
     /// Live size of the accumulator at which the next sift fires.
     sift_at: usize,
@@ -429,9 +399,8 @@ fn compile_guarded(
 /// Returns the accumulator's possibly renumbered id. The sift trigger
 /// reads only canonical state — the structural safe-point counter and
 /// the accumulator's reachable node count — never the raw arena
-/// population (which differs across `bdd_jobs` settings because the
-/// parallel apply leaves less garbage behind), so compile-time
-/// reordering fires identically for every worker count.
+/// population, which depends on how much garbage earlier operations
+/// left behind.
 fn gc_safe_point(bdd: &mut Bdd, live: NodeId, ctx: &mut CompileCtx<'_>) -> NodeId {
     let guard = bdd.protect(live);
     bdd.maybe_gc();

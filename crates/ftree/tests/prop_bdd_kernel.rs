@@ -1,19 +1,14 @@
-//! Property tests: the BDD kernel's compacting GC and work-partitioned
-//! parallel apply must both be invisible to every measure.
+//! Property test: the BDD kernel's compacting GC must be invisible to
+//! every measure.
 //!
 //! Random fault trees (nested AND/OR/k-of-n gates over a shared event
 //! pool) are compiled under aggressive GC (compacting every few nodes)
 //! and with GC disabled: the reduced BDD is canonical, so the node
-//! count and the top-event probability *bits* must match. The same
-//! trees are then rebuilt on the raw kernel with the parallel apply
-//! forced on at 1, 2, 4, and 8 workers — provisional worker ids are
-//! erased by the sequential reduction, so every jobs count must again
-//! agree bitwise. A mismatch in either test means internal plumbing
-//! (node relocation or thread scheduling) leaked into results.
+//! count and the top-event probability *bits* must match. A mismatch
+//! means node relocation leaked into results.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use reliab_bdd::{Bdd, BddConfig, NodeId};
 use reliab_ftree::{CompileOptions, EventId, FaultTreeBuilder, FtNode, VariableOrdering};
 
 /// Builder-independent gate structure over an event-pool index space.
@@ -60,29 +55,6 @@ fn compile_under(shape: &Shape, options: &CompileOptions, probs: &[f64]) -> (f64
     (q, ft.bdd_size())
 }
 
-/// Builds `shape` directly on a raw kernel (no ftree compile loop), so
-/// the parallel-apply threshold can be forced to cover every call.
-fn build_raw(bdd: &mut Bdd, shape: &Shape) -> NodeId {
-    match shape {
-        Shape::Leaf(i) => bdd.var((*i % POOL) as u32).expect("var in range"),
-        Shape::Or(xs) => {
-            let nodes: Vec<NodeId> = xs.iter().map(|s| build_raw(bdd, s)).collect();
-            bdd.or_all(nodes)
-        }
-        Shape::And(xs) => {
-            let nodes: Vec<NodeId> = xs.iter().map(|s| build_raw(bdd, s)).collect();
-            nodes
-                .into_iter()
-                .reduce(|a, b| bdd.and(a, b))
-                .expect("non-empty gate")
-        }
-        Shape::KOfN(xs) => {
-            let nodes: Vec<NodeId> = xs.iter().map(|s| build_raw(bdd, s)).collect();
-            bdd.at_least_k(&nodes, 2)
-        }
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -108,58 +80,5 @@ proptest! {
             "compaction changed probability: {:.17e} vs {:.17e}", q_ref, q_gc
         );
         prop_assert_eq!(size_ref, size_gc, "compaction changed the reduced node count");
-    }
-
-    /// The work-partitioned apply must be bitwise-deterministic at any
-    /// worker count. `par_node_threshold = 1` forces the parallel path
-    /// onto every eligible call, far past where the production
-    /// threshold would dispatch.
-    #[test]
-    fn parallel_apply_is_bitwise_deterministic(
-        shape in shape_strategy(),
-        probs in vec(0.01f64..0.3, POOL..=POOL),
-    ) {
-        let mut reference: Option<(u64, usize)> = None;
-        for jobs in [1usize, 2, 4, 8] {
-            let mut cfg = BddConfig::new();
-            cfg.jobs = jobs;
-            cfg.par_node_threshold = 1;
-            let mut bdd = Bdd::new_with(POOL as u32, cfg);
-            let f = build_raw(&mut bdd, &shape);
-            let q = bdd.probability(f, &probs).expect("valid probabilities");
-            let size = bdd.node_count(f);
-            match reference {
-                None => reference = Some((q.to_bits(), size)),
-                Some((q_bits, size_ref)) => {
-                    prop_assert_eq!(
-                        q_bits, q.to_bits(),
-                        "jobs={} disagrees with jobs=1: {:.17e}", jobs, q
-                    );
-                    prop_assert_eq!(size_ref, size, "jobs={} changed the node count", jobs);
-                }
-            }
-        }
-    }
-
-    /// Same determinism holds through the ftree compile loop, where the
-    /// production dispatch threshold and GC safe points interleave.
-    #[test]
-    fn ftree_bdd_jobs_is_bitwise_deterministic(
-        shape in shape_strategy(),
-        probs in vec(0.01f64..0.3, POOL..=POOL),
-    ) {
-        let base = CompileOptions::new().with_ordering(VariableOrdering::Declaration);
-        let (q_ref, size_ref) = compile_under(&shape, &base, &probs);
-        for jobs in [0usize, 2, 4, 8] {
-            let opts = CompileOptions::new()
-                .with_ordering(VariableOrdering::Declaration)
-                .with_bdd_jobs(jobs);
-            let (q, size) = compile_under(&shape, &opts, &probs);
-            prop_assert_eq!(
-                q_ref.to_bits(), q.to_bits(),
-                "bdd_jobs={} disagrees: {:.17e} vs {:.17e}", jobs, q, q_ref
-            );
-            prop_assert_eq!(size_ref, size, "bdd_jobs={} changed the node count", jobs);
-        }
     }
 }

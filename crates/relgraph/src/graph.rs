@@ -128,75 +128,12 @@ impl RelGraph {
         &self.edge_names[e.0]
     }
 
-    /// Minimal s-t path sets as sorted edge-id lists, by length and
-    /// then edge ids: the minimal solutions of the works function.
-    pub fn minimal_path_sets(&self) -> Vec<Vec<EdgeId>> {
-        self.edge_sets(false, usize::MAX)
-            .expect("an uncapped family always lists")
-    }
-
-    /// Minimal cut sets as sorted edge-id lists, by length and then
-    /// edge ids: the minimal solutions of the works function's dual,
-    /// read off the same BDD as the path sets.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Model`] if the graph has more than `max_sets`
-    /// minimal cut sets.
-    pub fn minimal_cut_sets(&self, max_sets: usize) -> Result<Vec<Vec<EdgeId>>> {
-        self.edge_sets(true, max_sets)
-    }
-
-    /// Counts the minimal path (or, for `cuts`, cut) sets, then lists
-    /// them unless there are more than `max_sets`.
-    fn edge_sets(&self, cuts: bool, max_sets: usize) -> Result<Vec<Vec<EdgeId>>> {
-        let mut bdd = Bdd::new(self.edges.len() as u32);
-        let works = self.works_bdd(&mut bdd);
-        let family = if cuts {
-            bdd.dual_minimal_family(works)
-        } else {
-            bdd.minimal_family(works)
-        };
-        let count = family.count();
-        if count > max_sets as u64 {
-            return Err(Error::model(format!(
-                "the reliability graph has {count} minimal cut sets, \
-                 more than the cap of {max_sets}"
-            )));
-        }
-        Ok(family.sets(|v| EdgeId(v as usize)))
-    }
-
-    /// Exact s-t reliability given per-edge up-probabilities, via a BDD
-    /// over the minimal path sets.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidParameter`] on bad probability vectors.
-    pub fn reliability(&self, edge_up: &[f64]) -> Result<f64> {
-        Ok(self.reliability_with_stats(edge_up)?.0)
-    }
-
-    /// [`RelGraph::reliability`] plus the statistics of the BDD manager
-    /// used for the computation (the manager is per-call here, so the
-    /// counters describe exactly this evaluation).
-    ///
-    /// # Errors
-    ///
-    /// See [`RelGraph::reliability`].
-    pub fn reliability_with_stats(&self, edge_up: &[f64]) -> Result<(f64, reliab_bdd::BddStats)> {
-        self.check_probs(edge_up)?;
-        let mut bdd = Bdd::new(self.edges.len() as u32);
-        let works = self.works_bdd(&mut bdd);
-        let p = bdd.probability(works, edge_up).map_err(bdd_err)?;
-        Ok((p, bdd.stats()))
-    }
-
-    /// Compiles the works function: the OR, over every simple
-    /// source→sink path found by DFS, of the AND of its edges. A simple
-    /// path's edge set contains no other path's, and the BDD is
-    /// canonical, so no path needs filtering.
-    fn works_bdd(&self, bdd: &mut Bdd) -> BddNode {
+    /// Compiles the works function to a BDD once, so the probability
+    /// pass and both minimal set families read the same diagram: the
+    /// OR, over every simple source→sink path found by DFS, of the AND
+    /// of its edges. A simple path's edge set contains no other path's,
+    /// and the BDD is canonical, so no path needs filtering.
+    pub fn compile(&self) -> CompiledGraph<'_> {
         // adjacency: node -> (neighbor, edge index)
         let mut adj: Vec<Vec<(usize, usize)>> = vec![Vec::new(); self.node_names.len()];
         for (i, e) in self.edges.iter().enumerate() {
@@ -205,6 +142,7 @@ impl RelGraph {
                 adj[e.v].push((e.u, i));
             }
         }
+        let mut bdd = Bdd::new(self.edges.len() as u32);
         let mut works = BddNode::FALSE;
         let mut visited = vec![false; self.node_names.len()];
         let mut or_path = |path: &[usize]| {
@@ -222,7 +160,36 @@ impl RelGraph {
             &mut Vec::new(),
             &mut or_path,
         );
-        works
+        CompiledGraph {
+            graph: self,
+            bdd,
+            works,
+        }
+    }
+
+    /// Minimal s-t path sets; see [`CompiledGraph::minimal_path_sets`].
+    pub fn minimal_path_sets(&self) -> Vec<Vec<EdgeId>> {
+        self.compile().minimal_path_sets()
+    }
+
+    /// Minimal cut sets; see [`CompiledGraph::minimal_cut_sets`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Model`] if the graph has more than `max_sets`
+    /// minimal cut sets.
+    pub fn minimal_cut_sets(&self, max_sets: usize) -> Result<Vec<Vec<EdgeId>>> {
+        self.compile().minimal_cut_sets(max_sets)
+    }
+
+    /// Exact s-t reliability given per-edge up-probabilities; see
+    /// [`CompiledGraph::reliability`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidParameter`] on bad probability vectors.
+    pub fn reliability(&self, edge_up: &[f64]) -> Result<f64> {
+        self.compile().reliability(edge_up)
     }
 
     fn dfs_paths(
@@ -478,8 +445,7 @@ impl RelGraph {
                 self.edges.len()
             )));
         }
-        let mut bdd = Bdd::new(self.edges.len() as u32);
-        let works = self.works_bdd(&mut bdd);
+        let CompiledGraph { bdd, works, .. } = self.compile();
         let scale = lifetimes
             .iter()
             .map(|d| d.mean())
@@ -513,6 +479,70 @@ impl RelGraph {
             ensure_probability(v, &format!("reliability of edge '{}'", self.edge_names[i]))?;
         }
         Ok(())
+    }
+}
+
+/// A reliability graph with its works function compiled to a BDD; see
+/// [`RelGraph::compile`].
+#[derive(Debug)]
+pub struct CompiledGraph<'g> {
+    graph: &'g RelGraph,
+    bdd: Bdd,
+    works: BddNode,
+}
+
+impl CompiledGraph<'_> {
+    /// Exact s-t reliability given per-edge up-probabilities: one
+    /// linear pass over the compiled BDD.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidParameter`] on bad probability vectors.
+    pub fn reliability(&self, edge_up: &[f64]) -> Result<f64> {
+        self.graph.check_probs(edge_up)?;
+        self.bdd.probability(self.works, edge_up).map_err(bdd_err)
+    }
+
+    /// Statistics of the BDD manager that holds the works function.
+    pub fn bdd_stats(&self) -> reliab_bdd::BddStats {
+        self.bdd.stats()
+    }
+
+    /// Minimal s-t path sets as sorted edge-id lists, by length and
+    /// then edge ids: the minimal solutions of the works function.
+    pub fn minimal_path_sets(&self) -> Vec<Vec<EdgeId>> {
+        self.edge_sets(false, usize::MAX)
+            .expect("an uncapped family always lists")
+    }
+
+    /// Minimal cut sets as sorted edge-id lists, by length and then
+    /// edge ids: the minimal solutions of the works function's dual,
+    /// read off the same BDD as the path sets.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Model`] if the graph has more than `max_sets`
+    /// minimal cut sets.
+    pub fn minimal_cut_sets(&self, max_sets: usize) -> Result<Vec<Vec<EdgeId>>> {
+        self.edge_sets(true, max_sets)
+    }
+
+    /// Counts the minimal path (or, for `cuts`, cut) sets, then lists
+    /// them unless there are more than `max_sets`.
+    fn edge_sets(&self, cuts: bool, max_sets: usize) -> Result<Vec<Vec<EdgeId>>> {
+        let family = if cuts {
+            self.bdd.dual_minimal_family(self.works)
+        } else {
+            self.bdd.minimal_family(self.works)
+        };
+        let count = family.count();
+        if count > max_sets as u64 {
+            return Err(Error::model(format!(
+                "the reliability graph has {count} minimal cut sets, \
+                 more than the cap of {max_sets}"
+            )));
+        }
+        Ok(family.sets(|v| EdgeId(v as usize)))
     }
 }
 
@@ -601,6 +631,16 @@ mod tests {
         // The cap is checked against the exact count.
         let err = g.minimal_cut_sets(3).unwrap_err().to_string();
         assert!(err.contains("4 minimal cut sets"), "{err}");
+        // One compile answers all three questions, and listing the set
+        // families adds no node to the diagram the probability read.
+        let compiled = g.compile();
+        let probs = [0.95, 0.9, 0.85, 0.8, 0.75];
+        let r = compiled.reliability(&probs).unwrap();
+        assert_eq!(r.to_bits(), g.reliability(&probs).unwrap().to_bits());
+        let nodes = compiled.bdd_stats().arena_nodes;
+        assert_eq!(compiled.minimal_path_sets(), paths);
+        assert_eq!(compiled.minimal_cut_sets(4).unwrap(), cuts);
+        assert_eq!(compiled.bdd_stats().arena_nodes, nodes);
     }
 
     #[test]

@@ -41,7 +41,7 @@
 
 mod graph;
 
-pub use graph::{EdgeId, NodeIdx, RelGraph, RelGraphBuilder};
+pub use graph::{CompiledGraph, EdgeId, NodeIdx, RelGraph, RelGraphBuilder};
 
 use reliab_core::Error;
 

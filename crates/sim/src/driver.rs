@@ -359,10 +359,7 @@ pub(crate) fn simulate(
     validate_measure(measure)?;
     opts.validate()?;
     let _span = obs::span("sim.run");
-    let workers = match opts.jobs {
-        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-        n => n,
-    };
+    let workers = reliab_core::resolve_threads(opts.jobs);
     obs::event(
         "sim.start",
         &[

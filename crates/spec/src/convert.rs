@@ -604,6 +604,8 @@ pub(crate) fn solve_model(
         ModelSpec::Bounds(b) => crate::scenario::solve_bounds(b, opts)?,
     };
     stats.wall_time = start.elapsed();
+    // A solve with no parallel layer ran on the calling thread.
+    stats.workers = stats.workers.max(1);
     let kind = measures.kind();
     let wall_ms = stats.wall_time.as_secs_f64() * 1e3;
     obs::counter_add("spec.solves", 1);
@@ -635,8 +637,6 @@ fn bdd_stats_into(stats: &mut SolveStats, b: &reliab_bdd::BddStats) {
     stats.bdd_peak_live_nodes = Some(b.peak_live_nodes);
     stats.bdd_ite_hit_rate = Some(b.ite_hit_rate());
     stats.bdd_gc_moved = Some(b.gc_moved);
-    stats.bdd_par_apply_calls = Some(b.par_apply_calls);
-    stats.bdd_workers = Some(b.jobs);
 }
 
 fn solve_relgraph(spec: &RelGraphSpec) -> Result<(SolvedMeasures, SolveStats)> {
@@ -668,9 +668,11 @@ fn solve_relgraph(spec: &RelGraphSpec) -> Result<(SolvedMeasures, SolveStats)> {
     let source = node(&spec.source, &node_ids)?;
     let sink = node(&spec.sink, &node_ids)?;
     let g = b.build(source, sink)?;
-    let (reliability, bdd) = g.reliability_with_stats(&probs)?;
+    // One compile serves the probability pass and both set families.
+    let compiled = g.compile();
+    let reliability = compiled.reliability(&probs)?;
     let mut stats = SolveStats::default();
-    bdd_stats_into(&mut stats, &bdd);
+    bdd_stats_into(&mut stats, &compiled.bdd_stats());
     let all_terminal_reliability = if spec.all_terminal {
         Some(g.all_terminal_reliability(&probs)?)
     } else {
@@ -679,8 +681,12 @@ fn solve_relgraph(spec: &RelGraphSpec) -> Result<(SolvedMeasures, SolveStats)> {
     let name_of = |es: Vec<reliab_relgraph::EdgeId>| -> Vec<String> {
         es.into_iter().map(|e| g.edge_name(e).to_owned()).collect()
     };
-    let minimal_path_sets = g.minimal_path_sets().into_iter().map(&name_of).collect();
-    let minimal_cut_sets = g
+    let minimal_path_sets = compiled
+        .minimal_path_sets()
+        .into_iter()
+        .map(&name_of)
+        .collect();
+    let minimal_cut_sets = compiled
         .minimal_cut_sets(DEFAULT_MAX_CUT_SETS)?
         .into_iter()
         .map(&name_of)
@@ -936,14 +942,11 @@ fn ftree_simulator(spec: &FaultTreeSpec, node: SimNode) -> Result<SystemSimulato
 }
 
 /// Merges spec-level sim knobs with [`SolveOptions`] overrides
-/// (overrides win, mirroring the SPN `reach_jobs` convention).
+/// (overrides win); the replications run on the solve's thread budget.
 fn effective_sim_options(sim: &SimSpec, opts: &SolveOptions) -> SimOptions {
-    let mut o = SimOptions::default();
+    let mut o = SimOptions::default().with_jobs(opts.threads);
     if let Some(s) = sim.seed {
         o.seed = s;
-    }
-    if let Some(j) = sim.jobs {
-        o.jobs = j;
     }
     if let Some(m) = sim.max_replications {
         o.max_replications = m;
@@ -971,9 +974,6 @@ fn effective_sim_options(sim: &SimSpec, opts: &SolveOptions) -> SimOptions {
     }
     if let Some(p) = opts.sim_rel_precision {
         o.rel_precision = p;
-    }
-    if opts.sim_jobs != 1 {
-        o.jobs = opts.sim_jobs;
     }
     // Keep a tight replication cap self-consistent rather than
     // erroring on min > max.
@@ -1008,12 +1008,12 @@ fn run_simulation(
     let sopts = effective_sim_options(spec, opts);
     let report = sim.simulate(measure, &sopts)?;
     let stats = SolveStats {
+        workers: report.workers,
         iterations: usize::try_from(report.events).unwrap_or(usize::MAX),
         sim_replications: Some(report.replications),
         sim_events: Some(report.events),
         sim_rounds: Some(report.rounds),
         sim_rel_half_width: Some(report.rel_half_width),
-        sim_workers: Some(report.workers),
         sim_converged: Some(report.converged),
         ..Default::default()
     };
@@ -1136,8 +1136,7 @@ pub(crate) fn solve_fault_tree_analytic(
     let compile = CompileOptions::new()
         .with_ordering(effective_ordering(spec, opts))
         .with_ite_cache_capacity(opts.ite_cache_capacity)
-        .with_gc_node_threshold(opts.gc_node_threshold)
-        .with_bdd_jobs(opts.bdd_jobs);
+        .with_gc_node_threshold(opts.gc_node_threshold);
     let mut ft = b.build_with(top, &compile)?;
     let q = ft.top_event_probability(&probs)?;
     let cuts = ft.minimal_cut_sets(spec.max_cut_sets.unwrap_or(DEFAULT_MAX_CUT_SETS))?;
@@ -1240,20 +1239,15 @@ fn solve_spn(spec: &SpnSpec, opts: &SolveOptions) -> Result<(SolvedMeasures, Sol
     }
     let spn = b.build()?;
 
-    let mut ropts = ReachabilityOptions::default();
+    // Generation runs on the solve's thread budget; the CTMC it builds
+    // is bitwise identical at any worker count.
+    let mut ropts = ReachabilityOptions {
+        jobs: opts.threads,
+        ..ReachabilityOptions::default()
+    };
     if let Some(cap) = spec.max_markings {
         ropts.max_markings = cap;
     }
-    if let Some(bits) = spec.shard_bits {
-        ropts.shard_bits = bits;
-    }
-    // A non-default option overrides the spec's knob; worker count never
-    // changes results (generation is bitwise deterministic).
-    ropts.jobs = if opts.reach_jobs != 1 {
-        opts.reach_jobs
-    } else {
-        spec.reach_jobs.unwrap_or(ropts.jobs)
-    };
 
     // Tier selection: an explicit request (the option overrides the
     // spec's hint) or budget-driven escalation when the declared
@@ -1276,7 +1270,7 @@ fn solve_spn(spec: &SpnSpec, opts: &SolveOptions) -> Result<(SolvedMeasures, Sol
     stats.spn_arcs = Some(reach.arcs);
     stats.spn_vanishing_eliminated = Some(reach.vanishing_eliminated);
     stats.spn_shard_max_occupancy = Some(reach.max_shard_occupancy);
-    stats.spn_reach_workers = Some(reach.workers);
+    stats.workers = reach.workers;
 
     let want_tokens = spec.expected_tokens.as_deref().unwrap_or(&[]);
     let want_throughput = spec.throughput.as_deref().unwrap_or(&[]);
@@ -1373,7 +1367,6 @@ fn solve_spn_stream(
     stats.spn_markings = Some(sstats.markings);
     stats.spn_arcs = Some(sstats.arcs);
     stats.spn_vanishing_eliminated = Some(sstats.vanishing_eliminated);
-    stats.spn_reach_workers = Some(1);
 
     let place = |name: &str| -> Result<reliab_spn::PlaceId> {
         place_ids
@@ -1995,7 +1988,7 @@ mod tests {
         }"#;
         let out = run(text).unwrap();
         assert_eq!(out.stats.spn_markings, Some(4));
-        assert_eq!(out.stats.spn_reach_workers, Some(1));
+        assert_eq!(out.stats.workers, 1);
         assert!(out.stats.spn_arcs.unwrap() > 0);
         assert!(out.stats.method.is_some());
         match &out.measures {
@@ -2015,9 +2008,9 @@ mod tests {
             }
             _ => panic!("expected SPN result"),
         }
-        // Worker count never changes the measures.
-        let par = solve_str_with(text, &SolveOptions::default().with_reach_jobs(4)).unwrap();
-        assert_eq!(par.stats.spn_reach_workers, Some(4));
+        // The thread budget never changes the measures.
+        let par = solve_str_with(text, &SolveOptions::default().with_threads(4)).unwrap();
+        assert_eq!(par.stats.workers, 4);
         assert_eq!(par.measures, out.measures);
         // Serialization carries the spn block.
         let rendered = out.to_json().to_json();
@@ -2202,7 +2195,7 @@ mod tests {
         let out = run(SIM_RBD).unwrap();
         assert_eq!(out.stats.sim_replications, Some(128));
         assert!(out.stats.sim_events.unwrap() > 0);
-        assert_eq!(out.stats.sim_workers, Some(1));
+        assert_eq!(out.stats.workers, 1);
         match &out.measures {
             SolvedMeasures::Sim {
                 measure,
@@ -2239,11 +2232,11 @@ mod tests {
     #[test]
     fn sim_results_are_identical_at_any_worker_count() {
         let base = run(SIM_RBD).unwrap();
-        for jobs in [2, 4, 8] {
+        for threads in [2, 4, 8] {
             let par =
-                solve_str_with(SIM_RBD, &SolveOptions::default().with_sim_jobs(jobs)).unwrap();
-            assert_eq!(par.measures, base.measures, "sim_jobs {jobs}");
-            assert_eq!(par.stats.sim_workers, Some(jobs));
+                solve_str_with(SIM_RBD, &SolveOptions::default().with_threads(threads)).unwrap();
+            assert_eq!(par.measures, base.measures, "threads {threads}");
+            assert_eq!(par.stats.workers, threads);
         }
     }
 

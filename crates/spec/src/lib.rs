@@ -87,8 +87,6 @@
 //!        "inhibitors": [{"place": "queue", "count": 8}]},
 //!       {"name": "route", "weight": 0.7, "priority": 1}, ... ],
 //!     "max_markings": 1000000,          // optional, exploration cap
-//!     "reach_jobs": 4,                  // optional, generation workers
-//!     "shard_bits": 6,                  // optional, intern-table shards
 //!     "expected_tokens": ["queue"],     // optional, steady-state measure
 //!     "throughput": ["arrive"] } }      // optional, steady-state measure
 //!
@@ -101,8 +99,7 @@
 //!          {"from": "net", "path": "ctmc.transitions.0.rate"} ]}, ... ],
 //!     "output": "disk",                 // optional, default last submodel
 //!     "tolerance": 1e-10,               // optional fixed-point knobs
-//!     "max_iterations": 10000, "damping": 1.0,
-//!     "jobs": 1 } }                     // optional sweep workers (0 = CPUs)
+//!     "max_iterations": 10000, "damping": 1.0 } }
 //!
 //! { "semi_markov": {
 //!     "states": [ {"name": "up", "sojourn": {"weibull":
@@ -123,8 +120,7 @@
 //!       }, ... ],
 //!     "measure": "availability",        // optional, default primary
 //!     "samples": 1000, "level": 0.95,   // optional Monte-Carlo knobs
-//!     "seed": 24301, "jobs": 0,
-//!     "latin_hypercube": false } }
+//!     "seed": 24301, "latin_hypercube": false } }
 //!
 //! { "bounds": {
 //!     "events": [ {"name": "...", "probability": 0.01}, ... ],
@@ -134,6 +130,11 @@
 //!     "fault_tree": { ...fault_tree body... },
 //!     "truncation_order": 2 } }         // optional
 //! ```
+//!
+//! Worker threads are not part of a model: `SolveOptions::threads` sets
+//! one budget for the whole solve. The `jobs` keys of the `sim`,
+//! `hierarchy` and `uncertainty` blocks and the SPN `reach_jobs` and
+//! `shard_bits` keys of older documents are type-checked and ignored.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]

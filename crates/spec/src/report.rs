@@ -44,11 +44,15 @@ pub struct SolveOptions {
     /// Live-node count above which the BDD kernel considers garbage
     /// collection. `0` keeps the kernel default.
     pub gc_node_threshold: usize,
-    /// Worker threads for SPN state-space generation: `1` is the
-    /// sequential reference, `0` means one worker per available CPU.
-    /// The generated CTMC is bitwise identical at any setting. A
-    /// non-default value overrides the spec's `reach_jobs` knob.
-    pub reach_jobs: usize,
+    /// The solve's thread budget: `1` (the default) solves on the
+    /// calling thread, `0` means one thread per available CPU. The
+    /// outermost layer with items to spread (uncertainty samples,
+    /// hierarchy submodels) runs `min(threads, items)` workers and
+    /// hands each item the whole budget when that is one worker, else
+    /// a budget of one; SPN reachability and simulation replications
+    /// run the budget they are handed (see [`reliab_core::Split`]).
+    /// Every measure is bitwise identical at any setting.
+    pub threads: usize,
     /// Forces discrete-event simulation for component models (RBD and
     /// fault trees) that carry a `sim` block, even when an analytic
     /// solve would also be possible. Has no effect on models without a
@@ -64,11 +68,6 @@ pub struct SolveOptions {
     /// Master seed for simulation, overriding the spec's `seed` when
     /// set. Results are a pure function of the seed and the model.
     pub sim_seed: Option<u64>,
-    /// Worker threads for simulation replications: `1` is sequential,
-    /// `0` means one worker per available CPU. Estimates are bitwise
-    /// identical at any setting. A non-default value overrides the
-    /// spec's `jobs` knob.
-    pub sim_jobs: usize,
     /// Monte-Carlo samples for uncertainty models, overriding the
     /// spec's `samples` when set.
     pub uncert_samples: Option<usize>,
@@ -78,17 +77,6 @@ pub struct SolveOptions {
     /// Cut-set truncation order for bounds models, overriding the
     /// spec's `truncation_order` when set.
     pub truncation_order: Option<usize>,
-    /// Worker threads for the hierarchy per-sweep submodel solve: `1`
-    /// is sequential, `0` means one worker per available CPU. Results
-    /// are bitwise identical at any setting. A non-default value
-    /// overrides the spec's `jobs` knob.
-    pub hier_jobs: usize,
-    /// Worker threads for the BDD kernel's partitioned parallel apply
-    /// (fault-tree, RBD and bounds models): `1` is sequential, `0`
-    /// means one worker per available CPU. The compiled BDD is
-    /// canonical, so probabilities are bitwise identical at any
-    /// setting.
-    pub bdd_jobs: usize,
     /// Forces the streaming large-model tier for SPN models: generator
     /// rows are regenerated from the marking arena on demand instead of
     /// being materialized in CSR. Results match the materialized path
@@ -113,17 +101,14 @@ impl Default for SolveOptions {
             var_order: VarOrder::Auto,
             ite_cache_capacity: 0,
             gc_node_threshold: 0,
-            reach_jobs: 1,
+            threads: 1,
             simulate: false,
             sim_replications: None,
             sim_rel_precision: None,
             sim_seed: None,
-            sim_jobs: 1,
             uncert_samples: None,
             fixed_point_tol: None,
             truncation_order: None,
-            hier_jobs: 1,
-            bdd_jobs: 1,
             stream: false,
             mem_budget: None,
         }
@@ -173,10 +158,10 @@ impl SolveOptions {
         self
     }
 
-    /// Sets the SPN reachability worker count (`0` = all CPUs).
+    /// Sets the thread budget (`0` = one per CPU).
     #[must_use]
-    pub fn with_reach_jobs(mut self, jobs: usize) -> Self {
-        self.reach_jobs = jobs;
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        self.threads = threads;
         self
     }
 
@@ -208,13 +193,6 @@ impl SolveOptions {
         self
     }
 
-    /// Sets the simulation worker count (`0` = all CPUs).
-    #[must_use]
-    pub fn with_sim_jobs(mut self, jobs: usize) -> Self {
-        self.sim_jobs = jobs;
-        self
-    }
-
     /// Sets the uncertainty Monte-Carlo sample count, overriding the
     /// spec.
     #[must_use]
@@ -234,21 +212,6 @@ impl SolveOptions {
     #[must_use]
     pub fn with_truncation_order(mut self, order: usize) -> Self {
         self.truncation_order = Some(order);
-        self
-    }
-
-    /// Sets the hierarchy sweep worker count (`0` = all CPUs).
-    #[must_use]
-    pub fn with_hier_jobs(mut self, jobs: usize) -> Self {
-        self.hier_jobs = jobs;
-        self
-    }
-
-    /// Sets the BDD apply worker count (`1` = sequential, `0` = all
-    /// CPUs).
-    #[must_use]
-    pub fn with_bdd_jobs(mut self, jobs: usize) -> Self {
-        self.bdd_jobs = jobs;
         self
     }
 
@@ -341,6 +304,11 @@ pub enum SteadySolver {
 pub struct SolveStats {
     /// Wall-clock time of the whole solve (parse excluded).
     pub wall_time: Duration,
+    /// Worker threads the solve ran at once: the widest of its
+    /// parallel layers (uncertainty samples, hierarchy sweep, SPN
+    /// reachability, simulation replications), 1 when none ran in
+    /// parallel. Never more than [`SolveOptions::threads`].
+    pub workers: usize,
     /// Solver work performed: sweeps plus matrix–vector products for
     /// Markov models, ITE operations for BDD-based combinatorial
     /// models.
@@ -374,10 +342,6 @@ pub struct SolveStats {
     /// Live nodes relocated by compacting garbage collection (every GC
     /// pass compacts; `bdd_gc_runs` is the compaction count).
     pub bdd_gc_moved: Option<u64>,
-    /// ITE calls dispatched to the work-partitioned parallel apply.
-    pub bdd_par_apply_calls: Option<u64>,
-    /// Worker threads the BDD apply was configured with.
-    pub bdd_workers: Option<usize>,
     /// Tangible markings in the generated state space, for SPN models.
     pub spn_markings: Option<usize>,
     /// CTMC transitions in the generated state space, for SPN models.
@@ -387,9 +351,6 @@ pub struct SolveStats {
     pub spn_vanishing_eliminated: Option<u64>,
     /// Largest intern-table shard occupancy, for SPN models.
     pub spn_shard_max_occupancy: Option<usize>,
-    /// Worker threads the reachability generation actually used, for
-    /// SPN models.
-    pub spn_reach_workers: Option<usize>,
     /// Replications the simulation actually ran, for simulated models.
     pub sim_replications: Option<usize>,
     /// Total simulated events across all replications, for simulated
@@ -400,9 +361,6 @@ pub struct SolveStats {
     pub sim_rounds: Option<usize>,
     /// Final relative CI half-width, for simulated models.
     pub sim_rel_half_width: Option<f64>,
-    /// Worker threads the simulation actually used, for simulated
-    /// models.
-    pub sim_workers: Option<usize>,
     /// Whether the stopping rule converged before the replication cap,
     /// for simulated models.
     pub sim_converged: Option<bool>,
@@ -410,17 +368,11 @@ pub struct SolveStats {
     pub hier_iterations: Option<usize>,
     /// Final fixed-point residual, for hierarchy models.
     pub hier_residual: Option<f64>,
-    /// Worker threads the fixed-point sweep actually used, for
-    /// hierarchy models.
-    pub hier_workers: Option<usize>,
     /// Phases in the CTMC expansion used for interval availability,
     /// for semi-Markov models.
     pub smp_expanded_states: Option<usize>,
     /// Monte-Carlo samples actually drawn, for uncertainty models.
     pub uncert_samples: Option<usize>,
-    /// Worker threads the Monte-Carlo sweep actually used, for
-    /// uncertainty models.
-    pub uncert_workers: Option<usize>,
     /// Cut sets used, for bounds models.
     pub bounds_cut_sets: Option<usize>,
     /// Truncation order the bounds were computed at, for bounds
@@ -453,6 +405,7 @@ impl SolveStats {
                 "wall_time_ms",
                 JsonValue::Number(self.wall_time.as_secs_f64() * 1e3),
             ),
+            ("workers", JsonValue::Number(self.workers as f64)),
             ("iterations", JsonValue::Number(self.iterations as f64)),
             ("residual", opt_num(self.residual)),
             (
@@ -487,11 +440,6 @@ impl SolveStats {
             ),
             ("bdd_ite_hit_rate", opt_num(self.bdd_ite_hit_rate)),
             ("bdd_gc_moved", opt_num(self.bdd_gc_moved.map(|n| n as f64))),
-            (
-                "bdd_par_apply_calls",
-                opt_num(self.bdd_par_apply_calls.map(|n| n as f64)),
-            ),
-            ("bdd_workers", opt_num(self.bdd_workers.map(|n| n as f64))),
             ("spn_markings", opt_num(self.spn_markings.map(|n| n as f64))),
             ("spn_arcs", opt_num(self.spn_arcs.map(|n| n as f64))),
             (
@@ -503,17 +451,12 @@ impl SolveStats {
                 opt_num(self.spn_shard_max_occupancy.map(|n| n as f64)),
             ),
             (
-                "spn_reach_workers",
-                opt_num(self.spn_reach_workers.map(|n| n as f64)),
-            ),
-            (
                 "sim_replications",
                 opt_num(self.sim_replications.map(|n| n as f64)),
             ),
             ("sim_events", opt_num(self.sim_events.map(|n| n as f64))),
             ("sim_rounds", opt_num(self.sim_rounds.map(|n| n as f64))),
             ("sim_rel_half_width", opt_num(self.sim_rel_half_width)),
-            ("sim_workers", opt_num(self.sim_workers.map(|n| n as f64))),
             (
                 "sim_converged",
                 self.sim_converged.map_or(JsonValue::Null, JsonValue::Bool),
@@ -523,7 +466,6 @@ impl SolveStats {
                 opt_num(self.hier_iterations.map(|n| n as f64)),
             ),
             ("hier_residual", opt_num(self.hier_residual)),
-            ("hier_workers", opt_num(self.hier_workers.map(|n| n as f64))),
             (
                 "smp_expanded_states",
                 opt_num(self.smp_expanded_states.map(|n| n as f64)),
@@ -531,10 +473,6 @@ impl SolveStats {
             (
                 "uncert_samples",
                 opt_num(self.uncert_samples.map(|n| n as f64)),
-            ),
-            (
-                "uncert_workers",
-                opt_num(self.uncert_workers.map(|n| n as f64)),
             ),
             (
                 "bounds_cut_sets",
@@ -597,6 +535,8 @@ mod tests {
         assert_eq!(opts.tolerance, 1e-12);
         assert_eq!(opts.max_iterations, 20_000);
         assert_eq!(opts.steady_solver, SteadySolver::Auto);
+        assert_eq!(opts.threads, 1);
+        assert_eq!(SolveOptions::default().with_threads(0).threads, 0);
     }
 
     #[test]
@@ -643,19 +583,16 @@ mod tests {
         assert_eq!(opts.sim_replications, None);
         assert_eq!(opts.sim_rel_precision, None);
         assert_eq!(opts.sim_seed, None);
-        assert_eq!(opts.sim_jobs, 1);
 
         let opts = SolveOptions::default()
             .with_simulate(true)
             .with_sim_replications(512)
             .with_sim_rel_precision(0.01)
-            .with_sim_seed(42)
-            .with_sim_jobs(4);
+            .with_sim_seed(42);
         assert!(opts.simulate);
         assert_eq!(opts.sim_replications, Some(512));
         assert_eq!(opts.sim_rel_precision, Some(0.01));
         assert_eq!(opts.sim_seed, Some(42));
-        assert_eq!(opts.sim_jobs, 4);
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! model once per Monte-Carlo sample, and the bounds class reuses the
 //! fault-tree solver for exact probabilities and reads the path sets
 //! off the same BDD's dual. Both parallel sweeps (hierarchy submodels,
-//! uncertainty samples) are bitwise deterministic at any worker count:
+//! uncertainty samples) split the solve's thread budget by
+//! [`Split`], and both are bitwise deterministic at any worker count:
 //! hierarchy workers write disjoint result slots, and uncertainty
 //! sampling is a pure function of `(seed, sample index)` via
 //! counter-based RNG streams.
@@ -23,7 +24,7 @@ use crate::schema::{
     UncertaintySpec,
 };
 use crate::slot::{write_all, Slot};
-use reliab_core::{downtime_minutes_per_year, Error, Result};
+use reliab_core::{downtime_minutes_per_year, Error, Result, Split};
 use reliab_dist::Lifetime;
 use reliab_hier::{fixed_point_observed, FixedPointOptions};
 use reliab_obs as obs;
@@ -45,17 +46,6 @@ fn extract_measure(m: &SolvedMeasures, which: ScenarioMeasure, ctx: &str) -> Res
             which.as_str()
         ))
     })
-}
-
-fn resolve_workers(jobs: usize, work_items: usize) -> usize {
-    let j = if jobs == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        jobs
-    };
-    j.min(work_items).max(1)
 }
 
 // ---------------------------------------------------------------------
@@ -106,6 +96,8 @@ struct Dynamic<'a> {
     sources: Vec<usize>,
     values: Vec<f64>,
     working: Working,
+    /// Most worker threads any of its solves ran.
+    peak_workers: usize,
 }
 
 impl Dynamic<'_> {
@@ -120,6 +112,7 @@ impl Dynamic<'_> {
             .solve(&self.slots, &self.values, opts, parent, |e| {
                 Error::model(format!("{ctx} became invalid after imports: {e}"))
             })?;
+        self.peak_workers = self.peak_workers.max(report.stats.workers);
         extract_measure(&report.measures, self.measure, ctx)
     }
 }
@@ -144,23 +137,23 @@ pub(crate) fn solve_hierarchy(
         .with_tolerance(opts.fixed_point_tol.or(spec.tolerance).unwrap_or(1e-10))
         .with_max_iterations(spec.max_iterations.unwrap_or(10_000))
         .with_damping(spec.damping.unwrap_or(1.0));
-    let jobs = if opts.hier_jobs != 1 {
-        opts.hier_jobs
-    } else {
-        spec.jobs.unwrap_or(1)
-    };
     // Import-free submodels export a constant: solve them once up
-    // front instead of once per sweep.
+    // front, one at a time and each with the whole thread budget,
+    // instead of once per sweep.
     let dynamic: Vec<usize> = (0..n)
         .filter(|&i| !spec.submodels[i].imports.is_empty())
         .collect();
-    let workers = resolve_workers(jobs, dynamic.len().max(1));
+    let split = Split::new(opts.threads, dynamic.len());
+    let workers = split.workers;
+    let sweep_opts = opts.clone().with_threads(split.per_item);
 
+    let mut peak_workers = workers;
     let mut fixed: Vec<Option<f64>> = vec![None; n];
     for (slot, sub) in fixed.iter_mut().zip(&spec.submodels) {
         if sub.imports.is_empty() {
             let ctx = format!("hierarchy submodel '{}'", sub.name);
             let report = solve_with(&sub.model, opts)?;
+            peak_workers = peak_workers.max(report.stats.workers);
             *slot = Some(extract_measure(&report.measures, sub.measure, &ctx)?);
         }
     }
@@ -178,10 +171,12 @@ pub(crate) fn solve_hierarchy(
             sources: sub.imports.iter().map(|imp| index_of(&imp.from)).collect(),
             values: vec![0.0; sub.imports.len()],
             working: Working::new(&sub.model),
+            peak_workers: 1,
         });
     }
 
     let parent = span.id();
+    let opts = &sweep_opts;
     let sweep = |x: &[f64]| -> Result<Vec<f64>> {
         let mut out: Vec<f64> = (0..n).map(|i| fixed[i].unwrap_or(0.0)).collect();
         if let [mine] = parts.as_mut_slice() {
@@ -277,10 +272,13 @@ pub(crate) fn solve_hierarchy(
         residual,
     };
     let stats = SolveStats {
+        workers: parts
+            .iter()
+            .flatten()
+            .fold(peak_workers, |w, sub| w.max(sub.peak_workers)),
         iterations: fp.iterations,
         hier_iterations: Some(fp.iterations),
         hier_residual: Some(residual),
-        hier_workers: Some(workers),
         ..SolveStats::default()
     };
     Ok((measures, stats))
@@ -394,6 +392,11 @@ pub(crate) fn solve_uncertainty(
     }
     let slots: Vec<&Slot> = spec.parameters.iter().map(|p| &p.slot).collect();
     let measure = spec.measure;
+    // At least two samples are drawn, so a budget above one always
+    // runs several sampler workers, each sample solved on one thread.
+    let samples = opts.uncert_samples.or(spec.samples).unwrap_or(1000);
+    let split = Split::new(opts.threads, samples);
+    let inner = opts.clone().with_threads(split.per_item);
 
     // The closure runs on the sampler's worker threads, each with its
     // own working copy of the inner model; re-apply the ambient trace id
@@ -402,7 +405,7 @@ pub(crate) fn solve_uncertainty(
     let parent = span.id();
     let model = |working: &mut Working, values: &[f64]| -> Result<f64> {
         let _trace = obs::set_trace_id(trace);
-        let report = working.solve(&slots, values, opts, Some(parent), |e| {
+        let report = working.solve(&slots, values, &inner, Some(parent), |e| {
             Error::model(format!(
                 "uncertainty inner model became invalid after sampling: {e}"
             ))
@@ -411,10 +414,10 @@ pub(crate) fn solve_uncertainty(
     };
 
     let prop_opts = PropagationOptions {
-        samples: opts.uncert_samples.or(spec.samples).unwrap_or(1000),
+        samples,
         level: spec.level.unwrap_or(0.95),
         seed: spec.seed.unwrap_or(0x5EED),
-        threads: spec.jobs.unwrap_or(0),
+        threads: split.workers,
         sampling: if spec.latin_hypercube {
             SamplingScheme::LatinHypercube
         } else {
@@ -434,9 +437,9 @@ pub(crate) fn solve_uncertainty(
         samples,
     };
     let stats = SolveStats {
+        workers: split.workers,
         iterations: samples,
         uncert_samples: Some(samples),
-        uncert_workers: Some(resolve_workers(prop_opts.threads, samples)),
         ..SolveStats::default()
     };
     Ok((measures, stats))
@@ -724,34 +727,40 @@ mod tests {
 
     #[test]
     fn hierarchy_is_bitwise_identical_across_worker_counts() {
-        let spec = r#"{"hierarchy": {"submodels": [
-             {"name": "a",
-              "model": {"rbd": {"components": [{"name": "x", "availability": 0.95}],
-                                "structure": "x"}},
-              "measure": "availability"},
-             {"name": "b",
-              "model": {"rbd": {"components": [{"name": "y", "availability": 0.5}],
-                                "structure": "y"}},
-              "measure": "availability",
-              "imports": [{"from": "a", "path": "rbd.components.0.availability"}]},
-             {"name": "c",
-              "model": {"rbd": {"components": [{"name": "z", "availability": 0.5}],
-                                "structure": "z"}},
-              "measure": "availability",
-              "imports": [{"from": "a", "path": "rbd.components.0.availability"}]}
-           ]}}"#;
-        let base = solve_str_with(spec, &SolveOptions::default().with_hier_jobs(1))
-            .unwrap()
-            .measures
-            .to_json()
-            .to_json();
-        for jobs in [2, 4, 8] {
-            let other = solve_str_with(spec, &SolveOptions::default().with_hier_jobs(jobs))
-                .unwrap()
-                .measures
-                .to_json()
-                .to_json();
-            assert_eq!(base, other, "jobs = {jobs}");
+        // One import-free submodel feeding eight importing ones, so the
+        // sweep can spread over up to eight workers.
+        let importers: Vec<String> = (0..8)
+            .map(|i| {
+                format!(
+                    r#"{{"name": "b{i}",
+                      "model": {{"rbd": {{"components": [{{"name": "y", "availability": 0.5}},
+                                                        {{"name": "z", "availability": 0.{i}9}}],
+                                        "structure": {{"parallel": ["y", "z"]}}}}}},
+                      "measure": "availability",
+                      "imports": [{{"from": "a", "path": "rbd.components.0.availability"}}]}}"#
+                )
+            })
+            .collect();
+        let spec = format!(
+            r#"{{"hierarchy": {{"submodels": [
+                 {{"name": "a",
+                   "model": {{"rbd": {{"components": [{{"name": "x", "availability": 0.95}}],
+                                     "structure": "x"}}}},
+                   "measure": "availability"}},
+                 {}]}}}}"#,
+            importers.join(",")
+        );
+        let solve = |threads: usize| {
+            let report = solve_str_with(&spec, &SolveOptions::default().with_threads(threads))
+                .expect("hierarchy solves");
+            (report.measures.to_json().to_json(), report.stats.workers)
+        };
+        let (base, workers) = solve(1);
+        assert_eq!(workers, 1);
+        for threads in [2, 4, 8] {
+            let (other, workers) = solve(threads);
+            assert_eq!(base, other, "threads = {threads}");
+            assert_eq!(workers, threads, "threads = {threads}");
         }
     }
 

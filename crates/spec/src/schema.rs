@@ -38,9 +38,9 @@ pub enum ModelSpec {
 /// Stochastic-Petri-net specification.
 ///
 /// Timed transitions carry a `rate`; immediate transitions a `weight`
-/// (and optional `priority`). The reachability knobs mirror
-/// `reliab-spn`'s `ReachabilityOptions` and may be overridden from
-/// `SolveOptions` / the CLI.
+/// (and optional `priority`). The `reach_jobs` and `shard_bits` keys
+/// of older documents are type-checked and ignored: the solve's thread
+/// budget (`SolveOptions::threads`) sets the generator's workers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpnSpec {
     /// Place declarations.
@@ -49,12 +49,6 @@ pub struct SpnSpec {
     pub transitions: Vec<SpnTransitionSpec>,
     /// Cap on tangible markings (default 1 000 000).
     pub max_markings: Option<usize>,
-    /// Worker threads for state-space generation (`0` = one per CPU;
-    /// default 1, the sequential reference). Overridden by a
-    /// non-default `SolveOptions::reach_jobs`.
-    pub reach_jobs: Option<usize>,
-    /// log2 intern-table shards for the parallel generator.
-    pub shard_bits: Option<u32>,
     /// Places to report steady-state expected token counts for
     /// (default: every place).
     pub expected_tokens: Option<Vec<String>>,
@@ -324,8 +318,6 @@ pub struct SimSpec {
     pub time_cap: Option<f64>,
     /// Master RNG seed.
     pub seed: Option<u64>,
-    /// Worker threads (0 = one per CPU). Never affects results.
-    pub jobs: Option<usize>,
     /// Hard replication budget.
     pub max_replications: Option<usize>,
     /// Replications to run before adaptive stopping may trigger.
@@ -532,10 +524,6 @@ pub struct HierarchySpec {
     pub max_iterations: Option<usize>,
     /// Damping factor in `(0, 1]` (default 1.0, undamped).
     pub damping: Option<f64>,
-    /// Worker threads for the per-sweep submodel solve (`0` = one per
-    /// CPU; default 1). Results are bitwise identical at any setting.
-    /// Overridden by a non-default `SolveOptions::hier_jobs`.
-    pub jobs: Option<usize>,
 }
 
 /// One hierarchy submodel: a complete inner model document plus the
@@ -635,9 +623,6 @@ pub struct UncertaintySpec {
     /// RNG seed (default `0x5EED`). Sampling is a pure function of
     /// `(seed, sample index)` — bitwise identical at any worker count.
     pub seed: Option<u64>,
-    /// Worker threads (`0` = one per CPU; default 0). Never affects
-    /// results.
-    pub jobs: Option<usize>,
     /// Use Latin-hypercube instead of independent random sampling.
     pub latin_hypercube: bool,
 }
@@ -1277,13 +1262,14 @@ impl SimSpec {
                 Some(x) => Ok(Some(sim_int(x, key)?)),
             }
         };
+        // `jobs` is accepted and ignored: the thread budget governs.
+        opt_usize("jobs")?;
         let spec = SimSpec {
             measure,
             horizon: opt_f64("horizon")?,
             mission_time: opt_f64("mission_time")?,
             time_cap: opt_f64("time_cap")?,
             seed: opt_usize("seed")?.map(|s| s as u64),
-            jobs: opt_usize("jobs")?,
             max_replications: opt_usize("max_replications")?,
             min_replications: opt_usize("min_replications")?,
             rel_precision: opt_f64("rel_precision")?,
@@ -1316,7 +1302,6 @@ impl SimSpec {
         num("mission_time", self.mission_time);
         num("time_cap", self.time_cap);
         num("seed", self.seed.map(|s| s as f64));
-        num("jobs", self.jobs.map(|j| j as f64));
         num("max_replications", self.max_replications.map(|m| m as f64));
         num("min_replications", self.min_replications.map(|m| m as f64));
         num("rel_precision", self.rel_precision);
@@ -1796,10 +1781,11 @@ impl SpnSpec {
                 Some(m) => Ok(Some(spn_int(m, key)?)),
             }
         };
-        let shard_bits = match v.get("shard_bits") {
-            None | Some(JsonValue::Null) => None,
-            Some(b) => Some(shard_bits_value(b)?),
-        };
+        // Thread keys of older documents: checked, then ignored.
+        opt_usize("reach_jobs")?;
+        if let Some(b) = v.get("shard_bits").filter(|b| **b != JsonValue::Null) {
+            shard_bits_value(b)?;
+        }
         let optional_names = |key: &str| -> Result<Option<Vec<String>>> {
             match v.get(key) {
                 None | Some(JsonValue::Null) => Ok(None),
@@ -1823,8 +1809,6 @@ impl SpnSpec {
             places,
             transitions,
             max_markings: opt_usize("max_markings")?,
-            reach_jobs: opt_usize("reach_jobs")?,
-            shard_bits,
             expected_tokens: optional_names("expected_tokens")?,
             throughput: optional_names("throughput")?,
             solver,
@@ -1849,12 +1833,6 @@ impl SpnSpec {
         ];
         if let Some(m) = self.max_markings {
             entries.push(("max_markings", JsonValue::Number(m as f64)));
-        }
-        if let Some(j) = self.reach_jobs {
-            entries.push(("reach_jobs", JsonValue::Number(j as f64)));
-        }
-        if let Some(b) = self.shard_bits {
-            entries.push(("shard_bits", JsonValue::Number(f64::from(b))));
         }
         if let Some(p) = &self.expected_tokens {
             entries.push(("expected_tokens", json::string_array(p)));
@@ -2138,17 +2116,16 @@ impl HierarchySpec {
             None | Some(JsonValue::Null) => None,
             Some(x) => Some(max_iterations_value(x)?),
         };
-        let jobs = match v.get("jobs") {
-            None | Some(JsonValue::Null) => None,
-            Some(x) => Some(hierarchy_int(x, "jobs")?),
-        };
+        // `jobs` is accepted and ignored: the thread budget governs.
+        if let Some(x) = v.get("jobs").filter(|x| **x != JsonValue::Null) {
+            hierarchy_int(x, "jobs")?;
+        }
         Ok(HierarchySpec {
             submodels,
             output,
             tolerance,
             max_iterations,
             damping,
-            jobs,
         })
     }
 
@@ -2168,9 +2145,6 @@ impl HierarchySpec {
         }
         if let Some(d) = self.damping {
             entries.push(("damping", d.into()));
-        }
-        if let Some(j) = self.jobs {
-            entries.push(("jobs", (j as f64).into()));
         }
         json::object(entries)
     }
@@ -2483,6 +2457,8 @@ impl UncertaintySpec {
                 })?)?)
             }
         };
+        // `jobs` is accepted and ignored: the thread budget governs.
+        opt_usize("jobs")?;
         let latin_hypercube = match v.get("latin_hypercube") {
             None | Some(JsonValue::Null) => false,
             Some(b) => b
@@ -2496,7 +2472,6 @@ impl UncertaintySpec {
             samples,
             level,
             seed: opt_usize("seed")?.map(|s| s as u64),
-            jobs: opt_usize("jobs")?,
             latin_hypercube,
         })
     }
@@ -2525,9 +2500,6 @@ impl UncertaintySpec {
         }
         if let Some(s) = self.seed {
             entries.push(("seed", (s as f64).into()));
-        }
-        if let Some(j) = self.jobs {
-            entries.push(("jobs", (j as f64).into()));
         }
         if self.latin_hypercube {
             entries.push(("latin_hypercube", true.into()));
@@ -2963,12 +2935,14 @@ mod tests {
                     SpnTimingSpec::Immediate { priority: 1, .. }
                 ));
                 assert_eq!(s.max_markings, Some(5000));
-                assert_eq!(s.reach_jobs, Some(4));
-                assert_eq!(s.shard_bits, Some(3));
             }
             _ => panic!("expected SPN spec"),
         }
-        let again = ModelSpec::from_json_str(&spec.to_json().to_json()).unwrap();
+        // The thread keys are accepted but not kept: the canonical form
+        // (the memo key) drops them.
+        let canonical = spec.to_json().to_json();
+        assert!(!canonical.contains("reach_jobs") && !canonical.contains("shard_bits"));
+        let again = ModelSpec::from_json_str(&canonical).unwrap();
         assert_eq!(spec, again);
     }
 
@@ -2997,12 +2971,18 @@ mod tests {
             r#"{"name": "t", "rate": 1.0, "inputs": [{"place": "p", "weight": 2}]}"#
         ))
         .is_err());
-        // Oversized shard_bits.
-        assert!(ModelSpec::from_json_str(
-            r#"{"spn": {"places": [{"name": "p", "tokens": 1}],
-                 "transitions": [{"name": "t", "rate": 1.0}], "shard_bits": 40}}"#
-        )
-        .is_err());
+        // Ignored thread keys still get their type checks.
+        for bad in [
+            r#""shard_bits": 40"#,
+            r#""reach_jobs": -1"#,
+            r#""reach_jobs": "4""#,
+        ] {
+            let doc = format!(
+                r#"{{"spn": {{"places": [{{"name": "p", "tokens": 1}}],
+                     "transitions": [{{"name": "t", "rate": 1.0}}], {bad}}}}}"#
+            );
+            assert!(ModelSpec::from_json_str(&doc).is_err(), "{bad}");
+        }
     }
 
     #[test]

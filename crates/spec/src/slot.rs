@@ -13,12 +13,12 @@
 
 use crate::json::JsonValue;
 use crate::schema::{
-    damping_value, event_probability_value, failures_value, hierarchy_int, interval_time_value,
+    damping_value, event_probability_value, failures_value, interval_time_value,
     jump_probability_value, k_value, level_value, max_cut_sets_value, max_iterations_value,
-    prior_path, samples_value, shard_bits_value, sim_int, spn_int, tolerance_value,
-    total_time_value, truncation_order_value, u32_value, uncertainty_int, BoundsSpec, DistSpec,
-    FaultTreeSpec, GateSpec, ModelSpec, PriorSpec, RbdSpec, SimSpec, SpnSpec, SpnTimingSpec,
-    SpnTransitionSpec, StructureSpec,
+    prior_path, samples_value, sim_int, spn_int, tolerance_value, total_time_value,
+    truncation_order_value, u32_value, uncertainty_int, BoundsSpec, DistSpec, FaultTreeSpec,
+    GateSpec, ModelSpec, PriorSpec, RbdSpec, SimSpec, SpnSpec, SpnTimingSpec, SpnTransitionSpec,
+    StructureSpec,
 };
 use reliab_core::{Error, Result};
 
@@ -79,9 +79,7 @@ pub(crate) enum CtmcSlot {
 pub(crate) enum SpnSlot {
     Tokens(usize),
     Transition(usize, SpnField),
-    ShardBits,
     MaxMarkings,
-    ReachJobs,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -99,7 +97,6 @@ pub(crate) enum HierarchySlot {
     Tolerance,
     Damping,
     MaxIterations,
-    Jobs,
 }
 
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -124,7 +121,6 @@ pub(crate) enum UncertaintySlot {
     Samples,
     Level,
     Seed,
-    Jobs,
 }
 
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -135,12 +131,11 @@ pub(crate) enum BoundsSlot {
 }
 
 /// Numeric `sim` fields, in the order `SimSpec::from_json` reads them.
-const SIM_FIELDS: [&str; 11] = [
+const SIM_FIELDS: [&str; 10] = [
     "horizon",
     "mission_time",
     "time_cap",
     "seed",
-    "jobs",
     "max_replications",
     "min_replications",
     "rel_precision",
@@ -211,7 +206,6 @@ impl Slot {
                     HierarchySlot::MaxIterations => {
                         h.max_iterations = Some(max_iterations_value(&x)?);
                     }
-                    HierarchySlot::Jobs => h.jobs = Some(hierarchy_int(&x, "jobs")?),
                 }
                 Ok(())
             }
@@ -258,7 +252,6 @@ impl Slot {
                     UncertaintySlot::Seed => {
                         u.seed = Some(uncertainty_int(&x, "seed")? as u64);
                     }
-                    UncertaintySlot::Jobs => u.jobs = Some(uncertainty_int(&x, "jobs")?),
                 }
                 Ok(())
             }
@@ -330,7 +323,6 @@ fn resolve(model: &ModelSpec, segs: &[&str]) -> Option<Slot> {
             ["tolerance"] if h.tolerance.is_some() => HierarchySlot::Tolerance,
             ["damping"] if h.damping.is_some() => HierarchySlot::Damping,
             ["max_iterations"] if h.max_iterations.is_some() => HierarchySlot::MaxIterations,
-            ["jobs"] if h.jobs.is_some() => HierarchySlot::Jobs,
             _ => return None,
         }),
         (ModelSpec::SemiMarkov(s), ["semi_markov", rest @ ..]) => Slot::SemiMarkov(match rest {
@@ -361,7 +353,6 @@ fn resolve(model: &ModelSpec, segs: &[&str]) -> Option<Slot> {
             ["samples"] if u.samples.is_some() => UncertaintySlot::Samples,
             ["level"] if u.level.is_some() => UncertaintySlot::Level,
             ["seed"] if u.seed.is_some() => UncertaintySlot::Seed,
-            ["jobs"] if u.jobs.is_some() => UncertaintySlot::Jobs,
             _ => return None,
         }),
         (ModelSpec::Bounds(b), ["bounds", rest @ ..]) => Slot::Bounds(match rest {
@@ -527,7 +518,6 @@ fn sim_slot(s: &SimSpec, segs: &[&str]) -> Option<usize> {
         s.mission_time.is_some(),
         s.time_cap.is_some(),
         s.seed.is_some(),
-        s.jobs.is_some(),
         s.max_replications.is_some(),
         s.min_replications.is_some(),
         s.rel_precision.is_some(),
@@ -548,7 +538,6 @@ fn write_sim(s: &mut SimSpec, i: usize, v: f64) -> Result<()> {
         "mission_time" => s.mission_time = Some(v),
         "time_cap" => s.time_cap = Some(v),
         "seed" => s.seed = Some(sim_int(x, key)? as u64),
-        "jobs" => s.jobs = Some(sim_int(x, key)?),
         "max_replications" => s.max_replications = Some(sim_int(x, key)?),
         "min_replications" => s.min_replications = Some(sim_int(x, key)?),
         "rel_precision" => s.rel_precision = Some(v),
@@ -581,8 +570,6 @@ fn spn_slot(s: &SpnSpec, segs: &[&str]) -> Option<SpnSlot> {
             )
         }
         ["max_markings"] if s.max_markings.is_some() => SpnSlot::MaxMarkings,
-        ["reach_jobs"] if s.reach_jobs.is_some() => SpnSlot::ReachJobs,
-        ["shard_bits"] if s.shard_bits.is_some() => SpnSlot::ShardBits,
         _ => return None,
     })
 }
@@ -618,9 +605,7 @@ fn write_spn(slot: SpnSlot, s: &mut SpnSpec, v: f64) -> Result<()> {
                 _ => return Err(stale()),
             }
         }
-        SpnSlot::ShardBits => s.shard_bits = Some(shard_bits_value(x)?),
         SpnSlot::MaxMarkings => s.max_markings = Some(spn_int(x, "max_markings")?),
-        SpnSlot::ReachJobs => s.reach_jobs = Some(spn_int(x, "reach_jobs")?),
     }
     Ok(())
 }
@@ -874,7 +859,7 @@ mod tests {
         let nested = ModelSpec::from_json_str(&format!(
             r#"{{"uncertainty": {{"model": {},
                  "parameters": [{{"path": "hierarchy.damping", "prior": {{"uniform": {{"low": 0.5, "high": 1}}}}}}],
-                 "jobs": 1}}}}"#,
+                 "seed": 1}}}}"#,
             DOCS[3]
         ))
         .unwrap();
@@ -898,7 +883,13 @@ mod tests {
                 &hierarchy,
                 &[("hierarchy.tolerance", 0.5), ("hierarchy.tolerance", -1.0)],
             ),
-            (&spn, &[("spn.max_markings", 2.5), ("spn.shard_bits", 17.0)]),
+            (
+                &spn,
+                &[
+                    ("spn.max_markings", 2.5),
+                    ("spn.transitions.0.inputs.0.count", -1.0),
+                ],
+            ),
             (
                 &spn,
                 &[
@@ -909,7 +900,7 @@ mod tests {
             (
                 &nested,
                 &[
-                    ("uncertainty.jobs", 0.5),
+                    ("uncertainty.seed", 0.5),
                     (
                         "uncertainty.model.hierarchy.submodels.1.model.ctmc.transitions.0.rate",
                         2.0,

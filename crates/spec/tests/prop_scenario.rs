@@ -6,10 +6,10 @@
 use proptest::prelude::*;
 use reliab_spec::{solve_str_with, SolveOptions, SolvedMeasures};
 
-/// An uncertainty wrapper over a one-component RBD, with `jobs` worker
-/// threads. Sampling is a pure function of `(seed, sample index)`, so
-/// `jobs` must never change a digit of the output.
-fn uncert_doc(samples: usize, seed: u64, jobs: usize, lhs: bool) -> String {
+/// An uncertainty wrapper over a one-component RBD. Sampling is a pure
+/// function of `(seed, sample index)`, so the thread budget must never
+/// change a digit of the output.
+fn uncert_doc(samples: usize, seed: u64, lhs: bool) -> String {
     format!(
         r#"{{"uncertainty": {{
             "model": {{"rbd": {{"components": [{{"name": "a", "availability": 0.5}}],
@@ -20,7 +20,6 @@ fn uncert_doc(samples: usize, seed: u64, jobs: usize, lhs: bool) -> String {
             "measure": "availability",
             "samples": {samples},
             "seed": {seed},
-            "jobs": {jobs},
             "latin_hypercube": {lhs}}}}}"#
     )
 }
@@ -48,21 +47,20 @@ proptest! {
         seed in 0usize..1_000_000,
         lhs_bit in 0usize..2,
     ) {
-        let seed = seed as u64;
-        let lhs = lhs_bit == 1;
-        let base = solve_str_with(&uncert_doc(samples, seed, 1, lhs), &SolveOptions::default())
-            .unwrap()
-            .measures
-            .to_json()
-            .to_json();
-        for jobs in [2, 4, 8] {
-            let other =
-                solve_str_with(&uncert_doc(samples, seed, jobs, lhs), &SolveOptions::default())
-                    .unwrap()
-                    .measures
-                    .to_json()
-                    .to_json();
-            prop_assert_eq!(&base, &other, "jobs = {} diverged", jobs);
+        let doc = uncert_doc(samples, seed as u64, lhs_bit == 1);
+        let solve = |threads: usize| {
+            let report =
+                solve_str_with(&doc, &SolveOptions::default().with_threads(threads)).unwrap();
+            (report.measures.to_json().to_json(), report.stats.workers)
+        };
+        let (base, workers) = solve(1);
+        prop_assert_eq!(workers, 1);
+        for threads in [2, 4, 8] {
+            let (other, workers) = solve(threads);
+            prop_assert_eq!(&base, &other, "threads = {} diverged", threads);
+            // One sampler worker per thread of the budget, up to one
+            // per sample.
+            prop_assert_eq!(workers, threads.min(samples), "threads = {}", threads);
         }
     }
 

@@ -118,16 +118,22 @@ fn streamed_specs_are_invariant_to_budget_and_shards() {
                 "{name}: budget {budget}"
             );
         }
-        for jobs in [2usize, 4] {
-            let r = solve_str_with(
-                &text,
-                &SolveOptions::default()
-                    .with_stream(true)
-                    .with_reach_jobs(jobs),
-            )
-            .unwrap();
+        // The thread budget: the streamed tier generates its space on
+        // one thread whatever the budget, while the materialized tier
+        // (unless the spec asks for streaming) spreads generation over
+        // the whole budget; neither moves a bit.
+        let default = solve_str_with(&text, &SolveOptions::default()).unwrap();
+        let streams_anyway = default.stats.stream_blocks.is_some();
+        for threads in [2usize, 4] {
+            let opts = SolveOptions::default().with_threads(threads);
+            let r = solve_str_with(&text, &opts.clone().with_stream(true)).unwrap();
+            assert_eq!(r.stats.workers, 1, "{name}: threads {threads}");
             let (n, te, th) = spn_measures(&r.measures);
-            assert_eq!((n, &te, &th), (n0, &te0, &th0), "{name}: reach_jobs {jobs}");
+            assert_eq!((n, &te, &th), (n0, &te0, &th0), "{name}: threads {threads}");
+            let r = solve_str_with(&text, &opts).unwrap();
+            let workers = if streams_anyway { 1 } else { threads };
+            assert_eq!(r.stats.workers, workers, "{name}: threads {threads}");
+            assert_eq!(r.measures, default.measures, "{name}: threads {threads}");
         }
     }
 }

@@ -320,10 +320,7 @@ impl Spn {
     pub fn solve_with(&self, opts: &ReachabilityOptions) -> Result<SolvedSpn<'_>> {
         let _span = obs::span("spn.reach");
         let start = Instant::now();
-        let workers = match opts.jobs {
-            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-            n => n,
-        };
+        let workers = reliab_core::resolve_threads(opts.jobs);
         let raw = if workers <= 1 {
             self.generate_sequential(opts)?
         } else {

@@ -186,14 +186,7 @@ where
             opts.level
         )));
     }
-    let threads = if opts.threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        opts.threads
-    };
-    let threads = threads.min(opts.samples);
+    let threads = reliab_core::Split::new(opts.threads, opts.samples).workers;
 
     // For Latin hypercube sampling, precompute one stratum permutation
     // per parameter (deterministic in the seed, independent of thread

@@ -222,8 +222,10 @@ fn spec_sim_results_are_bitwise_identical_across_worker_counts() {
         panic!("expected sim measures");
     };
     assert!((0.99..=1.0).contains(&point));
-    for jobs in [2, 4, 8] {
-        let par = solve_str_with(&text, &SolveOptions::default().with_sim_jobs(jobs)).unwrap();
-        assert_eq!(par.measures, base.measures, "sim_jobs = {jobs}");
+    assert_eq!(base.stats.workers, 1);
+    for threads in [2, 4, 8] {
+        let par = solve_str_with(&text, &SolveOptions::default().with_threads(threads)).unwrap();
+        assert_eq!(par.measures, base.measures, "threads = {threads}");
+        assert_eq!(par.stats.workers, threads, "threads = {threads}");
     }
 }
