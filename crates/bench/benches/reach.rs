@@ -1,8 +1,7 @@
 //! SPN state-space generation benchmarks: the compact-store generator
-//! (sequential and parallel) against the frozen pre-rework generator
-//! (`legacy_reach`) on the tandem queueing family, plus the
-//! `CsrMatrix::from_triplets` assembly path that consumes the emitted
-//! triplet stream.
+//! against the frozen pre-rework generator (`legacy_reach`) on the
+//! tandem queueing family, plus the `CsrMatrix::from_triplets` assembly
+//! path that consumes the emitted triplet stream.
 //!
 //! `cargo bench -p reliab-bench --bench reach` for the full run; the
 //! committed perf numbers in `BENCH_reach.json` come from the
@@ -12,7 +11,6 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use reliab_bench::legacy_reach::LegacyReachOptions;
 use reliab_bench::{tandem_legacy, tandem_spn};
 use reliab_numeric::CsrMatrix;
-use reliab_spn::ReachabilityOptions;
 
 /// End-to-end generation (reachability + vanishing elimination + CTMC
 /// assembly) on the tandem net, both generators.
@@ -35,31 +33,6 @@ fn bench_generation(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("new", markings), &capacity, |b, _| {
             b.iter(|| {
                 let solved = new_net.solve().expect("bounded net");
-                assert_eq!(solved.num_markings(), markings);
-                solved.num_markings()
-            })
-        });
-    }
-    group.finish();
-}
-
-/// The parallel path at several worker counts (same capacity-16 net).
-/// Results are bitwise identical to the sequential reference at any
-/// setting; this measures the coordination overhead and scaling.
-fn bench_workers(c: &mut Criterion) {
-    let mut group = c.benchmark_group("reach_workers");
-    group.sample_size(10);
-    let capacity = 16u32;
-    let markings = (capacity as usize + 1).pow(3);
-    let net = tandem_spn(capacity).expect("net builds");
-    for jobs in [1usize, 2, 4] {
-        group.bench_with_input(BenchmarkId::new("jobs", jobs), &jobs, |b, &jobs| {
-            let opts = ReachabilityOptions {
-                jobs,
-                ..Default::default()
-            };
-            b.iter(|| {
-                let solved = net.solve_with(&opts).expect("bounded net");
                 assert_eq!(solved.num_markings(), markings);
                 solved.num_markings()
             })
@@ -102,10 +75,5 @@ fn bench_csr_from_triplets(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_generation,
-    bench_workers,
-    bench_csr_from_triplets
-);
+criterion_group!(benches, bench_generation, bench_csr_from_triplets);
 criterion_main!(benches);

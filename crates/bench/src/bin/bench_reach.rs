@@ -6,13 +6,8 @@
 //! markings, immediate routing exercising vanishing elimination) with
 //! both the frozen pre-rework generator and the current compact-store
 //! generator. Before any speedup is reported the run asserts
-//! equivalence: identical tangible marking sets, matching total
-//! transition outflow, and — for the parallel path — a CTMC bitwise
-//! identical to the sequential reference at every probed worker count.
-//! A last timing interleaves five sequential and parallel generations
-//! (one worker per detected CPU), each pass repeating the generation
-//! until it lasts at least 0.3 s; the record carries the median and
-//! min/max of both sides, and `"unmeasured"` as the speedup on one CPU.
+//! equivalence: identical tangible marking sets and matching total
+//! transition outflow.
 //!
 //! ```text
 //! cargo run --release -p reliab-bench --bin bench-reach              # full run, writes BENCH_reach.json
@@ -37,11 +32,8 @@
 use std::time::Instant;
 
 use reliab_bench::legacy_reach::LegacyReachOptions;
-use reliab_bench::{
-    detected_cpu_cores, profiled_phases, tandem_legacy, tandem_spn, time_min, ParallelTiming,
-};
+use reliab_bench::{detected_cpu_cores, profiled_phases, tandem_legacy, tandem_spn, time_min};
 use reliab_spec::json::{self, JsonValue};
-use reliab_spn::ReachabilityOptions;
 
 struct Args {
     quick: bool,
@@ -114,7 +106,7 @@ fn main() {
     });
     eprintln!("  legacy generator: {:.3} ms", legacy_ns as f64 / 1e6);
 
-    // New generator, sequential reference path.
+    // New generator.
     let new_net = tandem_spn(capacity).expect("net builds");
     let (new_ns, new_solved) = time_min(reps, || {
         let t = Instant::now();
@@ -142,7 +134,9 @@ fn main() {
         );
         std::process::exit(1);
     }
-    let mut new_markings = new_solved.markings().to_vec();
+    let mut new_markings: Vec<Vec<u32>> = (0..new_solved.num_markings() as u32)
+        .map(|i| new_solved.marking(i).to_vec())
+        .collect();
     let mut legacy_markings = legacy_solved.markings().to_vec();
     new_markings.sort();
     legacy_markings.sort();
@@ -160,40 +154,13 @@ fn main() {
         std::process::exit(1);
     }
 
-    // Equivalence gate 3: the parallel path is bitwise identical to the
-    // sequential reference.
-    for jobs in [2usize, 4] {
-        let opts = ReachabilityOptions {
-            jobs,
-            ..Default::default()
-        };
-        let par = new_net.solve_with(&opts).expect("bounded net");
-        if par.markings() != new_solved.markings()
-            || par.ctmc().generator() != new_solved.ctmc().generator()
-            || par.initial_distribution() != new_solved.initial_distribution()
-        {
-            eprintln!("EQUIVALENCE FAILURE: {jobs}-worker generation differs from sequential");
-            std::process::exit(1);
-        }
-    }
-
-    let timing = ParallelTiming::measure(|jobs| {
-        let opts = ReachabilityOptions {
-            jobs,
-            ..Default::default()
-        };
-        new_net.solve_with(&opts).expect("bounded net");
-    });
-
     let speedup = legacy_ns as f64 / new_ns as f64;
     let cpu_cores = detected_cpu_cores();
     eprintln!("  outflow:          {flow_new:.12e} (matches legacy)");
-    eprintln!("  parallel:         bitwise identical at 2 and 4 workers");
     eprintln!("  speedup:          {speedup:.2}x ({cpu_cores} CPU detected)");
-    eprintln!("  timing:           {}", timing.summary());
 
     // Untimed instrumented pass: per-phase wall-time breakdown of one
-    // sequential generation, after every timed measurement is in.
+    // generation, after every timed measurement is in.
     let phases = profiled_phases(|| {
         let _ = new_net.solve();
     });
@@ -209,8 +176,6 @@ fn main() {
         ("new_ns", JsonValue::Number(new_ns as f64)),
         ("speedup", JsonValue::Number(speedup)),
         ("total_outflow", JsonValue::Number(flow_new)),
-        ("parallel_bitwise_equal", JsonValue::Bool(true)),
-        ("parallel", timing.to_json()),
         (
             "new_stats",
             json::object(vec![
@@ -218,11 +183,6 @@ fn main() {
                 (
                     "vanishing_eliminated",
                     JsonValue::Number(stats.vanishing_eliminated as f64),
-                ),
-                ("shards", JsonValue::Number(stats.shards as f64)),
-                (
-                    "max_shard_occupancy",
-                    JsonValue::Number(stats.max_shard_occupancy as f64),
                 ),
             ]),
         ),

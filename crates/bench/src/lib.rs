@@ -625,7 +625,9 @@ mod tests {
         let expect = (capacity as usize + 1).pow(3);
         assert_eq!(new_solved.num_markings(), expect);
         assert_eq!(legacy_solved.num_markings(), expect);
-        let mut a: Vec<_> = new_solved.markings().to_vec();
+        let mut a: Vec<_> = (0..new_solved.num_markings() as u32)
+            .map(|i| new_solved.marking(i).to_vec())
+            .collect();
         let mut b: Vec<_> = legacy_solved.markings().to_vec();
         a.sort();
         b.sort();

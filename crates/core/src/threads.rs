@@ -6,8 +6,8 @@
 //! runs `min(budget, items)` workers. When that is one worker, each
 //! item is solved with the whole budget, so the layer below may spread
 //! its own items; otherwise each item gets a budget of one. The leaf
-//! layers (SPN reachability, simulation replications) run the budget
-//! they are handed, so no solve runs more threads than its budget.
+//! layer, simulation replications, runs the budget it is handed, so no
+//! solve runs more threads than its budget.
 
 use std::num::NonZeroUsize;
 

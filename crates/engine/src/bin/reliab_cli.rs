@@ -14,9 +14,9 @@
 //! * `--jobs N` — the thread budget (0 = one per CPU; default 0). A
 //!   batch runs `min(N, inputs)` workers and solves each input on one
 //!   thread; a lone worker hands its solves the whole budget, which the
-//!   uncertainty sampler, the hierarchy sweep, SPN reachability and
-//!   simulation replications split the same way. Results are bitwise
-//!   identical at any setting.
+//!   uncertainty sampler, the hierarchy sweep and simulation
+//!   replications split the same way. Results are bitwise identical at
+//!   any setting.
 //! * `--json` — emit a single JSON array covering every input (errors
 //!   included per entry) instead of pretty text per file.
 //! * `--stats` — include solver telemetry (wall time, iterations,

@@ -1,8 +1,9 @@
 //! The thread budget is split once per parallel layer: a batch spreads
 //! its inputs over `min(budget, inputs)` workers and solves each on one
 //! thread; a lone input gets the whole budget, which the uncertainty
-//! sampler, the hierarchy sweep and SPN reachability split the same
-//! way. No solve runs more threads than its budget. One test in this
+//! sampler, the hierarchy sweep and simulation replications split the
+//! same way. SPN state-space generation always runs on the calling
+//! thread. No solve runs more threads than its budget. One test in this
 //! binary, because subscribers are process-global.
 
 use std::sync::Arc;
@@ -22,6 +23,19 @@ const SPN: &str = r#"{"spn": {
     {"name": "serve", "rate": 2.0, "inputs": [{"place": "queue"}]}],
   "expected_tokens": ["queue"]}}"#;
 
+/// A two-workstation, one-file-server RBD solved by simulation.
+const SIM: &str = r#"{"rbd": {
+  "components": [
+    {"name": "ws1", "ttf_dist": {"exponential": {"mean": 500.0}},
+     "ttr_dist": {"exponential": {"mean": 5.0}}},
+    {"name": "ws2", "ttf_dist": {"exponential": {"mean": 500.0}},
+     "ttr_dist": {"exponential": {"mean": 5.0}}},
+    {"name": "fs", "ttf_dist": {"exponential": {"mean": 2000.0}},
+     "ttr_dist": {"exponential": {"mean": 4.0}}}],
+  "structure": {"series": [{"parallel": ["ws1", "ws2"]}, "fs"]},
+  "sim": {"measure": "availability", "horizon": 500.0, "seed": 8,
+          "max_replications": 16, "rel_precision": 0.0}}}"#;
+
 fn rbd(availability: f64) -> String {
     format!(
         r#"{{"rbd": {{"components": [{{"name": "a", "availability": {availability}}}],
@@ -38,6 +52,15 @@ fn solve(docs: &[String]) -> Vec<SolveReport> {
         .into_iter()
         .map(|r| r.expect("document solves"))
         .collect()
+}
+
+/// How many captured events are named `name`.
+fn event_count(trace: &MemorySubscriber, name: &str) -> usize {
+    trace
+        .records()
+        .into_iter()
+        .filter(|r| matches!(r, TraceRecord::Event { name: n, .. } if n == name))
+        .count()
 }
 
 /// The `workers` field of every captured event named `name`.
@@ -68,14 +91,15 @@ fn every_layer_splits_one_budget() {
     for r in &reports {
         assert_eq!(r.stats.workers, 1, "{:?}", r.measures.kind());
     }
-    assert_eq!(event_workers(&trace, "spn.reach.done"), vec![1]);
+    assert_eq!(event_count(&trace, "spn.reach.done"), 1);
 
-    // A lone SPN generates its state space on the whole budget.
+    // A lone simulated model runs its replications on the whole budget.
     trace.clear();
-    let lone = solve(&[SPN.to_owned()]).remove(0);
+    let lone = solve(&[SIM.to_owned()]).remove(0);
     assert_eq!(lone.stats.workers, BUDGET);
-    assert_eq!(event_workers(&trace, "spn.reach.done"), vec![BUDGET as u64]);
-    assert_eq!(lone.measures, reports[2].measures);
+    assert_eq!(event_workers(&trace, "sim.start"), vec![BUDGET as u64]);
+    let sequential = reliab_spec::solve_str_with(SIM, &Default::default()).unwrap();
+    assert_eq!(lone.measures, sequential.measures);
 
     // An uncertainty sweep over that SPN: four sampler workers, each
     // sample's reachability on one thread.
@@ -89,8 +113,7 @@ fn every_layer_splits_one_budget() {
     );
     let swept = solve(&[uncertainty]).remove(0);
     assert_eq!(swept.stats.workers, BUDGET);
-    let reach = event_workers(&trace, "spn.reach.done");
-    assert_eq!(reach, vec![1; samples]);
+    assert_eq!(event_count(&trace, "spn.reach.done"), samples);
 
     // A hierarchy with two importing submodels: a two-worker sweep.
     let hierarchy = r#"{"hierarchy": {"submodels": [

@@ -1239,12 +1239,7 @@ fn solve_spn(spec: &SpnSpec, opts: &SolveOptions) -> Result<(SolvedMeasures, Sol
     }
     let spn = b.build()?;
 
-    // Generation runs on the solve's thread budget; the CTMC it builds
-    // is bitwise identical at any worker count.
-    let mut ropts = ReachabilityOptions {
-        jobs: opts.threads,
-        ..ReachabilityOptions::default()
-    };
+    let mut ropts = ReachabilityOptions::default();
     if let Some(cap) = spec.max_markings {
         ropts.max_markings = cap;
     }
@@ -1263,14 +1258,7 @@ fn solve_spn(spec: &SpnSpec, opts: &SolveOptions) -> Result<(SolvedMeasures, Sol
     }
 
     let solved = spn.solve_with(&ropts)?;
-
-    let mut stats = SolveStats::default();
-    let reach = solved.reach_stats();
-    stats.spn_markings = Some(reach.markings);
-    stats.spn_arcs = Some(reach.arcs);
-    stats.spn_vanishing_eliminated = Some(reach.vanishing_eliminated);
-    stats.spn_shard_max_occupancy = Some(reach.max_shard_occupancy);
-    stats.workers = reach.workers;
+    let mut stats = spn_stats(solved.reach_stats());
 
     let want_tokens = spec.expected_tokens.as_deref().unwrap_or(&[]);
     let want_throughput = spec.throughput.as_deref().unwrap_or(&[]);
@@ -1278,46 +1266,11 @@ fn solve_spn(spec: &SpnSpec, opts: &SolveOptions) -> Result<(SolvedMeasures, Sol
         (Vec::new(), Vec::new())
     } else {
         // Solve the chain once; both measure families share the π.
-        let iter_opts = IterativeOptions {
-            tolerance: opts.tolerance,
-            max_iterations: opts.max_iterations,
-            relaxation: 1.0,
-        };
-        let method = match opts.steady_solver {
-            SteadySolver::Gth => SteadyStateMethod::Gth,
-            SteadySolver::Sor => SteadyStateMethod::Sor(iter_opts),
-            SteadySolver::Power => SteadyStateMethod::Power(iter_opts),
-            _ => SteadyStateMethod::Auto,
-        };
-        let report = solved.ctmc().steady_state_report(&method)?;
+        let report = solved.ctmc().steady_state_report(&steady_method(opts))?;
         stats.method = Some(report.method);
         stats.iterations += report.iterations;
         stats.residual = Some(report.residual);
-        let pi = report.pi;
-        let expected_tokens = want_tokens
-            .iter()
-            .map(|name| {
-                let idx = place(name, &place_ids)?.index();
-                let mean = solved
-                    .markings()
-                    .iter()
-                    .zip(&pi)
-                    .map(|(m, &p)| p * f64::from(m[idx]))
-                    .sum();
-                Ok((name.clone(), mean))
-            })
-            .collect::<Result<Vec<_>>>()?;
-        let throughput = want_throughput
-            .iter()
-            .map(|name| {
-                let id = trans_ids
-                    .get(name)
-                    .copied()
-                    .ok_or_else(|| Error::model(format!("unknown transition '{name}'")))?;
-                Ok((name.clone(), solved.throughput_given(&pi, id)?))
-            })
-            .collect::<Result<Vec<_>>>()?;
-        (expected_tokens, throughput)
+        spn_measures(spec, solved.space(), &report.pi, &place_ids, &trans_ids)?
     };
 
     Ok((
@@ -1328,6 +1281,58 @@ fn solve_spn(spec: &SpnSpec, opts: &SolveOptions) -> Result<(SolvedMeasures, Sol
         },
         stats,
     ))
+}
+
+/// The `spn_*` telemetry of a generated state space, either tier.
+fn spn_stats(reach: &reliab_spn::ReachStats) -> SolveStats {
+    SolveStats {
+        spn_markings: Some(reach.markings),
+        spn_arcs: Some(reach.arcs),
+        spn_vanishing_eliminated: Some(reach.vanishing_eliminated),
+        ..SolveStats::default()
+    }
+}
+
+/// Named measure values, in the order the spec lists them.
+type NamedValues = Vec<(String, f64)>;
+
+/// The steady-state `expected_tokens` and `throughput` a spec asks for,
+/// read off its marking space under `pi` — the one measure pass of the
+/// materialized tier and the streamed tier's exact solve.
+fn spn_measures(
+    spec: &SpnSpec,
+    space: &reliab_spn::TangibleSpace<'_>,
+    pi: &[f64],
+    place_ids: &FxHashMap<String, reliab_spn::PlaceId>,
+    trans_ids: &FxHashMap<String, reliab_spn::TransitionId>,
+) -> Result<(NamedValues, NamedValues)> {
+    let expected_tokens = spec
+        .expected_tokens
+        .as_deref()
+        .unwrap_or(&[])
+        .iter()
+        .map(|name| {
+            let place = place_ids
+                .get(name)
+                .copied()
+                .ok_or_else(|| Error::model(format!("unknown place '{name}'")))?;
+            Ok((name.clone(), space.expected_tokens_given(pi, place)?))
+        })
+        .collect::<Result<Vec<_>>>()?;
+    let throughput = spec
+        .throughput
+        .as_deref()
+        .unwrap_or(&[])
+        .iter()
+        .map(|name| {
+            let id = trans_ids
+                .get(name)
+                .copied()
+                .ok_or_else(|| Error::model(format!("unknown transition '{name}'")))?;
+            Ok((name.clone(), space.throughput_given(pi, id)?))
+        })
+        .collect::<Result<Vec<_>>>()?;
+    Ok((expected_tokens, throughput))
 }
 
 /// Projected peak bytes of the materialized path for a declared marking
@@ -1362,11 +1367,7 @@ fn solve_spn_stream(
     use crate::aggregate::{bounded_steady_reward, macro_states_for_budget};
     use reliab_markov::{steady_state, PlanOutcome, RowSource, StreamMethod, StreamOptions};
     let space = spn.tangible_space(ropts)?;
-    let mut stats = SolveStats::default();
-    let sstats = space.stats();
-    stats.spn_markings = Some(sstats.markings);
-    stats.spn_arcs = Some(sstats.arcs);
-    stats.spn_vanishing_eliminated = Some(sstats.vanishing_eliminated);
+    let mut stats = spn_stats(space.stats());
 
     let place = |name: &str| -> Result<reliab_spn::PlaceId> {
         place_ids
@@ -1390,11 +1391,7 @@ fn solve_spn_stream(
             _ => StreamMethod::Auto,
         };
         let sopts = StreamOptions {
-            iterative: IterativeOptions {
-                tolerance: opts.tolerance,
-                max_iterations: opts.max_iterations,
-                relaxation: 1.0,
-            },
+            iterative: iterative_options(opts),
             method,
             mem_budget: opts.mem_budget,
             blocks: None,
@@ -1410,27 +1407,7 @@ fn solve_spn_stream(
                 stats.stream_cached_blocks = Some(plan.cached_blocks);
                 stats.stream_peak_bytes = Some(plan.peak_bytes());
                 stats.stream_bounded = Some(false);
-                let pi = report.pi;
-                let expected_tokens = want_tokens
-                    .iter()
-                    .map(|name| {
-                        Ok((
-                            name.clone(),
-                            space.expected_tokens_given(&pi, place(name)?)?,
-                        ))
-                    })
-                    .collect::<Result<Vec<_>>>()?;
-                let throughput = want_throughput
-                    .iter()
-                    .map(|name| {
-                        let id = trans_ids
-                            .get(name)
-                            .copied()
-                            .ok_or_else(|| Error::model(format!("unknown transition '{name}'")))?;
-                        Ok((name.clone(), space.throughput_given(&pi, id)?))
-                    })
-                    .collect::<Result<Vec<_>>>()?;
-                (expected_tokens, throughput)
+                spn_measures(spec, &space, &report.pi, place_ids, trans_ids)?
             }
             PlanOutcome::NeedsBounds { budget, .. } => {
                 let m = macro_states_for_budget(budget);
@@ -1510,6 +1487,26 @@ fn solve_spn_stream(
     ))
 }
 
+/// The iterative settings a solve's SOR and power sweeps run with, in
+/// core or streamed.
+fn iterative_options(opts: &SolveOptions) -> IterativeOptions {
+    IterativeOptions {
+        tolerance: opts.tolerance,
+        max_iterations: opts.max_iterations,
+        relaxation: 1.0,
+    }
+}
+
+/// The in-core steady-state method a solve asks for.
+fn steady_method(opts: &SolveOptions) -> SteadyStateMethod {
+    match opts.steady_solver {
+        SteadySolver::Gth => SteadyStateMethod::Gth,
+        SteadySolver::Sor => SteadyStateMethod::Sor(iterative_options(opts)),
+        SteadySolver::Power => SteadyStateMethod::Power(iterative_options(opts)),
+        _ => SteadyStateMethod::Auto,
+    }
+}
+
 /// Availability from the summed steady-state mass of `terms` up
 /// states. Each addition rounds by at most one ulp of the sum, so a sum
 /// no more than `terms`·ε above 1 is a full mass of 1 and reads as 1; a
@@ -1581,19 +1578,8 @@ fn solve_ctmc(
     };
     let initial = ctmc.point_mass(initial_state);
 
-    let iter_opts = IterativeOptions {
-        tolerance: opts.tolerance,
-        max_iterations: opts.max_iterations,
-        relaxation: 1.0,
-    };
-    let method = match opts.steady_solver {
-        SteadySolver::Gth => SteadyStateMethod::Gth,
-        SteadySolver::Sor => SteadyStateMethod::Sor(iter_opts),
-        SteadySolver::Power => SteadyStateMethod::Power(iter_opts),
-        _ => SteadyStateMethod::Auto,
-    };
     let mut stats = SolveStats::default();
-    let steady = ctmc.steady_state_report(&method).ok();
+    let steady = ctmc.steady_state_report(&steady_method(opts)).ok();
     if let Some(report) = &steady {
         stats.method = Some(report.method);
         stats.iterations += report.iterations;
@@ -2008,9 +1994,10 @@ mod tests {
             }
             _ => panic!("expected SPN result"),
         }
-        // The thread budget never changes the measures.
+        // The thread budget never changes the measures, and state-space
+        // generation runs on the calling thread.
         let par = solve_str_with(text, &SolveOptions::default().with_threads(4)).unwrap();
-        assert_eq!(par.stats.workers, 4);
+        assert_eq!(par.stats.workers, 1);
         assert_eq!(par.measures, out.measures);
         // Serialization carries the spn block.
         let rendered = out.to_json().to_json();

@@ -49,8 +49,8 @@ pub struct SolveOptions {
     /// outermost layer with items to spread (uncertainty samples,
     /// hierarchy submodels) runs `min(threads, items)` workers and
     /// hands each item the whole budget when that is one worker, else
-    /// a budget of one; SPN reachability and simulation replications
-    /// run the budget they are handed (see [`reliab_core::Split`]).
+    /// a budget of one; simulation replications run the budget they
+    /// are handed (see [`reliab_core::Split`]).
     /// Every measure is bitwise identical at any setting.
     pub threads: usize,
     /// Forces discrete-event simulation for component models (RBD and
@@ -305,9 +305,9 @@ pub struct SolveStats {
     /// Wall-clock time of the whole solve (parse excluded).
     pub wall_time: Duration,
     /// Worker threads the solve ran at once: the widest of its
-    /// parallel layers (uncertainty samples, hierarchy sweep, SPN
-    /// reachability, simulation replications), 1 when none ran in
-    /// parallel. Never more than [`SolveOptions::threads`].
+    /// parallel layers (uncertainty samples, hierarchy sweep,
+    /// simulation replications), 1 when none ran in parallel. Never
+    /// more than [`SolveOptions::threads`].
     pub workers: usize,
     /// Solver work performed: sweeps plus matrix–vector products for
     /// Markov models, ITE operations for BDD-based combinatorial
@@ -349,8 +349,6 @@ pub struct SolveStats {
     /// Vanishing (immediate) markings eliminated on the fly, for SPN
     /// models.
     pub spn_vanishing_eliminated: Option<u64>,
-    /// Largest intern-table shard occupancy, for SPN models.
-    pub spn_shard_max_occupancy: Option<usize>,
     /// Replications the simulation actually ran, for simulated models.
     pub sim_replications: Option<usize>,
     /// Total simulated events across all replications, for simulated
@@ -445,10 +443,6 @@ impl SolveStats {
             (
                 "spn_vanishing_eliminated",
                 opt_num(self.spn_vanishing_eliminated.map(|n| n as f64)),
-            ),
-            (
-                "spn_shard_max_occupancy",
-                opt_num(self.spn_shard_max_occupancy.map(|n| n as f64)),
             ),
             (
                 "sim_replications",

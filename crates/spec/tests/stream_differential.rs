@@ -1,7 +1,7 @@
 //! Differential harness for the streaming large-model tier: on every
 //! shipped CTMC-bearing specification the streamed solve must match
 //! the materialized path to 1e-8 (bitwise where a golden locks both),
-//! the streamed result must be identical at any shard count and any
+//! the streamed result must be identical at any thread budget and any
 //! memory budget that admits the model, and the one uniformization
 //! kernel must match the Padé matrix exponential.
 
@@ -85,10 +85,10 @@ fn streamed_spn_specs_match_materialized_path() {
 
 /// Any memory budget that admits the model must leave the streamed
 /// measures identical (cached vs recomputed column slices are built
-/// from the same row stream), and the result must not depend on the
-/// reachability shard layout.
+/// from the same row stream), and neither tier's result may depend on
+/// the thread budget.
 #[test]
-fn streamed_specs_are_invariant_to_budget_and_shards() {
+fn streamed_specs_are_invariant_to_budget_and_threads() {
     for (name, text) in shipped_specs() {
         if !matches!(ModelSpec::from_json_str(&text).unwrap(), ModelSpec::Spn(_)) {
             continue;
@@ -118,12 +118,9 @@ fn streamed_specs_are_invariant_to_budget_and_shards() {
                 "{name}: budget {budget}"
             );
         }
-        // The thread budget: the streamed tier generates its space on
-        // one thread whatever the budget, while the materialized tier
-        // (unless the spec asks for streaming) spreads generation over
-        // the whole budget; neither moves a bit.
+        // The thread budget: both tiers generate their space on the
+        // calling thread whatever the budget, and neither moves a bit.
         let default = solve_str_with(&text, &SolveOptions::default()).unwrap();
-        let streams_anyway = default.stats.stream_blocks.is_some();
         for threads in [2usize, 4] {
             let opts = SolveOptions::default().with_threads(threads);
             let r = solve_str_with(&text, &opts.clone().with_stream(true)).unwrap();
@@ -131,8 +128,7 @@ fn streamed_specs_are_invariant_to_budget_and_shards() {
             let (n, te, th) = spn_measures(&r.measures);
             assert_eq!((n, &te, &th), (n0, &te0, &th0), "{name}: threads {threads}");
             let r = solve_str_with(&text, &opts).unwrap();
-            let workers = if streams_anyway { 1 } else { threads };
-            assert_eq!(r.stats.workers, workers, "{name}: threads {threads}");
+            assert_eq!(r.stats.workers, 1, "{name}: threads {threads}");
             assert_eq!(r.measures, default.measures, "{name}: threads {threads}");
         }
     }

@@ -41,7 +41,7 @@ mod space;
 
 pub use model::{PlaceId, Spn, SpnBuilder, TransitionId};
 pub use reach::{ReachStats, ReachabilityOptions, SolvedSpn};
-pub use space::{ArenaRowSource, RowBuffer, SpaceStats, TangibleSpace};
+pub use space::{ArenaRowSource, RowBuffer, TangibleSpace};
 
 /// A marking: token count per place, indexed by [`PlaceId::index`].
 pub type Marking = Vec<u32>;

@@ -1,27 +1,23 @@
 //! Reachability-graph generation, vanishing-marking elimination, and
 //! CTMC-backed measures.
 //!
-//! The generator is built for state spaces in the 10^5–10^6 range:
-//! markings live packed in a single `u32` arena behind an
-//! open-addressing FxHash intern table (no `Marking` clones on the hot
-//! path), the frontier can be explored by a work-stealing worker pool
-//! (`ReachabilityOptions::jobs`), and the CTMC is emitted as a triplet
-//! stream under a canonical state numbering — the BFS discovery order
-//! of the sequential reference — so parallel and sequential runs
-//! produce bitwise-identical generators. See `DESIGN.md` for the
-//! determinism argument.
+//! One expansion routine (`Expansion::expand`) fires the enabled
+//! timed transitions of a marking and resolves vanishing successors;
+//! one breadth-first walk (`Spn::walk`, in `space.rs`) interns what it
+//! yields in a packed `u32` arena behind an open-addressing FxHash
+//! intern table (no `Marking` clones on the hot path). Both tiers run
+//! that walk: [`Spn::solve_with`] also keeps the arcs and assembles the
+//! CTMC from them, and [`Spn::tangible_space`] keeps only the markings
+//! for the streamed tier. State `i` is the `i`-th marking the walk
+//! discovers in either tier. See `DESIGN.md`.
 
-use crate::model::{Spn, Timing, TransitionId};
-use crate::Marking;
+use crate::model::{Spn, Timing};
+use crate::{Marking, PlaceId, TangibleSpace, TransitionId};
 use reliab_core::fxhash::FxHasher;
 use reliab_core::{Error, Result};
 use reliab_markov::{Ctmc, StateId};
 use reliab_obs as obs;
-use std::collections::VecDeque;
 use std::hash::Hasher;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::time::Instant;
 
 /// Options for reachability-graph generation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,16 +27,6 @@ pub struct ReachabilityOptions {
     /// Hard cap on vanishing-chain length while eliminating immediate
     /// transitions (catches immediate-transition loops).
     pub max_vanishing_depth: usize,
-    /// Worker threads for frontier exploration: `1` (the default) runs
-    /// the sequential reference generator in the calling thread, `0`
-    /// uses one worker per available CPU, `n > 1` uses exactly `n`
-    /// workers. Every setting yields the same canonical CTMC bit for
-    /// bit; see `DESIGN.md`.
-    pub jobs: usize,
-    /// log2 of the number of intern-table shards used by the parallel
-    /// generator (clamped to `[0, 16]`; the sequential path keeps a
-    /// single unsharded table).
-    pub shard_bits: u32,
 }
 
 impl Default for ReachabilityOptions {
@@ -48,35 +34,41 @@ impl Default for ReachabilityOptions {
         ReachabilityOptions {
             max_markings: 1_000_000,
             max_vanishing_depth: 10_000,
-            jobs: 1,
-            shard_bits: 6,
         }
     }
 }
 
-/// Telemetry from one reachability-graph generation, exposed via
-/// [`SolvedSpn::reach_stats`] and mirrored into the `reliab-obs`
-/// metrics registry under `spn.reach.*`.
-#[derive(Debug, Clone, PartialEq)]
+/// Telemetry from one state-space generation, exposed via
+/// [`SolvedSpn::reach_stats`] and [`TangibleSpace::stats`] and mirrored
+/// into the `reliab-obs` metrics registry under `spn.reach.*` or
+/// `spn.space.*`.
+#[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct ReachStats {
     /// Tangible markings (CTMC states).
     pub markings: usize,
-    /// CTMC rate triplets emitted (parallel arcs still separate).
+    /// CTMC rate triplets the walk emitted (parallel arcs still
+    /// separate), whether or not the tier kept them.
     pub arcs: usize,
     /// Vanishing markings expanded and eliminated on the way.
     pub vanishing_eliminated: u64,
-    /// Worker threads used (1 = sequential reference path).
-    pub workers: usize,
-    /// Intern-table shards (1 for the sequential path).
-    pub shards: usize,
-    /// Markings held by the fullest shard.
-    pub max_shard_occupancy: usize,
-    /// Markings expanded by each worker (one entry per worker).
-    pub per_worker_markings: Vec<u64>,
-    /// Wall-clock nanoseconds spent on graph generation (excludes CTMC
+    /// Wall-clock nanoseconds spent on the walk (excludes CTMC
     /// assembly).
     pub generation_ns: u128,
+}
+
+impl ReachStats {
+    /// Emits the tier's `*.done` event.
+    pub(crate) fn emit_done(&self, name: &'static str) {
+        obs::event(
+            name,
+            &[
+                ("markings", (self.markings as u64).into()),
+                ("arcs", (self.arcs as u64).into()),
+                ("vanishing_eliminated", self.vanishing_eliminated.into()),
+            ],
+        );
+    }
 }
 
 /// Hashes a packed marking with the vendored FxHash — the keys are
@@ -207,599 +199,88 @@ impl InternTable {
     }
 }
 
-/// Provisional-id encoding for the parallel path: shard index in the
-/// high bits, local id within the shard's table below.
-const PROV_SHARD_SHIFT: u32 = 40;
-const PROV_LOCAL_MASK: u64 = (1 << PROV_SHARD_SHIFT) - 1;
-
-#[inline]
-fn prov_id(shard: usize, local: u32) -> u64 {
-    ((shard as u64) << PROV_SHARD_SHIFT) | u64::from(local)
+/// The fixed inputs of the one expansion routine: the net, its timed
+/// transitions in declaration order, whether it has any immediate
+/// transition at all, and the generation limits.
+#[derive(Debug)]
+pub(crate) struct Expansion<'a> {
+    pub(crate) spn: &'a Spn,
+    pub(crate) timed: Vec<usize>,
+    has_imm: bool,
+    opts: ReachabilityOptions,
 }
 
-#[inline]
-fn prov_parts(prov: u64) -> (usize, u32) {
-    (
-        (prov >> PROV_SHARD_SHIFT) as usize,
-        (prov & PROV_LOCAL_MASK) as u32,
-    )
-}
-
-/// The generator output before CTMC assembly: markings in canonical
-/// (sequential-BFS) order, arcs in canonical emission order.
-struct RawGraph {
-    markings: Vec<Marking>,
-    arcs: Vec<(u32, u32, f64)>,
-    initial_pairs: Vec<(u32, f64)>,
-    vanishing_eliminated: u64,
-    per_worker: Vec<u64>,
-    shards: usize,
-    max_shard_occupancy: usize,
-}
-
-pub(crate) fn cap_error(opts: &ReachabilityOptions) -> Error {
-    Error::model(format!(
-        "reachability exceeded {} tangible markings",
-        opts.max_markings
-    ))
-}
-
-/// Per-worker accumulator for the parallel path.
-#[derive(Default)]
-struct WorkerOut {
-    /// `(source provisional id, ordered successor arcs)` per expanded
-    /// tangible marking.
-    arcs: Vec<(u64, Vec<(u64, f64)>)>,
-    processed: u64,
-    vanishing_eliminated: u64,
-}
-
-/// State shared by the parallel worker pool.
-struct ParShared {
-    shards: Vec<Mutex<InternTable>>,
-    shard_mask: usize,
-    queues: Vec<Mutex<VecDeque<u64>>>,
-    /// Total interned markings across shards (cap enforcement).
-    total: AtomicUsize,
-    /// Discovered-but-not-yet-expanded markings; generation terminates
-    /// when this reaches zero.
-    pending: AtomicUsize,
-    failed: AtomicBool,
-    error: Mutex<Option<Error>>,
-}
-
-impl ParShared {
-    #[inline]
-    fn shard_of(&self, hash: u64) -> usize {
-        // High bits pick the shard; low bits index slots within it, so
-        // the two selections stay independent.
-        ((hash >> 48) as usize) & self.shard_mask
-    }
-
-    /// Interns `m` into its shard; returns the provisional id and
-    /// whether it was new. Errors when the global cap is exceeded.
-    fn intern(&self, m: &[u32], opts: &ReachabilityOptions) -> Result<(u64, bool)> {
-        let hash = hash_marking(m);
-        let s = self.shard_of(hash);
-        let (local, is_new) = {
-            let mut shard = self.shards[s].lock().expect("intern shard poisoned");
-            shard.intern(m, hash)
-        };
-        if is_new && self.total.fetch_add(1, Ordering::Relaxed) >= opts.max_markings {
-            return Err(cap_error(opts));
-        }
-        Ok((prov_id(s, local), is_new))
-    }
-
-    fn record_error(&self, e: Error) {
-        let mut slot = self.error.lock().expect("error slot poisoned");
-        if slot.is_none() {
-            *slot = Some(e);
-        }
-        self.failed.store(true, Ordering::Release);
-    }
-}
-
-impl Spn {
-    /// Generates the reachability graph, eliminates vanishing markings,
-    /// and builds the underlying CTMC, with default options.
-    ///
-    /// # Errors
-    ///
-    /// See [`Spn::solve_with`].
-    pub fn solve(&self) -> Result<SolvedSpn<'_>> {
-        self.solve_with(&ReachabilityOptions::default())
-    }
-
-    /// [`Spn::solve`] with explicit limits and worker configuration.
-    ///
-    /// # Errors
-    ///
-    /// * [`Error::Model`] — state-space cap exceeded, vanishing loop
-    ///   detected, or a marking-dependent rate misbehaved.
-    pub fn solve_with(&self, opts: &ReachabilityOptions) -> Result<SolvedSpn<'_>> {
-        let _span = obs::span("spn.reach");
-        let start = Instant::now();
-        let workers = reliab_core::resolve_threads(opts.jobs);
-        let raw = if workers <= 1 {
-            self.generate_sequential(opts)?
-        } else {
-            self.generate_parallel(opts, workers)?
-        };
-        let generation_ns = start.elapsed().as_nanos();
-
-        let stats = ReachStats {
-            markings: raw.markings.len(),
-            arcs: raw.arcs.len(),
-            vanishing_eliminated: raw.vanishing_eliminated,
-            workers,
-            shards: raw.shards,
-            max_shard_occupancy: raw.max_shard_occupancy,
-            per_worker_markings: raw.per_worker.clone(),
-            generation_ns,
-        };
-        obs::counter_add("spn.reach.markings", stats.markings as u64);
-        obs::counter_add("spn.reach.arcs", stats.arcs as u64);
-        obs::counter_add("spn.reach.vanishing_eliminated", stats.vanishing_eliminated);
-        obs::gauge_set(
-            "spn.reach.shard_max_occupancy",
-            stats.max_shard_occupancy as f64,
-        );
-        let secs = generation_ns as f64 / 1e9;
-        if secs > 0.0 {
-            obs::gauge_set(
-                "spn.reach.worker_throughput",
-                stats.markings as f64 / secs / workers as f64,
-            );
-        }
-        obs::event(
-            "spn.reach.done",
-            &[
-                ("markings", (stats.markings as u64).into()),
-                ("arcs", (stats.arcs as u64).into()),
-                ("vanishing_eliminated", stats.vanishing_eliminated.into()),
-                ("workers", (workers as u64).into()),
-                ("shards", (stats.shards as u64).into()),
-            ],
-        );
-
-        // Streaming CTMC assembly: the canonical triplets go straight
-        // into the chain, bypassing the name-interning builder.
-        let names: Vec<String> = raw.markings.iter().map(|m| format!("{m:?}")).collect();
-        let triplets: Vec<(usize, usize, f64)> = raw
-            .arcs
-            .iter()
-            .map(|&(f, t, r)| (f as usize, t as usize, r))
-            .collect();
-        let ctmc = Ctmc::from_parts(names, triplets)?;
-        let state_ids = ctmc.state_ids();
-        let mut initial = vec![0.0; raw.markings.len()];
-        for &(i, p) in &raw.initial_pairs {
-            initial[i as usize] += p;
-        }
-        Ok(SolvedSpn {
-            spn: self,
-            markings: raw.markings,
-            state_ids,
-            ctmc,
-            initial,
-            stats,
-        })
-    }
-
-    /// Indices of the timed transitions, in declaration order — the
-    /// outer loop of every state expansion.
-    pub(crate) fn timed_indices(&self) -> Vec<usize> {
-        (0..self.transitions.len())
-            .filter(|&t| matches!(self.transitions[t].timing, Timing::Timed(_)))
-            .collect()
-    }
-
-    /// The sequential reference generator: FIFO (BFS) frontier over the
-    /// intern table, which *defines* the canonical state numbering the
-    /// parallel path reproduces.
-    fn generate_sequential(&self, opts: &ReachabilityOptions) -> Result<RawGraph> {
-        let width = self.num_places();
-        let timed = self.timed_indices();
-        let has_imm = self.has_immediate();
-        let mut table = InternTable::new(width);
-        let mut arcs: Vec<(u32, u32, f64)> = Vec::new();
-        let mut vanishing = 0u64;
-
-        let intern = |table: &mut InternTable, m: &[u32]| -> Result<u32> {
-            let (id, is_new) = table.intern(m, hash_marking(m));
-            if is_new && table.count > opts.max_markings {
-                return Err(cap_error(opts));
-            }
-            Ok(id)
-        };
-
-        // Resolve the initial marking (it may be vanishing).
-        let mut initial_pairs: Vec<(u32, f64)> = Vec::new();
-        for (m, p) in self.resolve_vanishing(self.initial.clone(), opts, &mut vanishing)? {
-            let i = intern(&mut table, &m)?;
-            initial_pairs.push((i, p));
-        }
-
-        // Newly interned markings get the next index, so walking the
-        // arena front to back *is* the BFS — no explicit queue.
-        let mut cur: Marking = Vec::with_capacity(width);
-        let mut fired: Marking = Vec::with_capacity(width);
-        let mut i = 0usize;
-        // BFS levels are implicit in the arena walk: everything
-        // interned while expanding level L is level L+1.
-        let mut level = 0u64;
-        let mut level_end = table.count;
-        while i < table.count {
-            if i == level_end {
-                if obs::trace_enabled() {
-                    obs::event(
-                        "spn.reach.level",
-                        &[
-                            ("level", level.into()),
-                            ("frontier", (table.count - level_end).into()),
-                            ("states", table.count.into()),
-                            ("arcs", arcs.len().into()),
-                        ],
-                    );
-                }
-                level += 1;
-                level_end = table.count;
-            }
-            cur.clear();
-            cur.extend_from_slice(table.get(i as u32));
-            for &t in &timed {
-                if !self.enabled(t, &cur) {
-                    continue;
-                }
-                let rate = self.rate_of(t, &cur)?;
-                self.fire_into(t, &cur, &mut fired);
-                if has_imm && self.any_immediate_enabled(&fired) {
-                    for (target, p) in
-                        self.resolve_vanishing(fired.clone(), opts, &mut vanishing)?
-                    {
-                        let j = intern(&mut table, &target)?;
-                        if j as usize != i {
-                            arcs.push((i as u32, j, rate * p));
-                        }
-                    }
-                } else {
-                    let j = intern(&mut table, &fired)?;
-                    if j as usize != i {
-                        arcs.push((i as u32, j, rate));
-                    }
-                }
-            }
-            i += 1;
-        }
-
-        let count = table.count;
-        let markings: Vec<Marking> = (0..count).map(|k| table.get(k as u32).to_vec()).collect();
-        Ok(RawGraph {
-            markings,
-            arcs,
-            initial_pairs,
-            vanishing_eliminated: vanishing,
-            per_worker: vec![count as u64],
-            shards: 1,
-            max_shard_occupancy: count,
-        })
-    }
-
-    /// The parallel generator: sharded intern table, work-stealing
-    /// frontier, then a canonical renumbering pass that replays the
-    /// sequential BFS over the recorded per-state arc lists — so the
-    /// emitted triplet stream is bitwise identical to
-    /// [`Spn::generate_sequential`]'s regardless of worker count.
-    fn generate_parallel(&self, opts: &ReachabilityOptions, workers: usize) -> Result<RawGraph> {
-        let width = self.num_places();
-        let timed = self.timed_indices();
-        let has_imm = self.has_immediate();
-        let num_shards = 1usize << opts.shard_bits.min(16);
-        let shared = ParShared {
-            shards: (0..num_shards)
-                .map(|_| Mutex::new(InternTable::new(width)))
+impl<'a> Expansion<'a> {
+    pub(crate) fn new(spn: &'a Spn, opts: &ReachabilityOptions) -> Self {
+        Expansion {
+            spn,
+            timed: (0..spn.transitions.len())
+                .filter(|&t| matches!(spn.transitions[t].timing, Timing::Timed(_)))
                 .collect(),
-            shard_mask: num_shards - 1,
-            queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            total: AtomicUsize::new(0),
-            pending: AtomicUsize::new(0),
-            failed: AtomicBool::new(false),
-            error: Mutex::new(None),
-        };
-
-        // Resolve and seed the initial distribution sequentially; the
-        // resolved targets are distinct, so each is new.
-        let mut vanishing0 = 0u64;
-        let mut initial_provs: Vec<(u64, f64)> = Vec::new();
-        for (rr, (m, p)) in self
-            .resolve_vanishing(self.initial.clone(), opts, &mut vanishing0)?
-            .into_iter()
-            .enumerate()
-        {
-            let (prov, is_new) = shared.intern(&m, opts)?;
-            initial_provs.push((prov, p));
-            if is_new {
-                shared.pending.fetch_add(1, Ordering::Release);
-                shared.queues[rr % workers]
-                    .lock()
-                    .expect("frontier queue poisoned")
-                    .push_back(prov);
-            }
+            has_imm: spn.has_immediate(),
+            opts: *opts,
         }
-
-        let mut outs: Vec<WorkerOut> = Vec::with_capacity(workers);
-        let trace = obs::current_trace_id();
-        std::thread::scope(|sc| {
-            let handles: Vec<_> = (0..workers)
-                .map(|me| {
-                    let shared = &shared;
-                    let timed = &timed;
-                    sc.spawn(move || {
-                        let _trace = obs::set_trace_id(trace);
-                        let mut out = WorkerOut::default();
-                        self.worker_loop(shared, opts, timed, has_imm, me, &mut out);
-                        out
-                    })
-                })
-                .collect();
-            for h in handles {
-                outs.push(h.join().expect("reachability worker panicked"));
-            }
-        });
-        if shared.failed.load(Ordering::Acquire) {
-            let e = shared
-                .error
-                .lock()
-                .expect("error slot poisoned")
-                .take()
-                .unwrap_or_else(|| Error::model("parallel reachability generation failed"));
-            return Err(e);
-        }
-
-        // --- Canonical renumbering -------------------------------------
-        // Replay the sequential BFS over the recorded arc lists: states
-        // are numbered in first-appearance order of the canonical arc
-        // stream (initial distribution first), and arcs are re-emitted
-        // in that order. Both streams coincide exactly with what the
-        // sequential path produces.
-        let tables: Vec<InternTable> = shared
-            .shards
-            .into_iter()
-            .map(|m| m.into_inner().expect("intern shard poisoned"))
-            .collect();
-        let mut base = vec![0usize; tables.len() + 1];
-        for (s, t) in tables.iter().enumerate() {
-            base[s + 1] = base[s] + t.count;
-        }
-        let total = base[tables.len()];
-        let dense = |prov: u64| {
-            let (s, l) = prov_parts(prov);
-            base[s] + l as usize
-        };
-        let mut succ: Vec<Vec<(u64, f64)>> = vec![Vec::new(); total];
-        for out in &mut outs {
-            for (src, list) in out.arcs.drain(..) {
-                succ[dense(src)] = list;
-            }
-        }
-        let mut canon: Vec<u32> = vec![u32::MAX; total];
-        let mut order: Vec<u64> = Vec::with_capacity(total);
-        let mut initial_pairs: Vec<(u32, f64)> = Vec::with_capacity(initial_provs.len());
-        for &(prov, p) in &initial_provs {
-            let d = dense(prov);
-            if canon[d] == u32::MAX {
-                canon[d] = order.len() as u32;
-                order.push(prov);
-            }
-            initial_pairs.push((canon[d], p));
-        }
-        let mut arcs: Vec<(u32, u32, f64)> = Vec::new();
-        let mut head = 0usize;
-        // The replay is the sequential BFS, so it carries the same
-        // implicit level structure — emit the identical level series.
-        let mut level = 0u64;
-        let mut level_end = order.len();
-        while head < order.len() {
-            if head == level_end {
-                if obs::trace_enabled() {
-                    obs::event(
-                        "spn.reach.level",
-                        &[
-                            ("level", level.into()),
-                            ("frontier", (order.len() - level_end).into()),
-                            ("states", order.len().into()),
-                            ("arcs", arcs.len().into()),
-                        ],
-                    );
-                }
-                level += 1;
-                level_end = order.len();
-            }
-            let src = head as u32;
-            // The successor list is moved out to appease the borrow on
-            // `order`; it is dead after this pass anyway.
-            let list = std::mem::take(&mut succ[dense(order[head])]);
-            for &(dst, rate) in &list {
-                let d = dense(dst);
-                if canon[d] == u32::MAX {
-                    canon[d] = order.len() as u32;
-                    order.push(dst);
-                }
-                arcs.push((src, canon[d], rate));
-            }
-            head += 1;
-        }
-        if order.len() != total {
-            return Err(Error::model(
-                "internal error: interned markings unreachable from the initial distribution",
-            ));
-        }
-        let markings: Vec<Marking> = order
-            .iter()
-            .map(|&prov| {
-                let (s, l) = prov_parts(prov);
-                tables[s].get(l).to_vec()
-            })
-            .collect();
-
-        let vanishing_eliminated =
-            vanishing0 + outs.iter().map(|o| o.vanishing_eliminated).sum::<u64>();
-        Ok(RawGraph {
-            markings,
-            arcs,
-            initial_pairs,
-            vanishing_eliminated,
-            per_worker: outs.iter().map(|o| o.processed).collect(),
-            shards: tables.len(),
-            max_shard_occupancy: tables.iter().map(|t| t.count).max().unwrap_or(0),
-        })
     }
 
-    /// One worker of the parallel pool: drain the own deque from the
-    /// back (depth-first locally, for cache locality), steal from the
-    /// front of a sibling's deque when empty, terminate when no
-    /// marking anywhere is discovered-but-unexpanded.
-    fn worker_loop(
+    /// Expands the tangible marking `m`: fires its enabled timed
+    /// transitions in declaration order into the buffer `fired`,
+    /// resolves vanishing successors, and hands each `(tangible target,
+    /// rate)` to `emit` in emission order — self-loops and parallel
+    /// arcs included. The walk interns each target; row regeneration
+    /// looks each one up.
+    pub(crate) fn expand(
         &self,
-        shared: &ParShared,
-        opts: &ReachabilityOptions,
-        timed: &[usize],
-        has_imm: bool,
-        me: usize,
-        out: &mut WorkerOut,
-    ) {
-        let width = self.num_places();
-        let mut cur: Marking = Vec::with_capacity(width);
-        let mut fired: Marking = Vec::with_capacity(width);
-        let mut newly: Vec<u64> = Vec::new();
-        loop {
-            if shared.failed.load(Ordering::Acquire) {
-                return;
-            }
-            let item = shared.queues[me]
-                .lock()
-                .expect("frontier queue poisoned")
-                .pop_back();
-            let Some(prov) = item else {
-                let mut stole = false;
-                for k in 1..shared.queues.len() {
-                    let victim = (me + k) % shared.queues.len();
-                    let stolen: Vec<u64> = {
-                        let mut q = shared.queues[victim]
-                            .lock()
-                            .expect("frontier queue poisoned");
-                        let take = q.len().div_ceil(2);
-                        q.drain(..take).collect()
-                    };
-                    if !stolen.is_empty() {
-                        shared.queues[me]
-                            .lock()
-                            .expect("frontier queue poisoned")
-                            .extend(stolen);
-                        stole = true;
-                        break;
-                    }
-                }
-                if !stole {
-                    if shared.pending.load(Ordering::Acquire) == 0 {
-                        return;
-                    }
-                    std::thread::yield_now();
-                }
+        m: &Marking,
+        fired: &mut Marking,
+        vanishing: &mut u64,
+        mut emit: impl FnMut(&[u32], f64) -> Result<()>,
+    ) -> Result<()> {
+        let spn = self.spn;
+        for &t in &self.timed {
+            if !spn.enabled(t, m) {
                 continue;
-            };
-
-            let (s, l) = prov_parts(prov);
-            {
-                let shard = shared.shards[s].lock().expect("intern shard poisoned");
-                cur.clear();
-                cur.extend_from_slice(shard.get(l));
             }
-            newly.clear();
-            let mut list: Vec<(u64, f64)> = Vec::new();
-            let result = (|| -> Result<()> {
-                for &t in timed {
-                    if !self.enabled(t, &cur) {
-                        continue;
-                    }
-                    let rate = self.rate_of(t, &cur)?;
-                    self.fire_into(t, &cur, &mut fired);
-                    if has_imm && self.any_immediate_enabled(&fired) {
-                        for (target, p) in self.resolve_vanishing(
-                            fired.clone(),
-                            opts,
-                            &mut out.vanishing_eliminated,
-                        )? {
-                            let (dst, is_new) = shared.intern(&target, opts)?;
-                            if is_new {
-                                shared.pending.fetch_add(1, Ordering::Release);
-                                newly.push(dst);
-                            }
-                            if dst != prov {
-                                list.push((dst, rate * p));
-                            }
-                        }
-                    } else {
-                        let (dst, is_new) = shared.intern(&fired, opts)?;
-                        if is_new {
-                            shared.pending.fetch_add(1, Ordering::Release);
-                            newly.push(dst);
-                        }
-                        if dst != prov {
-                            list.push((dst, rate));
-                        }
-                    }
+            let rate = spn.rate_of(t, m)?;
+            spn.fire_into(t, m, fired);
+            if self.has_imm && spn.any_immediate_enabled(fired) {
+                for (target, p) in self.resolve_vanishing(fired.clone(), vanishing)? {
+                    emit(&target, rate * p)?;
                 }
-                Ok(())
-            })();
-            match result {
-                Ok(()) => {
-                    out.arcs.push((prov, list));
-                    if !newly.is_empty() {
-                        shared.queues[me]
-                            .lock()
-                            .expect("frontier queue poisoned")
-                            .extend(newly.iter().copied());
-                    }
-                    out.processed += 1;
-                    shared.pending.fetch_sub(1, Ordering::Release);
-                }
-                Err(e) => {
-                    shared.record_error(e);
-                    return;
-                }
+            } else {
+                emit(fired, rate)?;
             }
         }
+        Ok(())
     }
 
     /// Pushes a (possibly vanishing) marking through immediate
     /// transitions until only tangible markings remain, returning the
-    /// tangible distribution in a canonical (lexicographic) order — the
-    /// order must not depend on exploration interleaving, or parallel
-    /// and sequential runs would emit different arc streams.
+    /// tangible distribution in lexicographic order. That order fixes
+    /// the order in which `Expansion::expand` emits a vanishing
+    /// successor's targets, so it fixes the state numbering and the arc
+    /// stream.
     pub(crate) fn resolve_vanishing(
         &self,
         m: Marking,
-        opts: &ReachabilityOptions,
         eliminated: &mut u64,
     ) -> Result<Vec<(Marking, f64)>> {
-        if !self.any_immediate_enabled(&m) {
+        let spn = self.spn;
+        if !spn.any_immediate_enabled(&m) {
             return Ok(vec![(m, 1.0)]);
         }
         let mut out: Vec<(Marking, f64)> = Vec::new();
         let mut stack: Vec<(Marking, f64, usize)> = vec![(m, 1.0, 0)];
         while let Some((m, p, depth)) = stack.pop() {
-            if depth > opts.max_vanishing_depth {
+            if depth > self.opts.max_vanishing_depth {
                 return Err(Error::model(
                     "vanishing-marking chain exceeded depth limit: immediate-transition loop?",
                 ));
             }
             // Enabled immediate transitions of the highest priority.
             let mut best_priority = None;
-            for (t, tr) in self.transitions.iter().enumerate() {
+            for (t, tr) in spn.transitions.iter().enumerate() {
                 if let Timing::Immediate { priority, .. } = tr.timing {
-                    if self.enabled(t, &m) {
+                    if spn.enabled(t, &m) {
                         best_priority =
                             Some(best_priority.map_or(priority, |b: u32| b.max(priority)));
                     }
@@ -810,13 +291,13 @@ impl Spn {
                 continue;
             };
             *eliminated += 1;
-            let firing: Vec<(usize, f64)> = self
+            let firing: Vec<(usize, f64)> = spn
                 .transitions
                 .iter()
                 .enumerate()
                 .filter_map(|(t, tr)| match tr.timing {
                     Timing::Immediate { weight, priority }
-                        if priority == best && self.enabled(t, &m) =>
+                        if priority == best && spn.enabled(t, &m) =>
                     {
                         Some((t, weight))
                     }
@@ -825,7 +306,7 @@ impl Spn {
                 .collect();
             let total_weight: f64 = firing.iter().map(|(_, w)| w).sum();
             for (t, w) in firing {
-                let next = self.fire(t, &m);
+                let next = spn.fire(t, &m);
                 stack.push((next, p * w / total_weight, depth + 1));
             }
         }
@@ -845,29 +326,83 @@ impl Spn {
     }
 }
 
-/// The solved net: tangible markings plus the underlying CTMC.
-///
-/// Borrow of the [`Spn`] is kept for marking-dependent throughput
-/// queries.
+impl Spn {
+    /// Generates the reachability graph, eliminates vanishing markings,
+    /// and builds the underlying CTMC, with default options.
+    ///
+    /// # Errors
+    ///
+    /// See [`Spn::solve_with`].
+    pub fn solve(&self) -> Result<SolvedSpn<'_>> {
+        self.solve_with(&ReachabilityOptions::default())
+    }
+
+    /// [`Spn::solve`] with explicit limits.
+    ///
+    /// # Errors
+    ///
+    /// * [`Error::Model`] — state-space cap exceeded, vanishing loop
+    ///   detected, or a marking-dependent rate misbehaved.
+    pub fn solve_with(&self, opts: &ReachabilityOptions) -> Result<SolvedSpn<'_>> {
+        let _span = obs::span("spn.reach");
+        // The walk's arcs go straight into the chain as the triplets
+        // `Ctmc::from_parts` takes, bypassing the name-interning builder.
+        let mut triplets: Vec<(usize, usize, f64)> = Vec::new();
+        let space = self.walk(opts, |i, j, rate| triplets.push((i, j, rate)))?;
+        let stats = space.stats();
+        obs::counter_add("spn.reach.markings", stats.markings as u64);
+        obs::counter_add("spn.reach.arcs", stats.arcs as u64);
+        obs::counter_add("spn.reach.vanishing_eliminated", stats.vanishing_eliminated);
+        stats.emit_done("spn.reach.done");
+
+        let n = space.num_markings();
+        let names: Vec<String> = (0..n)
+            .map(|i| format!("{:?}", space.marking(i as u32)))
+            .collect();
+        let ctmc = Ctmc::from_parts(names, triplets)?;
+        let state_ids = ctmc.state_ids();
+        let mut initial = vec![0.0; n];
+        for &(i, p) in space.initial_pairs() {
+            initial[i as usize] += p;
+        }
+        Ok(SolvedSpn {
+            space,
+            state_ids,
+            ctmc,
+            initial,
+        })
+    }
+}
+
+/// The solved net: its tangible marking space plus the underlying
+/// CTMC, with states numbered alike.
 #[derive(Debug)]
 pub struct SolvedSpn<'a> {
-    spn: &'a Spn,
-    markings: Vec<Marking>,
+    space: TangibleSpace<'a>,
     state_ids: Vec<StateId>,
     ctmc: Ctmc,
     initial: Vec<f64>,
-    stats: ReachStats,
 }
 
-impl SolvedSpn<'_> {
+impl<'a> SolvedSpn<'a> {
     /// Number of tangible markings (CTMC states).
     pub fn num_markings(&self) -> usize {
-        self.markings.len()
+        self.space.num_markings()
     }
 
-    /// The tangible markings, indexed like CTMC states.
-    pub fn markings(&self) -> &[Marking] {
-        &self.markings
+    /// The tangible marking of CTMC state `i` (token count per place,
+    /// indexed like [`PlaceId::index`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn marking(&self, i: u32) -> &[u32] {
+        self.space.marking(i)
+    }
+
+    /// The tangible marking space the CTMC was built from.
+    pub fn space(&self) -> &TangibleSpace<'a> {
+        &self.space
     }
 
     /// The underlying CTMC.
@@ -876,15 +411,22 @@ impl SolvedSpn<'_> {
     }
 
     /// Generation telemetry: markings, arcs, vanishing chains
-    /// eliminated, worker/shard utilization.
+    /// eliminated.
     pub fn reach_stats(&self) -> &ReachStats {
-        &self.stats
+        self.space.stats()
     }
 
     /// Initial distribution over tangible markings (a vanishing initial
     /// marking spreads over its tangible successors).
     pub fn initial_distribution(&self) -> &[f64] {
         &self.initial
+    }
+
+    /// The reward of every tangible marking, indexed like CTMC states.
+    fn rewards(&self, reward: impl Fn(&[u32]) -> f64) -> Vec<f64> {
+        (0..self.num_markings())
+            .map(|i| reward(self.marking(i as u32)))
+            .collect()
     }
 
     /// Steady-state expected value of a marking reward function.
@@ -894,10 +436,10 @@ impl SolvedSpn<'_> {
     /// Propagates CTMC steady-state errors (e.g. reducible nets).
     pub fn steady_state_expected_reward<F>(&self, reward: F) -> Result<f64>
     where
-        F: Fn(&Marking) -> f64,
+        F: Fn(&[u32]) -> f64,
     {
-        let rewards: Vec<f64> = self.markings.iter().map(reward).collect();
-        self.ctmc.expected_steady_state_reward(&rewards)
+        self.ctmc
+            .expected_steady_state_reward(&self.rewards(reward))
     }
 
     /// Expected value of a marking reward function at time `t`,
@@ -908,10 +450,10 @@ impl SolvedSpn<'_> {
     /// Propagates transient-solver errors.
     pub fn transient_expected_reward<F>(&self, reward: F, t: f64) -> Result<f64>
     where
-        F: Fn(&Marking) -> f64,
+        F: Fn(&[u32]) -> f64,
     {
-        let rewards: Vec<f64> = self.markings.iter().map(reward).collect();
-        self.ctmc.expected_reward_at(&self.initial, &rewards, t)
+        self.ctmc
+            .expected_reward_at(&self.initial, &self.rewards(reward), t)
     }
 
     /// Expected reward accumulated over `[0, t]` from the initial
@@ -926,11 +468,10 @@ impl SolvedSpn<'_> {
     /// Propagates accumulated-solver errors.
     pub fn accumulated_expected_reward<F>(&self, reward: F, t: f64) -> Result<f64>
     where
-        F: Fn(&Marking) -> f64,
+        F: Fn(&[u32]) -> f64,
     {
-        let rewards: Vec<f64> = self.markings.iter().map(reward).collect();
         self.ctmc
-            .expected_accumulated_reward(&self.initial, &rewards, t)
+            .expected_accumulated_reward(&self.initial, &self.rewards(reward), t)
     }
 
     /// Steady-state expected token count in a place.
@@ -938,12 +479,14 @@ impl SolvedSpn<'_> {
     /// # Errors
     ///
     /// Propagates steady-state errors.
-    pub fn expected_tokens(&self, place: crate::PlaceId) -> Result<f64> {
-        self.steady_state_expected_reward(|m| f64::from(m[place.index()]))
+    pub fn expected_tokens(&self, place: PlaceId) -> Result<f64> {
+        let pi = self.ctmc.steady_state()?;
+        self.space.expected_tokens_given(&pi, place)
     }
 
     /// Steady-state throughput of a **timed** transition:
-    /// `Σ_m π_m · rate_t(m) · 1[t enabled in m]`.
+    /// `Σ_m π_m · rate_t(m) · 1[t enabled in m]`. Several measures
+    /// sharing one `π` go through [`TangibleSpace::throughput_given`].
     ///
     /// # Errors
     ///
@@ -951,41 +494,7 @@ impl SolvedSpn<'_> {
     /// propagates solver errors.
     pub fn throughput(&self, t: TransitionId) -> Result<f64> {
         let pi = self.ctmc.steady_state()?;
-        self.throughput_given(&pi, t)
-    }
-
-    /// [`SolvedSpn::throughput`] under a caller-supplied stationary
-    /// distribution — avoids re-solving the chain when several measures
-    /// share one `π`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Model`] for immediate transitions,
-    /// [`Error::InvalidParameter`] for a `π` of the wrong length, and
-    /// propagates rate-evaluation errors.
-    pub fn throughput_given(&self, pi: &[f64], t: TransitionId) -> Result<f64> {
-        let idx = t.index();
-        if !matches!(self.spn.transitions[idx].timing, Timing::Timed(_)) {
-            return Err(Error::model(format!(
-                "throughput of immediate transition '{}' is not defined; attach the measure \
-                 to a timed transition",
-                self.spn.transitions[idx].name
-            )));
-        }
-        if pi.len() != self.markings.len() {
-            return Err(Error::invalid(format!(
-                "distribution length {} != number of markings {}",
-                pi.len(),
-                self.markings.len()
-            )));
-        }
-        let mut total = 0.0;
-        for (i, m) in self.markings.iter().enumerate() {
-            if self.spn.enabled(idx, m) {
-                total += pi[i] * self.spn.rate_of(idx, m)?;
-            }
-        }
-        Ok(total)
+        self.space.throughput_given(&pi, t)
     }
 
     /// Mean time until the net first enters a marking satisfying
@@ -997,13 +506,13 @@ impl SolvedSpn<'_> {
     /// predicate, and propagates MTTF solver errors.
     pub fn mean_time_to<F>(&self, predicate: F) -> Result<f64>
     where
-        F: Fn(&Marking) -> bool,
+        F: Fn(&[u32]) -> bool,
     {
         let absorbing: Vec<StateId> = self
-            .markings
+            .state_ids
             .iter()
-            .zip(&self.state_ids)
-            .filter(|(m, _)| predicate(m))
+            .enumerate()
+            .filter(|&(i, _)| predicate(self.marking(i as u32)))
             .map(|(_, id)| *id)
             .collect();
         if absorbing.is_empty() {
@@ -1041,7 +550,7 @@ mod tests {
         let norm: f64 = (0..=k).map(|i| rho.powi(i as i32)).sum();
         // P(queue nonempty):
         let p_busy = solved
-            .steady_state_expected_reward(|mk: &Marking| if mk[0] > 0 { 1.0 } else { 0.0 })
+            .steady_state_expected_reward(|mk: &[u32]| if mk[0] > 0 { 1.0 } else { 0.0 })
             .unwrap();
         let expected = (1..=k).map(|i| rho.powi(i as i32)).sum::<f64>() / norm;
         assert!((p_busy - expected).abs() < 1e-12);
@@ -1092,7 +601,7 @@ mod tests {
         let spn = b.build().unwrap();
         let solved = spn.solve().unwrap();
         // No tangible marking retains an inbox token.
-        assert!(solved.markings().iter().all(|m| m[0] == 0));
+        assert!((0..solved.num_markings()).all(|i| solved.marking(i as u32)[0] == 0));
         let tl = solved
             .throughput(crate::TransitionId::index_test(3))
             .unwrap();
@@ -1129,7 +638,7 @@ mod tests {
         let spn = b.build().unwrap();
         let solved = spn.solve().unwrap();
         // The low-priority route never fires: place "lo" stays empty.
-        assert!(solved.markings().iter().all(|m| m[2] == 0));
+        assert!((0..solved.num_markings()).all(|i| solved.marking(i as u32)[2] == 0));
     }
 
     #[test]
@@ -1161,13 +670,6 @@ mod tests {
             ..Default::default()
         };
         assert!(spn.solve_with(&opts).is_err());
-        // The parallel path trips the same cap.
-        let opts = ReachabilityOptions {
-            max_markings: 100,
-            jobs: 2,
-            ..Default::default()
-        };
-        assert!(spn.solve_with(&opts).is_err());
     }
 
     #[test]
@@ -1175,19 +677,19 @@ mod tests {
         // M/M/1/2: time from empty until the queue first fills.
         let spn = mm1k(1.0, 1.0, 2);
         let solved = spn.solve().unwrap();
-        let mtt = solved.mean_time_to(|m: &Marking| m[0] == 2).unwrap();
+        let mtt = solved.mean_time_to(|m: &[u32]| m[0] == 2).unwrap();
         // Birth-death first-passage 0 -> 2 with λ = μ = 1:
         // E[T_0->2] = 3 (standard result: sum over levels).
         assert!((mtt - 3.0).abs() < 1e-9, "{mtt}");
         // Predicate never satisfied:
-        assert!(solved.mean_time_to(|m: &Marking| m[0] > 99).is_err());
+        assert!(solved.mean_time_to(|m: &[u32]| m[0] > 99).is_err());
     }
 
     #[test]
     fn accumulated_reward_long_run_matches_steady_state() {
         let spn = mm1k(1.0, 2.0, 3);
         let solved = spn.solve().unwrap();
-        let busy = |m: &Marking| if m[0] > 0 { 1.0 } else { 0.0 };
+        let busy = |m: &[u32]| if m[0] > 0 { 1.0 } else { 0.0 };
         let p_busy = solved.steady_state_expected_reward(busy).unwrap();
         let t = 20_000.0;
         let acc = solved.accumulated_expected_reward(busy, t).unwrap();
@@ -1217,35 +719,9 @@ mod tests {
         let weights = [1.0, 1.0, 0.5, 0.25];
         let norm: f64 = weights.iter().sum();
         let p_empty = solved
-            .steady_state_expected_reward(|m: &Marking| if m[0] == 0 { 1.0 } else { 0.0 })
+            .steady_state_expected_reward(|m: &[u32]| if m[0] == 0 { 1.0 } else { 0.0 })
             .unwrap();
         assert!((p_empty - weights[0] / norm).abs() < 1e-12);
-    }
-
-    #[test]
-    fn parallel_generation_is_bitwise_identical() {
-        // The canonical numbering makes worker count unobservable: the
-        // generator matrices must be equal entry for entry, bit for
-        // bit. (The full randomized version lives in tests/prop_reach.)
-        let spn = mm1k(1.3, 2.1, 6);
-        let seq = spn.solve().unwrap();
-        for jobs in [2usize, 4] {
-            let opts = ReachabilityOptions {
-                jobs,
-                shard_bits: 2,
-                ..Default::default()
-            };
-            let par = spn.solve_with(&opts).unwrap();
-            assert_eq!(seq.markings(), par.markings());
-            assert_eq!(seq.ctmc().generator(), par.ctmc().generator());
-            assert_eq!(seq.initial_distribution(), par.initial_distribution());
-            assert_eq!(par.reach_stats().workers, jobs);
-            assert_eq!(par.reach_stats().shards, 4);
-            assert_eq!(
-                par.reach_stats().per_worker_markings.iter().sum::<u64>(),
-                par.reach_stats().markings as u64
-            );
-        }
     }
 
     #[test]
@@ -1255,10 +731,7 @@ mod tests {
         let s = solved.reach_stats();
         assert_eq!(s.markings, 5);
         assert_eq!(s.arcs, 8); // birth-death chain on 5 states
-        assert_eq!(s.workers, 1);
-        assert_eq!(s.shards, 1);
-        assert_eq!(s.max_shard_occupancy, 5);
-        assert_eq!(s.per_worker_markings, vec![5]);
+        assert_eq!(s.vanishing_eliminated, 0);
     }
 
     #[test]
@@ -1266,9 +739,9 @@ mod tests {
         let spn = mm1k(1.0, 2.0, 3);
         let solved = spn.solve().unwrap();
         let arrive = crate::TransitionId::index_test(0);
-        assert!(solved.throughput_given(&[1.0], arrive).is_err());
+        assert!(solved.space().throughput_given(&[1.0], arrive).is_err());
         let pi = solved.ctmc().steady_state().unwrap();
-        let a = solved.throughput_given(&pi, arrive).unwrap();
+        let a = solved.space().throughput_given(&pi, arrive).unwrap();
         let b = solved.throughput(arrive).unwrap();
         assert_eq!(a.to_bits(), b.to_bits());
     }

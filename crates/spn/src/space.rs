@@ -1,23 +1,24 @@
-//! The tangible marking space without its arcs: the out-of-core
-//! backbone of the streaming solver tier.
+//! The tangible marking space: the one breadth-first walk over an
+//! SPN's markings, and the backbone of both solver tiers.
 //!
-//! [`Spn::tangible_space`] runs the same sequential canonical BFS as
-//! the materializing generator (`Spn::solve_with`) but stores **only**
-//! the packed marking arena and its intern table — no arc triplets, no
-//! `Marking` clones, no CTMC. Rows of the generator are regenerated on
-//! demand by [`TangibleSpace::successors`], which re-fires the enabled
-//! timed transitions of one marking (eliminating vanishing markings on
-//! the fly) and resolves each tangible successor back to its canonical
-//! id through a read-only intern-table probe. Because the BFS interned
-//! every tangible successor during construction, regeneration
-//! reproduces the materialized per-row arc stream exactly — same order,
-//! same duplicates, same rates — which is what lets [`ArenaRowSource`]
-//! feed the `reliab-markov` kernels the bits of the materialized chain.
+//! `Spn::walk` interns the initial distribution, then expands each
+//! interned marking in discovery order with `Expansion::expand` —
+//! walking the arena front to back is the BFS, so there is no explicit
+//! queue. It stores the packed marking arena and its intern table and
+//! hands every arc to its caller: [`Spn::solve_with`] keeps them and
+//! builds the CTMC, [`Spn::tangible_space`] only counts them. Rows of
+//! the generator are regenerated on demand by
+//! [`TangibleSpace::successors`], which runs the same expansion and
+//! resolves each tangible target back to its id through a read-only
+//! intern-table probe. Because the walk interned every tangible
+//! successor, regeneration reproduces the walk's per-row arc stream
+//! exactly — same order, same duplicates, same rates — which is what
+//! lets [`ArenaRowSource`] feed the `reliab-markov` kernels the bits of
+//! the materialized chain.
 
 use crate::model::Spn;
-use crate::reach::{cap_error, hash_marking, InternTable, ReachabilityOptions};
-use crate::Marking;
-use crate::{PlaceId, TransitionId};
+use crate::reach::{hash_marking, Expansion, InternTable, ReachStats};
+use crate::{Marking, PlaceId, ReachabilityOptions, TransitionId};
 use reliab_core::{Error, Result};
 use reliab_markov::RowSource;
 use reliab_obs as obs;
@@ -26,8 +27,7 @@ use std::time::Instant;
 
 /// Reusable per-row scratch for [`TangibleSpace::successors`] — holds
 /// the marking buffers so row regeneration allocates only when a
-/// vanishing chain must be resolved (exactly like the materializing
-/// generator's hot path).
+/// vanishing chain must be resolved (exactly like the walk's hot path).
 #[derive(Debug, Default)]
 pub struct RowBuffer {
     /// The regenerated row: `(target id, rate)` arcs in canonical
@@ -46,34 +46,17 @@ impl RowBuffer {
     }
 }
 
-/// Generation telemetry for a [`TangibleSpace`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct SpaceStats {
-    /// Tangible markings (CTMC states).
-    pub markings: usize,
-    /// CTMC rate triplets the materialized generator would emit
-    /// (counted during the BFS; none are stored).
-    pub arcs: usize,
-    /// Vanishing markings expanded and eliminated during the BFS.
-    pub vanishing_eliminated: u64,
-    /// Wall-clock nanoseconds spent on the BFS.
-    pub generation_ns: u128,
-}
-
-/// The tangible marking space of an [`Spn`] under the canonical
-/// (sequential-BFS) numbering, without materialized arcs.
+/// The tangible marking space of an [`Spn`], numbered in the walk's
+/// discovery order, without materialized arcs.
 ///
-/// Construct with [`Spn::tangible_space`]; regenerate generator rows
-/// with [`TangibleSpace::successors`].
+/// Construct with [`Spn::tangible_space`] (or read the one inside a
+/// [`crate::SolvedSpn`]); regenerate generator rows with
+/// [`TangibleSpace::successors`].
 pub struct TangibleSpace<'a> {
-    spn: &'a Spn,
     table: InternTable,
-    timed: Vec<usize>,
-    has_imm: bool,
+    expansion: Expansion<'a>,
     initial_pairs: Vec<(u32, f64)>,
-    opts: ReachabilityOptions,
-    stats: SpaceStats,
+    stats: ReachStats,
 }
 
 impl std::fmt::Debug for TangibleSpace<'_> {
@@ -87,10 +70,9 @@ impl std::fmt::Debug for TangibleSpace<'_> {
 
 impl Spn {
     /// Generates the tangible marking space **without** storing arcs —
-    /// the entry point of the streaming solver tier. The BFS, vanishing
-    /// elimination, cap enforcement, and state numbering are identical
-    /// to the sequential materializing generator, so state `i` here is
-    /// state `i` of [`Spn::solve_with`]'s CTMC at any worker count.
+    /// the entry point of the streaming solver tier. It runs the walk
+    /// [`Spn::solve_with`] runs, so state `i` here is state `i` of that
+    /// CTMC.
     ///
     /// # Errors
     ///
@@ -99,10 +81,24 @@ impl Spn {
     /// misbehaved.
     pub fn tangible_space(&self, opts: &ReachabilityOptions) -> Result<TangibleSpace<'_>> {
         let _span = obs::span("spn.space");
+        let space = self.walk(opts, |_, _, _| {})?;
+        obs::counter_add("spn.space.markings", space.stats.markings as u64);
+        space.stats.emit_done("spn.space.done");
+        Ok(space)
+    }
+
+    /// The one breadth-first walk: interns the resolved initial
+    /// distribution, then expands every interned marking in discovery
+    /// order, interning each target and handing each arc other than a
+    /// self-loop to `arc` as `(source, target, rate)`.
+    pub(crate) fn walk(
+        &self,
+        opts: &ReachabilityOptions,
+        mut arc: impl FnMut(usize, usize, f64),
+    ) -> Result<TangibleSpace<'_>> {
         let start = Instant::now();
+        let expansion = Expansion::new(self, opts);
         let width = self.num_places();
-        let timed = self.timed_indices();
-        let has_imm = self.has_immediate();
         let mut table = InternTable::new(width);
         let mut arcs = 0usize;
         let mut vanishing = 0u64;
@@ -110,23 +106,28 @@ impl Spn {
         let intern = |table: &mut InternTable, m: &[u32]| -> Result<u32> {
             let (id, is_new) = table.intern(m, hash_marking(m));
             if is_new && table.count > opts.max_markings {
-                return Err(cap_error(opts));
+                return Err(Error::model(format!(
+                    "reachability exceeded {} tangible markings",
+                    opts.max_markings
+                )));
             }
             Ok(id)
         };
 
+        // The initial marking may be vanishing.
         let mut initial_pairs: Vec<(u32, f64)> = Vec::new();
-        for (m, p) in self.resolve_vanishing(self.initial.clone(), opts, &mut vanishing)? {
+        for (m, p) in expansion.resolve_vanishing(self.initial.clone(), &mut vanishing)? {
             let i = intern(&mut table, &m)?;
             initial_pairs.push((i, p));
         }
 
-        // The arena walk IS the BFS, exactly as in the materializing
-        // generator; the only difference is that arcs are counted, not
-        // collected.
+        // Newly interned markings get the next index, so walking the
+        // arena front to back *is* the BFS — no explicit queue.
         let mut cur: Marking = Vec::with_capacity(width);
         let mut fired: Marking = Vec::with_capacity(width);
         let mut i = 0usize;
+        // BFS levels are implicit in the arena walk: everything
+        // interned while expanding level L is level L+1.
         let mut level = 0u64;
         let mut level_end = table.count;
         while i < table.count {
@@ -147,54 +148,27 @@ impl Spn {
             }
             cur.clear();
             cur.extend_from_slice(table.get(i as u32));
-            for &t in &timed {
-                if !self.enabled(t, &cur) {
-                    continue;
+            expansion.expand(&cur, &mut fired, &mut vanishing, |target, rate| {
+                let j = intern(&mut table, target)? as usize;
+                if j != i {
+                    arc(i, j, rate);
+                    arcs += 1;
                 }
-                let rate = self.rate_of(t, &cur)?;
-                debug_assert!(rate > 0.0);
-                self.fire_into(t, &cur, &mut fired);
-                if has_imm && self.any_immediate_enabled(&fired) {
-                    for (target, _p) in
-                        self.resolve_vanishing(fired.clone(), opts, &mut vanishing)?
-                    {
-                        let j = intern(&mut table, &target)?;
-                        if j as usize != i {
-                            arcs += 1;
-                        }
-                    }
-                } else {
-                    let j = intern(&mut table, &fired)?;
-                    if j as usize != i {
-                        arcs += 1;
-                    }
-                }
-            }
+                Ok(())
+            })?;
             i += 1;
         }
 
-        let stats = SpaceStats {
+        let stats = ReachStats {
             markings: table.count,
             arcs,
             vanishing_eliminated: vanishing,
             generation_ns: start.elapsed().as_nanos(),
         };
-        obs::counter_add("spn.space.markings", stats.markings as u64);
-        obs::event(
-            "spn.space.done",
-            &[
-                ("markings", (stats.markings as u64).into()),
-                ("arcs", (stats.arcs as u64).into()),
-                ("vanishing_eliminated", stats.vanishing_eliminated.into()),
-            ],
-        );
         Ok(TangibleSpace {
-            spn: self,
             table,
-            timed,
-            has_imm,
+            expansion,
             initial_pairs,
-            opts: *opts,
             stats,
         })
     }
@@ -227,7 +201,7 @@ impl TangibleSpace<'_> {
 
     /// Generation telemetry.
     #[must_use]
-    pub fn stats(&self) -> &SpaceStats {
+    pub fn stats(&self) -> &ReachStats {
         &self.stats
     }
 
@@ -236,49 +210,37 @@ impl TangibleSpace<'_> {
     /// accounting for the streaming tier's memory planner.
     #[must_use]
     pub fn resident_bytes(&self) -> usize {
-        self.table.resident_bytes() + self.timed.len() * 8 + self.initial_pairs.len() * 12
+        self.table.resident_bytes() + self.expansion.timed.len() * 8 + self.initial_pairs.len() * 12
     }
 
     /// Regenerates generator row `id` into `row.arcs`: the off-diagonal
-    /// `(target, rate)` arcs in the canonical emission order — firing
-    /// the enabled timed transitions in declaration order, eliminating
-    /// vanishing successors on the fly, dropping self-loops, keeping
-    /// parallel arcs separate. Byte-for-byte the per-row slice of the
-    /// materialized generator's triplet stream.
+    /// `(target, rate)` arcs in the walk's emission order, self-loops
+    /// dropped, parallel arcs kept separate — byte for byte the walk's
+    /// arcs from `id`.
     ///
     /// # Errors
     ///
     /// Propagates marking-dependent-rate and vanishing-chain errors;
-    /// an un-interned successor (impossible for a space built by
-    /// [`Spn::tangible_space`]) reports an internal model error.
+    /// an un-interned successor (impossible for a space built by the
+    /// walk) reports an internal model error.
     pub fn successors(&self, id: u32, row: &mut RowBuffer) -> Result<()> {
-        row.arcs.clear();
-        row.cur.clear();
-        row.cur.extend_from_slice(self.table.get(id));
-        for &t in &self.timed {
-            if !self.spn.enabled(t, &row.cur) {
-                continue;
-            }
-            let rate = self.spn.rate_of(t, &row.cur)?;
-            self.spn.fire_into(t, &row.cur, &mut row.fired);
-            if self.has_imm && self.spn.any_immediate_enabled(&row.fired) {
-                for (target, p) in
-                    self.spn
-                        .resolve_vanishing(row.fired.clone(), &self.opts, &mut row.vanishing)?
-                {
-                    let j = self.find(&target)?;
-                    if j != id {
-                        row.arcs.push((j, rate * p));
-                    }
-                }
-            } else {
-                let j = self.find(&row.fired)?;
+        let RowBuffer {
+            arcs,
+            cur,
+            fired,
+            vanishing,
+        } = row;
+        arcs.clear();
+        cur.clear();
+        cur.extend_from_slice(self.table.get(id));
+        self.expansion
+            .expand(cur, fired, vanishing, |target, rate| {
+                let j = self.find(target)?;
                 if j != id {
-                    row.arcs.push((j, rate));
+                    arcs.push((j, rate));
                 }
-            }
-        }
-        Ok(())
+                Ok(())
+            })
     }
 
     fn find(&self, m: &[u32]) -> Result<u32> {
@@ -306,8 +268,7 @@ impl TangibleSpace<'_> {
     }
 
     /// Throughput of a **timed** transition under the distribution
-    /// `pi`: `Σ_m π_m · rate_t(m) · 1[t enabled in m]` — the streaming
-    /// counterpart of `SolvedSpn::throughput_given`.
+    /// `pi`: `Σ_m π_m · rate_t(m) · 1[t enabled in m]`.
     ///
     /// # Errors
     ///
@@ -316,21 +277,22 @@ impl TangibleSpace<'_> {
     /// propagates rate-evaluation errors.
     pub fn throughput_given(&self, pi: &[f64], t: TransitionId) -> Result<f64> {
         self.check_pi(pi)?;
+        let spn = self.expansion.spn;
         let idx = t.index();
-        if !self.timed.contains(&idx) {
+        if !self.expansion.timed.contains(&idx) {
             return Err(Error::model(format!(
                 "throughput of immediate transition '{}' is not defined; attach the measure \
                  to a timed transition",
-                self.spn.transitions[idx].name
+                spn.transitions[idx].name
             )));
         }
         let mut total = 0.0;
-        let mut m: Marking = Vec::with_capacity(self.spn.num_places());
+        let mut m: Marking = Vec::with_capacity(spn.num_places());
         for (i, &p) in pi.iter().enumerate() {
             m.clear();
             m.extend_from_slice(self.table.get(i as u32));
-            if self.spn.enabled(idx, &m) {
-                total += p * self.spn.rate_of(idx, &m)?;
+            if spn.enabled(idx, &m) {
+                total += p * spn.rate_of(idx, &m)?;
             }
         }
         Ok(total)
@@ -453,8 +415,8 @@ mod tests {
         let solved = spn.solve_with(&opts).unwrap();
         let space = spn.tangible_space(&opts).unwrap();
         assert_eq!(space.num_markings(), solved.num_markings());
-        for (i, m) in solved.markings().iter().enumerate() {
-            assert_eq!(space.marking(i as u32), &m[..], "marking {i}");
+        for i in 0..space.num_markings() as u32 {
+            assert_eq!(space.marking(i), solved.marking(i), "marking {i}");
         }
         assert_eq!(
             space.initial_pairs().len(),
@@ -512,7 +474,7 @@ mod tests {
         let en_ref = solved.expected_tokens(place).unwrap();
         assert!((en - en_ref).abs() < 1e-12);
         let tp = space.throughput_given(&pi, serve).unwrap();
-        let tp_ref = solved.throughput_given(&pi, serve).unwrap();
+        let tp_ref = solved.throughput(serve).unwrap();
         assert_eq!(tp.to_bits(), tp_ref.to_bits());
         // Validation mirrors SolvedSpn.
         assert!(space.expected_tokens_given(&[1.0], place).is_err());

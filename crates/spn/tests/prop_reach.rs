@@ -1,9 +1,9 @@
-//! Property tests for the parallel state-space generator: on randomly
-//! generated bounded SPNs, every worker count must produce a CTMC
-//! bitwise identical to the sequential reference — same canonical
-//! marking order, same generator triplets, same initial distribution —
-//! and the generation guards (vanishing loops, marking caps) must fire
-//! identically under parallelism.
+//! Property tests for the one state-space walk: on randomly generated
+//! bounded SPNs, the materialized tier (`Spn::solve_with`) and the
+//! streamed tier (`Spn::tangible_space`) must number the same markings
+//! in the same order, start from the same initial pairs and count the
+//! same arcs, and the generation guards (vanishing loops, marking caps)
+//! must fail identically through both entry points.
 //!
 //! Net generation is seeded and self-contained so any failure
 //! reproduces from the seed in the assertion message. Boundedness is
@@ -11,7 +11,7 @@
 //! every immediate transition strictly decreases the token count, so
 //! vanishing chains terminate.
 
-use reliab_spn::{PlaceId, ReachabilityOptions, SpnBuilder, TransitionId};
+use reliab_spn::{PlaceId, ReachabilityOptions, Spn, SpnBuilder, TransitionId};
 
 /// splitmix64 — deterministic, dependency-free.
 struct Rng(u64);
@@ -94,100 +94,80 @@ fn random_spn(seed: u64) -> (reliab_spn::Spn, TransitionId) {
 }
 
 #[test]
-fn parallel_generation_is_bitwise_identical_on_random_nets() {
+fn both_tiers_walk_the_same_space_on_random_nets() {
+    let opts = ReachabilityOptions::default();
     for seed in 0..40u64 {
         let (spn, source) = random_spn(seed);
-        let seq = spn
-            .solve_with(&ReachabilityOptions {
-                jobs: 1,
-                ..Default::default()
-            })
-            .expect("bounded net solves sequentially");
-        for jobs in [2usize, 4, 8] {
-            let par = spn
-                .solve_with(&ReachabilityOptions {
-                    jobs,
-                    ..Default::default()
-                })
-                .unwrap_or_else(|e| panic!("seed {seed}, jobs {jobs}: parallel solve failed: {e}"));
+        let solved = spn
+            .solve_with(&opts)
+            .unwrap_or_else(|e| panic!("seed {seed}: materialized solve failed: {e}"));
+        let space = spn
+            .tangible_space(&opts)
+            .unwrap_or_else(|e| panic!("seed {seed}: tangible space failed: {e}"));
+        assert_eq!(
+            space.num_markings(),
+            solved.num_markings(),
+            "seed {seed}: marking counts differ"
+        );
+        for i in 0..space.num_markings() as u32 {
             assert_eq!(
-                par.num_markings(),
-                seq.num_markings(),
-                "seed {seed}, jobs {jobs}: marking counts differ"
+                space.marking(i),
+                solved.marking(i),
+                "seed {seed}: marking {i} differs"
             );
-            assert_eq!(
-                par.markings(),
-                seq.markings(),
-                "seed {seed}, jobs {jobs}: canonical marking order differs"
-            );
-            assert_eq!(
-                par.ctmc().generator(),
-                seq.ctmc().generator(),
-                "seed {seed}, jobs {jobs}: generator triplets differ"
-            );
-            assert_eq!(
-                par.initial_distribution(),
-                seq.initial_distribution(),
-                "seed {seed}, jobs {jobs}: initial distributions differ"
-            );
+        }
+        assert_eq!(
+            space.initial_pairs(),
+            solved.space().initial_pairs(),
+            "seed {seed}: initial pairs differ"
+        );
+        let mut initial = vec![0.0; space.num_markings()];
+        for &(i, p) in space.initial_pairs() {
+            initial[i as usize] += p;
+        }
+        assert_eq!(
+            solved.initial_distribution(),
+            &initial[..],
+            "seed {seed}: initial distribution differs from its pairs"
+        );
+        let (a, b) = (space.stats(), solved.reach_stats());
+        assert_eq!(a.markings, b.markings, "seed {seed}: stats markings");
+        assert_eq!(a.arcs, b.arcs, "seed {seed}: stats arcs");
+        assert_eq!(
+            a.vanishing_eliminated, b.vanishing_eliminated,
+            "seed {seed}: stats vanishing eliminated"
+        );
+        assert_eq!(b.markings, solved.num_markings(), "seed {seed}");
 
-            // Identical CTMCs must yield identical downstream measures
-            // — same success/failure, and bitwise-equal values on
-            // success (the steady solve is deterministic given the
-            // generator).
-            let seq_steady = seq.ctmc().steady_state();
-            let par_steady = par.ctmc().steady_state();
-            match (&seq_steady, &par_steady) {
-                (Ok(a), Ok(b)) => {
-                    assert_eq!(a, b, "seed {seed}, jobs {jobs}: steady vectors differ");
-                    let st = seq.throughput_given(a, source).expect("source exists");
-                    let pt = par.throughput_given(b, source).expect("source exists");
-                    assert_eq!(st, pt, "seed {seed}, jobs {jobs}: throughput differs");
-                }
-                (Err(_), Err(_)) => {}
-                _ => panic!(
-                    "seed {seed}, jobs {jobs}: steady-state solvability differs \
-                     (seq {seq_steady:?} vs par {par_steady:?})"
-                ),
-            }
+        // One π, the same measure from either tier's space.
+        if let Ok(pi) = solved.ctmc().steady_state() {
+            let st = space.throughput_given(&pi, source).expect("source exists");
+            let mt = solved.throughput(source).expect("source exists");
+            assert_eq!(
+                st.to_bits(),
+                mt.to_bits(),
+                "seed {seed}: throughput differs"
+            );
         }
     }
 }
 
-#[test]
-fn shard_bits_do_not_change_the_result() {
-    for seed in [3u64, 11, 17] {
-        let (spn, _) = random_spn(seed);
-        let reference = spn.solve().expect("bounded net");
-        for shard_bits in [0u32, 1, 4, 10] {
-            for jobs in [1usize, 4] {
-                let alt = spn
-                    .solve_with(&ReachabilityOptions {
-                        jobs,
-                        shard_bits,
-                        ..Default::default()
-                    })
-                    .expect("bounded net");
-                assert_eq!(
-                    alt.markings(),
-                    reference.markings(),
-                    "seed {seed}, shard_bits {shard_bits}, jobs {jobs}"
-                );
-                assert_eq!(
-                    alt.ctmc().generator(),
-                    reference.ctmc().generator(),
-                    "seed {seed}, shard_bits {shard_bits}, jobs {jobs}"
-                );
-            }
-        }
-    }
+/// The error both entry points return for `spn`; they must agree.
+fn same_error_from_both_tiers(spn: &Spn, opts: &ReachabilityOptions) -> String {
+    let materialized = spn
+        .solve_with(opts)
+        .expect_err("materialized generation must fail");
+    let streamed = spn
+        .tangible_space(opts)
+        .expect_err("streamed generation must fail");
+    assert_eq!(materialized, streamed, "the tiers fail differently");
+    materialized.to_string()
 }
 
 /// A vanishing loop behind a timed transition: the loop is not visible
-/// at the initial marking, so it must be detected mid-exploration by
-/// whichever worker expands that region.
+/// at the initial marking, so it must be detected mid-exploration.
 #[test]
-fn vanishing_loop_is_detected_at_every_worker_count() {
+fn vanishing_loop_is_detected_through_both_entry_points() {
     let mut b = SpnBuilder::new();
     let staging = b.place("staging", 0);
     let trap = b.place("trap", 0);
@@ -203,58 +183,23 @@ fn vanishing_loop_is_detected_at_every_worker_count() {
     b.output_arc(spin, trap, 1);
     let spn = b.build().unwrap();
 
-    for jobs in [1usize, 2, 4, 8] {
-        let err = spn
-            .solve_with(&ReachabilityOptions {
-                jobs,
-                ..Default::default()
-            })
-            .expect_err("vanishing loop must be detected");
-        let msg = err.to_string();
-        assert!(
-            msg.contains("vanishing"),
-            "jobs {jobs}: unexpected error: {msg}"
-        );
-    }
+    let msg = same_error_from_both_tiers(&spn, &ReachabilityOptions::default());
+    assert!(msg.contains("vanishing"), "unexpected error: {msg}");
 }
 
-/// The marking cap aborts generation identically under parallelism.
+/// The marking cap aborts generation identically in both tiers.
 #[test]
-fn marking_cap_fires_at_every_worker_count() {
+fn marking_cap_fires_through_both_entry_points() {
     let mut b = SpnBuilder::new();
     let p = b.place("p", 0);
     let grow = b.timed("grow", 1.0);
     b.output_arc(grow, p, 1);
     let spn = b.build().unwrap();
 
-    for jobs in [1usize, 2, 8] {
-        let err = spn
-            .solve_with(&ReachabilityOptions {
-                max_markings: 64,
-                jobs,
-                ..Default::default()
-            })
-            .expect_err("unbounded net must hit the cap");
-        assert!(
-            err.to_string().contains("64"),
-            "jobs {jobs}: unexpected error: {err}"
-        );
-    }
-}
-
-/// The reported worker count follows the requested `jobs`.
-#[test]
-fn reach_stats_reflect_worker_count() {
-    let (spn, _) = random_spn(7);
-    for jobs in [1usize, 2, 4] {
-        let solved = spn
-            .solve_with(&ReachabilityOptions {
-                jobs,
-                ..Default::default()
-            })
-            .expect("bounded net");
-        assert_eq!(solved.reach_stats().workers, jobs, "jobs {jobs}");
-        assert_eq!(solved.reach_stats().markings, solved.num_markings());
-        assert!(solved.reach_stats().max_shard_occupancy <= solved.num_markings());
-    }
+    let opts = ReachabilityOptions {
+        max_markings: 64,
+        ..Default::default()
+    };
+    let msg = same_error_from_both_tiers(&spn, &opts);
+    assert!(msg.contains("64"), "unexpected error: {msg}");
 }

@@ -42,7 +42,8 @@ fn main() -> Result<(), Error> {
 
     println!("two-unit system with one repair crew, as an SRN");
     println!("  tangible markings: {}", solved.num_markings());
-    for m in solved.markings() {
+    for i in 0..solved.num_markings() as u32 {
+        let m = solved.marking(i);
         println!("    up={} broken={} in-repair={}", m[0], m[1], m[2]);
     }
 
