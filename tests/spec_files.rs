@@ -2,7 +2,7 @@
 //! and produce sensible results — they are the first thing a new user
 //! runs.
 
-use reliab::spec::{solve_str_with, SolveOptions, SolvedMeasures};
+use reliab::spec::{solve_str_with, solve_with, ModelSpec, SolveOptions, SolvedMeasures};
 
 fn solve_file(name: &str) -> SolvedMeasures {
     let path = format!("{}/specs/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -233,4 +233,78 @@ fn b787_bounds_spec() {
         }
         other => panic!("expected bounds result, got {other:?}"),
     }
+}
+
+#[test]
+fn shared_storage_rbd_spec() {
+    match solve_file("shared_storage_rbd.json") {
+        SolvedMeasures::Rbd {
+            availability,
+            importance,
+            ..
+        } => {
+            // The SAN serves both web branches, so it enters once:
+            // A = A_san · (1 − (1 − w1)(1 − w2)) · P(2 of 3 app servers).
+            // Its availability is E[ttf] / (E[ttf] + E[ttr]).
+            let san = 20_000.0 / (20_000.0 + 8.0);
+            let web = 1.0 - (1.0 - 0.995) * (1.0 - 0.99);
+            let (a1, a2, a3) = (0.98, 0.98, 0.97);
+            let apps = a1 * a2 + a1 * a3 + a2 * a3 - 2.0 * a1 * a2 * a3;
+            let expected = san * web * apps;
+            assert!(
+                (availability - expected).abs() < 1e-12,
+                "{availability} vs closed form {expected}"
+            );
+            let rows = importance.expect("importance defined");
+            let names: Vec<&str> = rows.iter().map(|r| r.name.as_str()).collect();
+            assert_eq!(names, ["web-1", "web-2", "san", "app-1", "app-2", "app-3"]);
+            // Birnbaum of the SAN: the rest of the system given it works.
+            let san_row = &rows[2];
+            assert!((san_row.birnbaum - web * apps).abs() < 1e-12);
+        }
+        other => panic!("expected RBD result, got {other:?}"),
+    }
+}
+
+#[test]
+fn pumping_station_sim_spec() {
+    let (lower, upper) = match solve_file("pumping_station_sim.json") {
+        SolvedMeasures::Sim {
+            measure,
+            ci_lower,
+            ci_upper,
+            replications,
+            ..
+        } => {
+            assert_eq!(measure, "availability");
+            assert_eq!(replications, 128);
+            (ci_lower, ci_upper)
+        }
+        other => panic!("expected simulation result, got {other:?}"),
+    };
+    // The same document without its `sim` block, solved exactly.
+    let path = format!(
+        "{}/specs/pumping_station_sim.json",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let mut spec = ModelSpec::from_json_str(&std::fs::read_to_string(path).unwrap()).unwrap();
+    let ModelSpec::FaultTree(tree) = &mut spec else {
+        panic!("expected a fault tree");
+    };
+    assert!(tree.sim.take().is_some(), "spec has a sim block");
+    let analytic = solve_with(&spec, &SolveOptions::default())
+        .expect("analytic solve")
+        .measures;
+    let SolvedMeasures::FaultTree {
+        top_event_probability,
+        ..
+    } = analytic
+    else {
+        panic!("expected fault-tree result, got {analytic:?}");
+    };
+    let exact = 1.0 - top_event_probability;
+    assert!(
+        lower <= exact && exact <= upper,
+        "analytic availability {exact} outside the simulated CI [{lower}, {upper}]"
+    );
 }
