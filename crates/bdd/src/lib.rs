@@ -79,6 +79,20 @@ const NONE: u32 = u32::MAX;
 /// marker, so indices `0..MAX_VARS` are representable.
 pub const MAX_VARS: u32 = u16::MAX as u32;
 
+/// The variable limit check: `nvars` as a `u32` if the packed node
+/// format can tag that many variables. [`Bdd::new_with`] runs it; a
+/// model builder that compiles later runs it up front.
+///
+/// # Errors
+///
+/// Returns [`BddError::TooManyVariables`] above [`MAX_VARS`].
+pub fn check_nvars(nvars: usize) -> Result<u32, BddError> {
+    u32::try_from(nvars)
+        .ok()
+        .filter(|&n| n <= MAX_VARS)
+        .ok_or(BddError::TooManyVariables { nvars })
+}
+
 /// Default live-node threshold before [`Bdd::maybe_gc`] collects.
 ///
 /// Deliberately small: collecting early keeps the arena, unique table,
@@ -103,6 +117,12 @@ pub enum BddError {
     /// A probability vector whose length disagrees with the variable
     /// count, or entries outside `[0, 1]`.
     BadProbabilities(String),
+    /// More variables than the packed node format can tag
+    /// ([`MAX_VARS`]).
+    TooManyVariables {
+        /// Requested variable count.
+        nvars: usize,
+    },
 }
 
 impl fmt::Display for BddError {
@@ -112,6 +132,10 @@ impl fmt::Display for BddError {
                 write!(f, "variable {var} out of range (nvars = {nvars})")
             }
             BddError::BadProbabilities(m) => write!(f, "bad probability vector: {m}"),
+            BddError::TooManyVariables { nvars } => write!(
+                f,
+                "{nvars} variables exceed the packed-node limit of {MAX_VARS} variables"
+            ),
         }
     }
 }
@@ -354,27 +378,26 @@ impl Bdd {
     /// # Panics
     ///
     /// Panics if `nvars` exceeds [`MAX_VARS`] (the packed node format
-    /// stores variables as `u16`).
+    /// stores variables as `u16`); model builders, whose variable count
+    /// comes from their input, call [`Bdd::new_with`] instead.
     pub fn new(nvars: u32) -> Self {
-        Bdd::new_with(nvars, BddConfig::default())
+        Bdd::new_with(nvars as usize, BddConfig::default()).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Creates a manager with explicit cache/GC tuning.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `nvars` exceeds [`MAX_VARS`].
-    pub fn new_with(nvars: u32, config: BddConfig) -> Self {
-        assert!(
-            nvars <= MAX_VARS,
-            "nvars {nvars} exceeds the packed-node limit of {MAX_VARS} variables"
-        );
+    /// Returns [`BddError::TooManyVariables`] if `nvars` exceeds
+    /// [`MAX_VARS`].
+    pub fn new_with(nvars: usize, config: BddConfig) -> Result<Self, BddError> {
+        let nvars = check_nvars(nvars)?;
         let gc_threshold = if config.gc_node_threshold == 0 {
             DEFAULT_GC_THRESHOLD
         } else {
             config.gc_node_threshold
         };
-        Bdd {
+        Ok(Bdd {
             arena: NodeArena::with_terminals(),
             unique: UniqueTable::new(),
             cache: IteCache::new(config.ite_cache_capacity),
@@ -390,7 +413,7 @@ impl Bdd {
             gc_moved: 0,
             sift_runs: 0,
             sift_swaps: 0,
-        }
+        })
     }
 
     /// Declared variable count.
@@ -1499,7 +1522,7 @@ mod tests {
         cfg.ite_cache_capacity = 64;
         let fresh = Bdd::new(24);
         assert_eq!(fresh.stats().ite_cache_evictions, 0);
-        let mut b = Bdd::new_with(24, cfg);
+        let mut b = Bdd::new_with(24, cfg).unwrap();
         let vars: Vec<NodeId> = (0..24).map(|i| b.var(i).unwrap()).collect();
         let _f = b.at_least_k(&vars, 12);
         let s = b.stats();
@@ -1553,5 +1576,19 @@ mod tests {
     #[should_panic(expected = "packed-node limit")]
     fn too_many_variables_panics() {
         let _ = Bdd::new(MAX_VARS + 1);
+    }
+
+    #[test]
+    fn new_with_returns_the_variable_limit_as_an_error() {
+        let limit = MAX_VARS as usize;
+        assert_eq!(
+            Bdd::new_with(limit + 1, BddConfig::new()).unwrap_err(),
+            BddError::TooManyVariables { nvars: limit + 1 }
+        );
+        assert!(Bdd::new_with(usize::MAX, BddConfig::new()).is_err());
+        assert_eq!(
+            Bdd::new_with(limit, BddConfig::new()).unwrap().nvars(),
+            MAX_VARS
+        );
     }
 }

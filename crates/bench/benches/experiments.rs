@@ -6,6 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use reliab_bench::{scaling_ctmc, scaling_rbd};
 use reliab_dist::{Exponential, Lifetime, Weibull};
+use reliab_ftree::{Block, RbdBuilder};
 use reliab_hier::FixedPointOptions;
 use reliab_models::crn::{crn_bounds_sweep, crn_mesh};
 use reliab_models::multiproc::{
@@ -16,7 +17,6 @@ use reliab_models::router::{router_availability, RouterParams};
 use reliab_models::sip::{sip_availability, SipParams};
 use reliab_models::two_comp::{two_component_availability, RepairPolicy};
 use reliab_models::wfs::{wfs_availability, WfsParams};
-use reliab_rbd::{Block, RbdBuilder};
 use reliab_semimarkov::renewal::optimal_policy_age;
 use reliab_sim::SystemSimulator;
 use reliab_spn::SpnBuilder;

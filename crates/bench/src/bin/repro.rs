@@ -11,6 +11,7 @@ use std::time::Instant;
 use reliab_bench::{scaling_ctmc, scaling_rbd};
 use reliab_core::{downtime_minutes_per_year, Result};
 use reliab_dist::{Exponential, Lifetime, Weibull};
+use reliab_ftree::{Block, RbdBuilder};
 use reliab_hier::FixedPointOptions;
 use reliab_markov::TransientOptions;
 use reliab_models::crn::{crn_bounds_sweep, crn_exact_unreliability, crn_mesh};
@@ -23,7 +24,6 @@ use reliab_models::router::{router_availability, RouterParams};
 use reliab_models::sip::{sip_availability, SipParams};
 use reliab_models::two_comp::{two_component_availability, RepairPolicy};
 use reliab_models::wfs::{wfs_availability, wfs_ctmc, WfsParams};
-use reliab_rbd::{Block, RbdBuilder};
 use reliab_semimarkov::renewal::{optimal_policy_age, policy_measures, PolicyCosts};
 use reliab_sim::SystemSimulator;
 use reliab_spn::SpnBuilder;

@@ -25,7 +25,7 @@
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
-use reliab_bdd::{Bdd, NodeId};
+use reliab_bdd::{Bdd, BddConfig, NodeId};
 use reliab_core::{ensure_probability, Error, Result};
 
 /// A two-sided bound on a probability measure.
@@ -156,7 +156,8 @@ pub fn ep_reliability_bounds(
 ///
 /// # Errors
 ///
-/// Returns [`Error::InvalidParameter`] on malformed sets/probabilities.
+/// Returns [`Error::InvalidParameter`] on malformed sets/probabilities,
+/// and [`Error::Model`] for more components than the BDD kernel holds.
 pub fn union_probability(sets: &[Vec<usize>], probs: &[f64], nvars: usize) -> Result<f64> {
     if probs.len() != nvars {
         return Err(Error::invalid(format!(
@@ -166,7 +167,8 @@ pub fn union_probability(sets: &[Vec<usize>], probs: &[f64], nvars: usize) -> Re
     }
     check_probs(probs, "probs")?;
     check_sets(sets, nvars, "set")?;
-    let mut bdd = Bdd::new(nvars as u32);
+    let mut bdd =
+        Bdd::new_with(nvars, BddConfig::new()).map_err(|e| Error::model(e.to_string()))?;
     let mut acc = NodeId::FALSE;
     for s in sets {
         let mut conj = NodeId::TRUE;

@@ -90,6 +90,39 @@ fn deeply_nested_input_is_a_parse_error() {
     assert_eq!((code, kind), outcome(&malformed));
 }
 
+/// A model with more components than the BDD kernel holds is a model
+/// error in the `--json` output and exit code 1, not a panic.
+#[test]
+fn oversized_model_is_a_model_error_not_a_panic() {
+    use reliab_spec::json::{self, JsonValue};
+
+    let dir = std::env::temp_dir().join("reliab-cli-test-oversized");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("oversized_rbd.json");
+    let components: Vec<String> = (0..65_536)
+        .map(|i| format!(r#"{{"name":"c{i}","availability":0.9}}"#))
+        .collect();
+    std::fs::write(
+        &path,
+        format!(
+            r#"{{"rbd":{{"components":[{}],"structure":"c0"}}}}"#,
+            components.join(",")
+        ),
+    )
+    .unwrap();
+    let out = run(cli().arg("--json").arg(&path));
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let doc = json::parse(stdout.trim()).expect("--json output parses");
+    let error = doc
+        .as_array()
+        .and_then(|entries| entries[0].get("error"))
+        .expect("entry carries an error");
+    assert_eq!(error.get("kind").and_then(JsonValue::as_str), Some("model"));
+}
+
 #[test]
 fn usage_errors_exit_two() {
     assert_eq!(run(&mut cli()).status.code(), Some(2));

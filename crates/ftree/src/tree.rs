@@ -1,9 +1,9 @@
-//! Fault-tree structure, compilation, and probabilistic analyses.
+//! Fault trees: the failure-space view of a structure function, with
+//! the kernel's node type and compile options.
 
-use crate::bdd_err;
 use crate::cutsets::CutSet;
-use reliab_bdd::{Bdd, NodeId};
-use reliab_core::{ensure_probability, Error, ImportanceMeasures, Result};
+use crate::structure::{Polarity, Structure};
+use reliab_core::{Error, ImportanceMeasures, Result};
 use reliab_dist::Lifetime;
 use reliab_obs as obs;
 
@@ -187,342 +187,43 @@ impl FaultTreeBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Model`] for an empty tree, empty gates, k-of-n
-    /// thresholds out of range, or foreign event handles.
+    /// Returns [`Error::Model`] for an empty tree, more events than the
+    /// BDD kernel holds, empty gates, k-of-n thresholds out of range, or
+    /// foreign event handles.
     pub fn build_with(self, top: FtNode, options: &CompileOptions) -> Result<FaultTree> {
-        let n = self.names.len();
-        if n == 0 {
-            return Err(Error::model("fault tree has no basic events"));
-        }
-        if n as u64 > reliab_bdd::MAX_VARS as u64 {
-            return Err(Error::model(format!(
-                "fault tree has {n} basic events; the BDD kernel's packed \
-                 node format supports at most {}",
-                reliab_bdd::MAX_VARS
-            )));
-        }
-        // event_to_var[e] = initial BDD level of event e. (Sifting may
-        // permute levels afterwards; variable identity is stable.)
-        let event_to_var: Vec<u32> = match options.ordering {
-            VariableOrdering::Declaration => (0..n as u32).collect(),
-            VariableOrdering::DepthFirst | VariableOrdering::Sifted => {
-                let mut order = Vec::new();
-                let mut seen = vec![false; n];
-                dfs_order(&top, &mut order, &mut seen, n)?;
-                // Events never referenced go to the end, in declaration
-                // order.
-                order.extend((0..n).filter(|&e| !seen[e]));
-                let mut map = vec![0u32; n];
-                for (level, &e) in order.iter().enumerate() {
-                    map[e] = level as u32;
-                }
-                map
-            }
-            VariableOrdering::Weighted => weight_order(&top, n)?,
-        };
-        let _span = obs::span("ftree.compile_bdd");
-        let mut config = reliab_bdd::BddConfig::new();
-        config.ite_cache_capacity = options.ite_cache_capacity;
-        config.gc_node_threshold = options.gc_node_threshold;
-        let mut bdd = Bdd::new_with(n as u32, config);
-        let mut ctx = CompileCtx {
-            event_to_var: &event_to_var,
-            // Sifted ordering also reorders *during* compilation, at
-            // deterministic safe points, so pessimal intermediate
-            // explosions are cut down before they peak.
-            dynamic_sift: options.ordering == VariableOrdering::Sifted,
-            safe_points: 0,
-            sift_at: DYNAMIC_SIFT_TRIGGER,
-        };
-        let mut fails = compile(&mut bdd, &top, &mut ctx)?;
-        if options.ordering == VariableOrdering::Sifted {
-            let _sift_span = obs::span("ftree.sift");
-            // Sifting garbage-collects (compacting), renumbering every
-            // node — the returned run carries the root's live id.
-            fails = bdd.sift(fails).root;
-        }
-        // Pin the top-event function so manager-level GC (explicit or
-        // threshold-triggered) can never reclaim it.
-        let fails_guard = bdd.protect(fails);
-        bdd.record_observability();
-        obs::counter_add("ftree.compiles", 1);
-        if obs::trace_enabled() {
-            let stats = bdd.stats();
-            obs::event(
-                "ftree.compiled",
-                &[
-                    ("live_nodes", (stats.live_nodes as u64).into()),
-                    ("peak_live_nodes", (stats.peak_live_nodes as u64).into()),
-                    ("gc_runs", stats.gc_runs.into()),
-                    ("gc_reclaimed", stats.gc_reclaimed.into()),
-                    ("ite_lookups", stats.ite_cache_lookups.into()),
-                    ("ite_hits", stats.ite_cache_hits.into()),
-                ],
-            );
-        }
         Ok(FaultTree {
-            names: self.names,
-            bdd,
-            fails,
-            event_to_var,
-            _fails_guard: fails_guard,
+            sf: Structure::compile(self.names, &top, options, Polarity::Failure)?,
         })
     }
 }
 
-/// Top-down weight heuristic: unit weight at the top, divided evenly
-/// among gate inputs; events sort by descending accumulated weight,
-/// then by first DFS appearance, then declaration order. Unreferenced
-/// events (weight 0) land at the bottom in declaration order.
-fn weight_order(top: &FtNode, n: usize) -> Result<Vec<u32>> {
-    fn rec(
-        node: &FtNode,
-        share: f64,
-        w: &mut [f64],
-        first: &mut [usize],
-        counter: &mut usize,
-    ) -> Result<()> {
-        match node {
-            FtNode::Basic(e) => {
-                if e.0 >= w.len() {
-                    return Err(Error::model(format!(
-                        "event handle {} out of range ({} events declared)",
-                        e.0,
-                        w.len()
-                    )));
-                }
-                w[e.0] += share;
-                if first[e.0] == usize::MAX {
-                    first[e.0] = *counter;
-                    *counter += 1;
-                }
-                Ok(())
-            }
-            FtNode::Or(inputs) | FtNode::And(inputs) | FtNode::KOfN { inputs, .. } => {
-                // Empty gates are rejected later by `compile`.
-                if inputs.is_empty() {
-                    return Ok(());
-                }
-                let child_share = share / inputs.len() as f64;
-                for i in inputs {
-                    rec(i, child_share, w, first, counter)?;
-                }
-                Ok(())
-            }
-        }
-    }
-    let mut w = vec![0.0f64; n];
-    let mut first = vec![usize::MAX; n];
-    let mut counter = 0usize;
-    rec(top, 1.0, &mut w, &mut first, &mut counter)?;
-    let mut events: Vec<usize> = (0..n).collect();
-    events.sort_by(|&a, &b| {
-        w[b].total_cmp(&w[a])
-            .then(first[a].cmp(&first[b]))
-            .then(a.cmp(&b))
-    });
-    let mut map = vec![0u32; n];
-    for (level, &e) in events.iter().enumerate() {
-        map[e] = level as u32;
-    }
-    Ok(map)
-}
-
-fn dfs_order(node: &FtNode, order: &mut Vec<usize>, seen: &mut [bool], n: usize) -> Result<()> {
-    match node {
-        FtNode::Basic(e) => {
-            if e.0 >= n {
-                return Err(Error::model(format!(
-                    "event handle {} out of range ({n} events declared)",
-                    e.0
-                )));
-            }
-            if !seen[e.0] {
-                seen[e.0] = true;
-                order.push(e.0);
-            }
-            Ok(())
-        }
-        FtNode::Or(inputs) | FtNode::And(inputs) | FtNode::KOfN { inputs, .. } => {
-            for i in inputs {
-                dfs_order(i, order, seen, n)?;
-            }
-            Ok(())
-        }
-    }
-}
-
-/// First size at which compile-time sifting considers firing, and the
-/// spacing (in safe points) of the deterministic size checks.
-const DYNAMIC_SIFT_TRIGGER: usize = 1 << 10;
-const DYNAMIC_SIFT_CHECK_INTERVAL: usize = 64;
-
-/// Per-compilation state threaded through the `compile` recursion.
-struct CompileCtx<'a> {
-    event_to_var: &'a [u32],
-    /// Sift at safe points during compilation (Sifted ordering only).
-    dynamic_sift: bool,
-    /// Safe points passed so far — a *structural* counter (one per
-    /// gate-input accumulation), which is what keeps dynamic sifting
-    /// deterministic.
-    safe_points: usize,
-    /// Live size of the accumulator at which the next sift fires.
-    sift_at: usize,
-}
-
-/// Compiles `child` while `live` (the caller's in-flight accumulator)
-/// is protected, so a garbage collection triggered at a safe point
-/// inside the child cannot reclaim it. Every recursion level guards
-/// its own accumulator this way, so at any GC the whole stack of
-/// partial results is rooted. Collections *compact* (renumbering every
-/// node), so the accumulator is returned re-read from its guard
-/// alongside the child's result.
-fn compile_guarded(
-    bdd: &mut Bdd,
-    live: NodeId,
-    child: &FtNode,
-    ctx: &mut CompileCtx<'_>,
-) -> Result<(NodeId, NodeId)> {
-    let guard = bdd.protect(live);
-    let r = compile(bdd, child, ctx);
-    let live = bdd.current(&guard);
-    bdd.unprotect(guard);
-    Ok((live, r?))
-}
-
-/// A safe point between gate-input accumulations: `live` is the only
-/// intermediate the caller still needs, so protect it, let the manager
-/// collect if it has crossed its threshold, and (under the Sifted
-/// ordering) periodically reorder when the accumulator has outgrown
-/// the last sift.
-///
-/// Returns the accumulator's possibly renumbered id. The sift trigger
-/// reads only canonical state — the structural safe-point counter and
-/// the accumulator's reachable node count — never the raw arena
-/// population, which depends on how much garbage earlier operations
-/// left behind.
-fn gc_safe_point(bdd: &mut Bdd, live: NodeId, ctx: &mut CompileCtx<'_>) -> NodeId {
-    let guard = bdd.protect(live);
-    bdd.maybe_gc();
-    ctx.safe_points += 1;
-    if ctx.dynamic_sift && ctx.safe_points.is_multiple_of(DYNAMIC_SIFT_CHECK_INTERVAL) {
-        let root = bdd.current(&guard);
-        if bdd.node_count(root) >= ctx.sift_at {
-            let _sift_span = obs::span("ftree.sift.dynamic");
-            let run = bdd.sift(root);
-            // Back off: re-sift only after the tree outgrows the
-            // reordered size by 2x (floored at the initial trigger).
-            ctx.sift_at = (run.size * 2).max(DYNAMIC_SIFT_TRIGGER);
-        }
-    }
-    let live = bdd.current(&guard);
-    bdd.unprotect(guard);
-    live
-}
-
-fn compile(bdd: &mut Bdd, node: &FtNode, ctx: &mut CompileCtx<'_>) -> Result<NodeId> {
-    match node {
-        FtNode::Basic(e) => {
-            if e.0 >= ctx.event_to_var.len() {
-                return Err(Error::model(format!(
-                    "event handle {} out of range ({} events declared)",
-                    e.0,
-                    ctx.event_to_var.len()
-                )));
-            }
-            bdd.var(ctx.event_to_var[e.0]).map_err(bdd_err)
-        }
-        FtNode::Or(inputs) => {
-            if inputs.is_empty() {
-                return Err(Error::model("empty OR gate"));
-            }
-            let mut acc = NodeId::FALSE;
-            for i in inputs {
-                let (acc_now, x) = compile_guarded(bdd, acc, i, ctx)?;
-                acc = bdd.or(acc_now, x);
-                acc = gc_safe_point(bdd, acc, ctx);
-            }
-            Ok(acc)
-        }
-        FtNode::And(inputs) => {
-            if inputs.is_empty() {
-                return Err(Error::model("empty AND gate"));
-            }
-            let mut acc = NodeId::TRUE;
-            for i in inputs {
-                let (acc_now, x) = compile_guarded(bdd, acc, i, ctx)?;
-                acc = bdd.and(acc_now, x);
-                acc = gc_safe_point(bdd, acc, ctx);
-            }
-            Ok(acc)
-        }
-        FtNode::KOfN { k, inputs } => {
-            if inputs.is_empty() {
-                return Err(Error::model("empty k-of-n gate"));
-            }
-            if *k == 0 || *k > inputs.len() {
-                return Err(Error::model(format!(
-                    "k-of-n gate with k = {k} outside 1..={}",
-                    inputs.len()
-                )));
-            }
-            // Every compiled input stays protected until the voting
-            // network is built: `at_least_k` needs them all at once.
-            // Later inputs may trigger compacting collections, so the
-            // ids are read back from the guards at the end.
-            let mut guards = Vec::with_capacity(inputs.len());
-            let mut compile_all = || -> Result<()> {
-                for i in inputs {
-                    let x = compile(bdd, i, ctx)?;
-                    guards.push(bdd.protect(x));
-                }
-                Ok(())
-            };
-            let compiled = compile_all();
-            let r = compiled.map(|()| {
-                let xs: Vec<NodeId> = guards.iter().map(|g| bdd.current(g)).collect();
-                bdd.at_least_k(&xs, *k)
-            });
-            for g in guards {
-                bdd.unprotect(g);
-            }
-            let r = r?;
-            Ok(gc_safe_point(bdd, r, ctx))
-        }
-    }
-}
-
-/// A compiled fault tree.
+/// A compiled fault tree: the failure-space view of a structure
+/// function.
 #[derive(Debug)]
 pub struct FaultTree {
-    names: Vec<String>,
-    bdd: Bdd,
-    fails: NodeId,
-    event_to_var: Vec<u32>,
-    /// GC root pinning `fails` for the life of the tree.
-    _fails_guard: reliab_bdd::BddRef,
+    sf: Structure,
 }
 
 impl FaultTree {
     /// Number of basic events.
     pub fn num_events(&self) -> usize {
-        self.names.len()
+        self.sf.names.len()
     }
 
     /// Name of a basic event.
     pub fn event_name(&self, e: EventId) -> &str {
-        &self.names[e.0]
+        &self.sf.names[e.0]
     }
 
     /// Size (node count) of the compiled BDD — compare across
     /// [`VariableOrdering`] choices.
     pub fn bdd_size(&self) -> usize {
-        self.bdd.node_count(self.fails)
+        self.sf.bdd.node_count(self.sf.root)
     }
 
     /// Table sizes and cache counters of the underlying BDD manager.
     pub fn bdd_stats(&self) -> reliab_bdd::BddStats {
-        self.bdd.stats()
+        self.sf.bdd.stats()
     }
 
     /// Exact top-event probability given each basic event's failure
@@ -534,9 +235,8 @@ impl FaultTree {
     /// probabilities outside `[0, 1]`.
     pub fn top_event_probability(&self, event_probs: &[f64]) -> Result<f64> {
         let _span = obs::span("ftree.probability");
-        let p = self.permuted(event_probs)?;
-        let q = self.bdd.probability(self.fails, &p).map_err(bdd_err)?;
-        self.bdd.record_observability();
+        let q = self.sf.probability(event_probs)?;
+        self.sf.bdd.record_observability();
         Ok(q)
     }
 
@@ -547,11 +247,11 @@ impl FaultTree {
     ///
     /// Propagates distribution and evaluation errors.
     pub fn unreliability(&self, lifetimes: &[&dyn Lifetime], t: f64) -> Result<f64> {
-        if lifetimes.len() != self.names.len() {
+        if lifetimes.len() != self.num_events() {
             return Err(Error::invalid(format!(
                 "{} lifetimes supplied for {} events",
                 lifetimes.len(),
-                self.names.len()
+                self.num_events()
             )));
         }
         let probs: Vec<f64> = lifetimes.iter().map(|d| d.cdf(t)).collect::<Result<_>>()?;
@@ -570,7 +270,7 @@ impl FaultTree {
     pub fn minimal_cut_sets(&self, max_sets: usize) -> Result<Vec<CutSet>> {
         let _span = obs::span("ftree.cutsets.bdd");
         let cuts: Vec<CutSet> = self
-            .listed(&self.bdd.minimal_family(self.fails), max_sets, "cut")?
+            .listed(&self.sf.bdd.minimal_family(self.sf.root), max_sets, "cut")?
             .into_iter()
             .map(CutSet::from_events)
             .collect();
@@ -592,7 +292,11 @@ impl FaultTree {
     /// Returns [`Error::Model`] if the tree has more than `max_sets`
     /// minimal path sets.
     pub fn minimal_path_sets(&self, max_sets: usize) -> Result<Vec<Vec<EventId>>> {
-        self.listed(&self.bdd.dual_minimal_family(self.fails), max_sets, "path")
+        self.listed(
+            &self.sf.bdd.dual_minimal_family(self.sf.root),
+            max_sets,
+            "path",
+        )
     }
 
     /// Lists `family` in event ids after checking its exact size
@@ -610,8 +314,9 @@ impl FaultTree {
                  max_cut_sets = {max_sets}"
             )));
         }
-        let mut var_to_event = vec![EventId(0); self.event_to_var.len()];
-        for (e, &v) in self.event_to_var.iter().enumerate() {
+        let event_to_var = &self.sf.event_to_var;
+        let mut var_to_event = vec![EventId(0); event_to_var.len()];
+        for (e, &v) in event_to_var.iter().enumerate() {
             var_to_event[v as usize] = EventId(e);
         }
         Ok(family.sets(|v| var_to_event[v as usize]))
@@ -629,31 +334,7 @@ impl FaultTree {
     /// Returns [`Error::Model`] if the top event has probability zero.
     pub fn importance(&mut self, event_probs: &[f64]) -> Result<Vec<ImportanceMeasures>> {
         let _span = obs::span("ftree.importance");
-        let p = self.permuted(event_probs)?;
-        let q_top = self.bdd.probability(self.fails, &p).map_err(bdd_err)?;
-        if q_top <= 0.0 {
-            return Err(Error::model(
-                "top-event probability is zero; importance measures undefined",
-            ));
-        }
-        let birnbaum_by_var = self.bdd.birnbaum(self.fails, &p).map_err(bdd_err)?;
-        let mut out = Vec::with_capacity(self.names.len());
-        for (e, name) in self.names.iter().enumerate() {
-            let var = self.event_to_var[e] as usize;
-            let mut perfect = p.clone();
-            perfect[var] = 0.0;
-            let q_perfect = self
-                .bdd
-                .probability(self.fails, &perfect)
-                .map_err(bdd_err)?;
-            out.push(ImportanceMeasures {
-                component: name.clone(),
-                birnbaum: birnbaum_by_var[var],
-                criticality: birnbaum_by_var[var] * event_probs[e] / q_top,
-                fussell_vesely: 1.0 - q_perfect / q_top,
-            });
-        }
-        Ok(out)
+        self.sf.importance(event_probs)
     }
 
     /// Rare-event upper bound `Σ_C Π_{i∈C} q_i` over the minimal cut
@@ -664,36 +345,12 @@ impl FaultTree {
     ///
     /// Propagates cut-set enumeration and evaluation errors.
     pub fn rare_event_bound(&self, event_probs: &[f64], max_sets: usize) -> Result<f64> {
-        self.check_probs(event_probs)?;
+        self.sf.check_probs(event_probs)?;
         let cuts = self.minimal_cut_sets(max_sets)?;
         Ok(cuts
             .iter()
             .map(|c| c.events().iter().map(|e| event_probs[e.0]).product::<f64>())
             .sum())
-    }
-
-    fn check_probs(&self, p: &[f64]) -> Result<()> {
-        if p.len() != self.names.len() {
-            return Err(Error::invalid(format!(
-                "{} probabilities supplied for {} events",
-                p.len(),
-                self.names.len()
-            )));
-        }
-        for (i, &v) in p.iter().enumerate() {
-            ensure_probability(v, &format!("failure probability of '{}'", self.names[i]))?;
-        }
-        Ok(())
-    }
-
-    /// Reorders an event-indexed vector into BDD-variable order.
-    fn permuted(&self, event_probs: &[f64]) -> Result<Vec<f64>> {
-        self.check_probs(event_probs)?;
-        let mut p = vec![0.0; event_probs.len()];
-        for (e, &v) in event_probs.iter().enumerate() {
-            p[self.event_to_var[e] as usize] = v;
-        }
-        Ok(p)
     }
 }
 
@@ -852,7 +509,7 @@ mod tests {
         let ft = b
             .build_with_ordering(top, VariableOrdering::Weighted)
             .unwrap();
-        assert_eq!(ft.event_to_var[shared.index()], 0);
+        assert_eq!(ft.sf.event_to_var[shared.index()], 0);
         let q = ft.top_event_probability(&[0.2, 0.3, 0.4]).unwrap();
         // P = P(shared) * P(x or y) = 0.4 * (0.2 + 0.3 - 0.06)
         assert!((q - 0.4 * 0.44).abs() < 1e-14);

@@ -9,8 +9,8 @@ use crate::multiproc::coverage_ctmc;
 use reliab_core::{
     downtime_minutes_per_year, ensure_finite_positive, ensure_probability, Error, Result,
 };
+use reliab_ftree::{Block, RbdBuilder};
 use reliab_hier::ModelGraph;
-use reliab_rbd::{Block, RbdBuilder};
 
 /// Router model parameters (rates per hour).
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -7,8 +7,8 @@
 //! the same system.
 
 use reliab_core::{ensure_finite_positive, Error, Result};
+use reliab_ftree::{Block, Rbd, RbdBuilder};
 use reliab_markov::{Ctmc, CtmcBuilder};
-use reliab_rbd::{Block, Rbd, RbdBuilder};
 
 /// Parameters of the WFS system (times in hours).
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -74,12 +74,15 @@ impl RelGraphBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Model`] if the graph has no edges, terminals
-    /// coincide, or no source→sink path exists at all.
+    /// Returns [`Error::Model`] if the graph has no edges or more edges
+    /// than the BDD kernel holds, terminals coincide, or no source→sink
+    /// path exists at all.
     pub fn build(self, source: NodeIdx, sink: NodeIdx) -> Result<RelGraph> {
         if self.edges.is_empty() {
             return Err(Error::model("reliability graph has no edges"));
         }
+        // Every compile makes one BDD variable per edge.
+        reliab_bdd::check_nvars(self.edges.len()).map_err(bdd_err)?;
         if source == sink {
             return Err(Error::model("source and sink must differ"));
         }

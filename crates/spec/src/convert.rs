@@ -4,16 +4,18 @@ use crate::json::{self, JsonValue};
 use crate::report::{SolveOptions, SolveReport, SolveStats, SteadySolver, VarOrder};
 use crate::schema::*;
 use reliab_core::fxhash::FxHashMap;
-use reliab_core::{downtime_minutes_per_year, Error, Result};
+use reliab_core::{downtime_minutes_per_year, Error, ImportanceMeasures, Result};
 use reliab_dist::{
     Deterministic, Exponential, Gamma, Lifetime, LogNormal, Pareto, Uniform, Weibull,
 };
-use reliab_ftree::{CompileOptions, FaultTree, FaultTreeBuilder, FtNode, VariableOrdering};
+use reliab_ftree::{
+    CompileOptions, EventId, FaultTree, FaultTreeBuilder, FtNode, Polarity, RbdBuilder,
+    VariableOrdering,
+};
 use reliab_markov::{
     Ctmc, CtmcBuilder, IterativeOptions, StateId, SteadyStateMethod, TransientOptions,
 };
 use reliab_obs as obs;
-use reliab_rbd::{Block, RbdBuilder};
 use reliab_sim::{Measure as SimRunMeasure, SimOptions, SystemSimulator};
 use std::time::Instant;
 
@@ -703,48 +705,19 @@ fn solve_relgraph(spec: &RelGraphSpec) -> Result<(SolvedMeasures, SolveStats)> {
 }
 
 fn solve_rbd(spec: &RbdSpec, opts: &SolveOptions) -> Result<(SolvedMeasures, SolveStats)> {
-    if spec.sim.is_some() || opts.simulate {
-        let Some(sim) = &spec.sim else {
-            return Err(Error::model(
-                "simulation requested but the rbd spec has no 'sim' block",
-            ));
-        };
-        let mut idx = FxHashMap::default();
-        for (i, c) in spec.components.iter().enumerate() {
-            if idx.insert(c.name.clone(), i).is_some() {
-                return Err(Error::model(format!("duplicate component '{}'", c.name)));
-            }
-        }
-        let node = build_sim_structure(&spec.structure, &idx)?;
-        let simulator = rbd_simulator(spec, node)?;
-        return run_simulation(&simulator, sim, opts);
+    if let Some(sim) = sim_block(&RBD, spec.sim.as_ref(), opts)? {
+        return simulate(&RBD, &spec.components, &spec.structure, sim, opts);
     }
     let mut b = RbdBuilder::new();
-    let mut ids = FxHashMap::default();
-    let mut probs = Vec::new();
-    for c in &spec.components {
-        if ids.contains_key(&c.name) {
-            return Err(Error::model(format!("duplicate component '{}'", c.name)));
-        }
-        ids.insert(c.name.clone(), b.component(&c.name));
-        probs.push(component_availability(c)?);
-    }
-    let root = build_structure(&spec.structure, &ids)?;
+    let handles: Vec<EventId> = spec
+        .components
+        .iter()
+        .map(|c| b.component(&c.name))
+        .collect();
+    let (root, values) = analytic_inputs(&RBD, &spec.components, &spec.structure, &handles)?;
     let mut rbd = b.build(root)?;
-    let availability = rbd.availability(&probs)?;
-    let importance = match rbd.importance(&probs) {
-        Ok(rows) => Some(
-            rows.into_iter()
-                .map(|m| ImportanceRow {
-                    name: m.component,
-                    birnbaum: m.birnbaum,
-                    criticality: m.criticality,
-                    fussell_vesely: m.fussell_vesely,
-                })
-                .collect(),
-        ),
-        Err(_) => None, // perfect system: importance undefined
-    };
+    let availability = rbd.availability(&values)?;
+    let importance = importance_rows(rbd.importance(&values));
     let mut stats = SolveStats::default();
     bdd_stats_into(&mut stats, &rbd.bdd_stats());
     Ok((
@@ -755,6 +728,92 @@ fn solve_rbd(spec: &RbdSpec, opts: &SolveOptions) -> Result<(SolvedMeasures, Sol
         },
         stats,
     ))
+}
+
+/// Importance rows of an RBD or a fault tree; `None` when the system
+/// cannot fail at the given inputs (importance undefined).
+fn importance_rows(measures: Result<Vec<ImportanceMeasures>>) -> Option<Vec<ImportanceRow>> {
+    let rows = measures.ok()?;
+    Some(
+        rows.into_iter()
+            .map(|m| ImportanceRow {
+                name: m.component,
+                birnbaum: m.birnbaum,
+                criticality: m.criticality,
+                fussell_vesely: m.fussell_vesely,
+            })
+            .collect(),
+    )
+}
+
+/// Indexes the items of an RBD or a fault tree by name, in declaration
+/// order, calling `each` on every item as it is indexed; a repeated
+/// name is a model error.
+fn index_items<'a>(
+    terms: &Terms,
+    items: &'a [ItemSpec],
+    mut each: impl FnMut(&ItemSpec) -> Result<()>,
+) -> Result<FxHashMap<&'a str, usize>> {
+    let mut idx = FxHashMap::default();
+    for (i, item) in items.iter().enumerate() {
+        if idx.insert(item.name.as_str(), i).is_some() {
+            return Err(Error::model(format!(
+                "duplicate {} '{}'",
+                terms.item, item.name
+            )));
+        }
+        each(item)?;
+    }
+    Ok(idx)
+}
+
+fn unknown_item(terms: &Terms, name: &str) -> Error {
+    Error::model(format!("unknown {} '{name}'", terms.item))
+}
+
+/// The analytic inputs of an RBD or a fault tree: each item's value,
+/// and the structure lowered onto the kernel's node over `handles`, the
+/// builder's handles in declaration order.
+fn analytic_inputs(
+    terms: &Terms,
+    items: &[ItemSpec],
+    root: &StructureSpec,
+    handles: &[EventId],
+) -> Result<(FtNode, Vec<f64>)> {
+    let mut values = Vec::with_capacity(items.len());
+    let idx = index_items(terms, items, |item| {
+        values.push(item_value(item, terms.polarity)?);
+        Ok(())
+    })?;
+    Ok((kernel_node(terms, root, &idx, handles)?, values))
+}
+
+/// Lowers a structure onto the kernel's node: `All` is an AND, `Any` an
+/// OR, in whichever space the class reads.
+fn kernel_node(
+    terms: &Terms,
+    node: &StructureSpec,
+    idx: &FxHashMap<&str, usize>,
+    handles: &[EventId],
+) -> Result<FtNode> {
+    let members = |m: &[StructureSpec]| {
+        m.iter()
+            .map(|x| kernel_node(terms, x, idx, handles))
+            .collect::<Result<_>>()
+    };
+    Ok(match node {
+        StructureSpec::Item(name) => FtNode::Basic(
+            handles[*idx
+                .get(name.as_str())
+                .ok_or_else(|| unknown_item(terms, name))?],
+        ),
+        StructureSpec::All(m) => FtNode::And(members(m)?),
+        StructureSpec::Any(m) => FtNode::Or(members(m)?),
+        StructureSpec::KOfN { k, of } => FtNode::KOfN {
+            k: *k,
+            inputs: members(of)?,
+        },
+    })
 }
 
 /// Instantiates a lifetime distribution from its spec.
@@ -793,27 +852,22 @@ fn derived_availability(name: &str, ttf: Option<&DistSpec>, ttr: Option<&DistSpe
     Ok(mf / (mf + mr))
 }
 
-/// The availability an RBD component contributes to an analytic solve:
-/// the explicit value, or the one its lifetime distributions imply.
-fn component_availability(c: &RbdComponentSpec) -> Result<f64> {
-    match c.availability {
-        Some(a) => Ok(a),
-        None => derived_availability(&c.name, c.ttf_dist.as_ref(), c.ttr_dist.as_ref()),
+/// The value an item contributes to an analytic solve: the explicit
+/// one, or the availability its lifetime distributions imply for a
+/// component, one minus it for a basic event.
+pub(crate) fn item_value(item: &ItemSpec, polarity: Polarity) -> Result<f64> {
+    if let Some(value) = item.value {
+        return Ok(value);
     }
+    let a = derived_availability(&item.name, item.ttf_dist.as_ref(), item.ttr_dist.as_ref())?;
+    Ok(match polarity {
+        Polarity::Success => a,
+        Polarity::Failure => 1.0 - a,
+    })
 }
 
-/// The occurrence probability a basic event contributes to an analytic
-/// solve: the explicit value, or one minus the availability its
-/// lifetime distributions imply.
-pub(crate) fn event_probability(e: &EventSpec) -> Result<f64> {
-    match e.probability {
-        Some(p) => Ok(p),
-        None => Ok(1.0 - derived_availability(&e.name, e.ttf_dist.as_ref(), e.ttr_dist.as_ref())?),
-    }
-}
-
-/// A compiled structure/gate tree over component indices, cheap to
-/// evaluate inside the simulation's hot loop (no hashing, no names).
+/// A compiled structure over component indices, cheap to evaluate
+/// inside the simulation's hot loop (no hashing, no names).
 enum SimNode {
     Leaf(usize),
     All(Vec<SimNode>),
@@ -822,123 +876,97 @@ enum SimNode {
 }
 
 impl SimNode {
-    /// RBD semantics: does the block work, given component up flags?
-    fn eval_up(&self, up: &[bool]) -> bool {
+    /// The working-state evaluator of an RBD's structure or a fault
+    /// tree's gates. A fault tree is dualized here, once (De Morgan): an
+    /// AND of failures is an `Any` of working inputs, an OR an `All`,
+    /// and `k` failures of `n` are `n − k + 1` working, so
+    /// [`SimNode::works`] tests no polarity.
+    fn build(terms: &Terms, node: &StructureSpec, idx: &FxHashMap<&str, usize>) -> Result<SimNode> {
+        let dual = terms.polarity == Polarity::Failure;
+        let members = |m: &[StructureSpec]| {
+            m.iter()
+                .map(|x| SimNode::build(terms, x, idx))
+                .collect::<Result<_>>()
+        };
+        Ok(match node {
+            StructureSpec::Item(name) => SimNode::Leaf(
+                *idx.get(name.as_str())
+                    .ok_or_else(|| unknown_item(terms, name))?,
+            ),
+            StructureSpec::All(m) if dual => SimNode::Any(members(m)?),
+            StructureSpec::Any(m) if dual => SimNode::All(members(m)?),
+            StructureSpec::All(m) => SimNode::All(members(m)?),
+            StructureSpec::Any(m) => SimNode::Any(members(m)?),
+            StructureSpec::KOfN { k, of } => SimNode::KOfN {
+                k: if dual {
+                    (of.len() + 1).saturating_sub(*k)
+                } else {
+                    *k
+                },
+                of: members(of)?,
+            },
+        })
+    }
+
+    /// Does the system work, given component up flags?
+    fn works(&self, up: &[bool]) -> bool {
         match self {
             SimNode::Leaf(i) => up[*i],
-            SimNode::All(xs) => xs.iter().all(|x| x.eval_up(up)),
-            SimNode::Any(xs) => xs.iter().any(|x| x.eval_up(up)),
-            SimNode::KOfN { k, of } => of.iter().filter(|x| x.eval_up(up)).count() >= *k,
-        }
-    }
-
-    /// Fault-tree semantics: has the (top) event occurred, given
-    /// component up flags (`up[i]` = basic event `i` has *not*
-    /// occurred)?
-    fn eval_failed(&self, up: &[bool]) -> bool {
-        match self {
-            SimNode::Leaf(i) => !up[*i],
-            SimNode::All(xs) => xs.iter().all(|x| x.eval_failed(up)),
-            SimNode::Any(xs) => xs.iter().any(|x| x.eval_failed(up)),
-            SimNode::KOfN { k, of } => of.iter().filter(|x| x.eval_failed(up)).count() >= *k,
+            SimNode::All(xs) => xs.iter().all(|x| x.works(up)),
+            SimNode::Any(xs) => xs.iter().any(|x| x.works(up)),
+            SimNode::KOfN { k, of } => of.iter().filter(|x| x.works(up)).count() >= *k,
         }
     }
 }
 
-fn build_sim_structure(s: &StructureSpec, idx: &FxHashMap<String, usize>) -> Result<SimNode> {
-    match s {
-        StructureSpec::Component(name) => idx
-            .get(name)
-            .map(|&i| SimNode::Leaf(i))
-            .ok_or_else(|| Error::model(format!("unknown component '{name}'"))),
-        StructureSpec::Series { series } => Ok(SimNode::All(
-            series
-                .iter()
-                .map(|x| build_sim_structure(x, idx))
-                .collect::<Result<_>>()?,
-        )),
-        StructureSpec::Parallel { parallel } => Ok(SimNode::Any(
-            parallel
-                .iter()
-                .map(|x| build_sim_structure(x, idx))
-                .collect::<Result<_>>()?,
-        )),
-        StructureSpec::KOfN { k_of_n } => Ok(SimNode::KOfN {
-            k: k_of_n.k,
-            of: k_of_n
-                .of
-                .iter()
-                .map(|x| build_sim_structure(x, idx))
-                .collect::<Result<_>>()?,
-        }),
-    }
-}
-
-fn build_sim_gate(g: &GateSpec, idx: &FxHashMap<String, usize>) -> Result<SimNode> {
-    match g {
-        GateSpec::Event(name) => idx
-            .get(name)
-            .map(|&i| SimNode::Leaf(i))
-            .ok_or_else(|| Error::model(format!("unknown event '{name}'"))),
-        GateSpec::And { and } => Ok(SimNode::All(
-            and.iter()
-                .map(|x| build_sim_gate(x, idx))
-                .collect::<Result<_>>()?,
-        )),
-        GateSpec::Or { or } => Ok(SimNode::Any(
-            or.iter()
-                .map(|x| build_sim_gate(x, idx))
-                .collect::<Result<_>>()?,
-        )),
-        GateSpec::KOfN { k_of_n } => Ok(SimNode::KOfN {
-            k: k_of_n.k,
-            of: k_of_n
-                .of
-                .iter()
-                .map(|x| build_sim_gate(x, idx))
-                .collect::<Result<_>>()?,
-        }),
-    }
-}
-
-/// Adds one simulated component per spec entry, in declaration order
-/// (so spec index == simulator index == stream index).
-fn push_component(
-    sim: &mut SystemSimulator,
-    name: &str,
-    ttf: Option<&DistSpec>,
-    ttr: Option<&DistSpec>,
-) -> Result<()> {
-    let ttf = ttf.ok_or_else(|| {
-        Error::model(format!("component '{name}' needs a 'ttf_dist' to simulate"))
-    })?;
-    let ttf = lifetime_from(ttf)?;
-    match ttr {
-        Some(r) => {
-            sim.component(ttf, lifetime_from(r)?);
-        }
-        None => {
-            sim.component_without_repair(ttf);
-        }
-    }
-    Ok(())
-}
-
-fn rbd_simulator(spec: &RbdSpec, node: SimNode) -> Result<SystemSimulator> {
-    let mut sim = SystemSimulator::new(move |up: &[bool]| node.eval_up(up));
-    for c in &spec.components {
-        push_component(&mut sim, &c.name, c.ttf_dist.as_ref(), c.ttr_dist.as_ref())?;
+/// The `sim` block a solve of an RBD or a fault tree runs: the
+/// document's, when it has one; an error when only the options ask for
+/// a simulation; `None` for an exact solve.
+fn sim_block<'a>(
+    terms: &Terms,
+    sim: Option<&'a SimSpec>,
+    opts: &SolveOptions,
+) -> Result<Option<&'a SimSpec>> {
+    if sim.is_none() && opts.simulate {
+        return Err(Error::model(format!(
+            "simulation requested but the {} spec has no 'sim' block",
+            terms.class
+        )));
     }
     Ok(sim)
 }
 
-fn ftree_simulator(spec: &FaultTreeSpec, node: SimNode) -> Result<SystemSimulator> {
-    // The system "works" while the top event has not occurred.
-    let mut sim = SystemSimulator::new(move |up: &[bool]| !node.eval_failed(up));
-    for e in &spec.events {
-        push_component(&mut sim, &e.name, e.ttf_dist.as_ref(), e.ttr_dist.as_ref())?;
+/// Simulates an RBD or a fault tree: one simulated component per item,
+/// in declaration order (so spec index == simulator index == stream
+/// index), and the structure's working-state evaluator.
+fn simulate(
+    terms: &Terms,
+    items: &[ItemSpec],
+    root: &StructureSpec,
+    sim: &SimSpec,
+    opts: &SolveOptions,
+) -> Result<(SolvedMeasures, SolveStats)> {
+    let idx = index_items(terms, items, |_| Ok(()))?;
+    let node = SimNode::build(terms, root, &idx)?;
+    let mut simulator = SystemSimulator::new(move |up: &[bool]| node.works(up));
+    for item in items {
+        let ttf = item.ttf_dist.as_ref().ok_or_else(|| {
+            Error::model(format!(
+                "component '{}' needs a 'ttf_dist' to simulate",
+                item.name
+            ))
+        })?;
+        let ttf = lifetime_from(ttf)?;
+        match &item.ttr_dist {
+            Some(r) => {
+                simulator.component(ttf, lifetime_from(r)?);
+            }
+            None => {
+                simulator.component_without_repair(ttf);
+            }
+        }
     }
-    Ok(sim)
+    run_simulation(&simulator, sim, opts)
 }
 
 /// Merges spec-level sim knobs with [`SolveOptions`] overrides
@@ -1039,38 +1067,6 @@ fn run_simulation(
     ))
 }
 
-fn build_structure(
-    s: &StructureSpec,
-    ids: &FxHashMap<String, reliab_rbd::ComponentId>,
-) -> Result<Block> {
-    match s {
-        StructureSpec::Component(name) => ids
-            .get(name)
-            .map(|&c| Block::Component(c))
-            .ok_or_else(|| Error::model(format!("unknown component '{name}'"))),
-        StructureSpec::Series { series } => Ok(Block::Series(
-            series
-                .iter()
-                .map(|x| build_structure(x, ids))
-                .collect::<Result<_>>()?,
-        )),
-        StructureSpec::Parallel { parallel } => Ok(Block::Parallel(
-            parallel
-                .iter()
-                .map(|x| build_structure(x, ids))
-                .collect::<Result<_>>()?,
-        )),
-        StructureSpec::KOfN { k_of_n } => Ok(Block::KOfN {
-            k: k_of_n.k,
-            blocks: k_of_n
-                .of
-                .iter()
-                .map(|x| build_structure(x, ids))
-                .collect::<Result<_>>()?,
-        }),
-    }
-}
-
 /// The variable ordering a fault-tree solve actually uses: a non-`Auto`
 /// option overrides the spec's `var_order` hint; both absent means the
 /// depth-first heuristic.
@@ -1095,21 +1091,8 @@ pub(crate) fn solve_fault_tree(
     spec: &FaultTreeSpec,
     opts: &SolveOptions,
 ) -> Result<(SolvedMeasures, SolveStats)> {
-    if spec.sim.is_some() || opts.simulate {
-        let Some(sim) = &spec.sim else {
-            return Err(Error::model(
-                "simulation requested but the fault_tree spec has no 'sim' block",
-            ));
-        };
-        let mut idx = FxHashMap::default();
-        for (i, e) in spec.events.iter().enumerate() {
-            if idx.insert(e.name.clone(), i).is_some() {
-                return Err(Error::model(format!("duplicate event '{}'", e.name)));
-            }
-        }
-        let node = build_sim_gate(&spec.top, &idx)?;
-        let simulator = ftree_simulator(spec, node)?;
-        return run_simulation(&simulator, sim, opts);
+    if let Some(sim) = sim_block(&FAULT_TREE, spec.sim.as_ref(), opts)? {
+        return simulate(&FAULT_TREE, &spec.events, &spec.top, sim, opts);
     }
     let (measures, stats, _) = solve_fault_tree_analytic(spec, opts)?;
     Ok((measures, stats))
@@ -1123,16 +1106,8 @@ pub(crate) fn solve_fault_tree_analytic(
     opts: &SolveOptions,
 ) -> Result<(SolvedMeasures, SolveStats, FaultTree)> {
     let mut b = FaultTreeBuilder::new();
-    let mut ids = FxHashMap::default();
-    let mut probs = Vec::new();
-    for e in &spec.events {
-        if ids.contains_key(&e.name) {
-            return Err(Error::model(format!("duplicate event '{}'", e.name)));
-        }
-        ids.insert(e.name.clone(), b.basic_event(&e.name));
-        probs.push(event_probability(e)?);
-    }
-    let top = build_gate(&spec.top, &ids)?;
+    let handles: Vec<EventId> = spec.events.iter().map(|e| b.basic_event(&e.name)).collect();
+    let (top, probs) = analytic_inputs(&FAULT_TREE, &spec.events, &spec.top, &handles)?;
     let compile = CompileOptions::new()
         .with_ordering(effective_ordering(spec, opts))
         .with_ite_cache_capacity(opts.ite_cache_capacity)
@@ -1149,19 +1124,7 @@ pub(crate) fn solve_fault_tree_analytic(
                 .collect()
         })
         .collect();
-    let importance = match ft.importance(&probs) {
-        Ok(rows) => Some(
-            rows.into_iter()
-                .map(|m| ImportanceRow {
-                    name: m.component,
-                    birnbaum: m.birnbaum,
-                    criticality: m.criticality,
-                    fussell_vesely: m.fussell_vesely,
-                })
-                .collect(),
-        ),
-        Err(_) => None,
-    };
+    let importance = importance_rows(ft.importance(&probs));
     let mut stats = SolveStats::default();
     bdd_stats_into(&mut stats, &ft.bdd_stats());
     Ok((
@@ -1173,33 +1136,6 @@ pub(crate) fn solve_fault_tree_analytic(
         stats,
         ft,
     ))
-}
-
-fn build_gate(g: &GateSpec, ids: &FxHashMap<String, reliab_ftree::EventId>) -> Result<FtNode> {
-    match g {
-        GateSpec::Event(name) => ids
-            .get(name)
-            .map(|&e| FtNode::Basic(e))
-            .ok_or_else(|| Error::model(format!("unknown event '{name}'"))),
-        GateSpec::And { and } => Ok(FtNode::And(
-            and.iter()
-                .map(|x| build_gate(x, ids))
-                .collect::<Result<_>>()?,
-        )),
-        GateSpec::Or { or } => Ok(FtNode::Or(
-            or.iter()
-                .map(|x| build_gate(x, ids))
-                .collect::<Result<_>>()?,
-        )),
-        GateSpec::KOfN { k_of_n } => Ok(FtNode::KOfN {
-            k: k_of_n.k,
-            inputs: k_of_n
-                .of
-                .iter()
-                .map(|x| build_gate(x, ids))
-                .collect::<Result<_>>()?,
-        }),
-    }
 }
 
 fn solve_spn(spec: &SpnSpec, opts: &SolveOptions) -> Result<(SolvedMeasures, SolveStats)> {

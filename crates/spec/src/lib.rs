@@ -151,9 +151,9 @@ pub mod wire;
 pub use convert::{solve_str_with, solve_with, ImportanceRow, SolvedMeasures, TransientRow};
 pub use report::{SolveOptions, SolveReport, SolveStats, SteadySolver, VarOrder};
 pub use schema::{
-    ArcSpec, BoundsEventSpec, BoundsSpec, CtmcSpec, DistSpec, EdgeSpec, EventSpec, FaultTreeSpec,
-    GateSpec, HierarchySpec, ImportSpec, KOfNGateSpec, KOfNSpec, ModelSpec, PlaceSpec, PriorSpec,
-    RbdComponentSpec, RbdSpec, RelGraphSpec, ScenarioMeasure, SemiMarkovSpec, SimSpec,
-    SmpStateSpec, SmpTransitionSpec, SpnSolver, SpnSpec, SpnTimingSpec, SpnTransitionSpec,
-    StructureSpec, SubmodelSpec, TransitionSpec, UncertainParamSpec, UncertaintySpec,
+    ArcSpec, BoundsEventSpec, BoundsSpec, CtmcSpec, DistSpec, EdgeSpec, FaultTreeSpec,
+    HierarchySpec, ImportSpec, ItemSpec, ModelSpec, PlaceSpec, PriorSpec, RbdSpec, RelGraphSpec,
+    ScenarioMeasure, SemiMarkovSpec, SimSpec, SmpStateSpec, SmpTransitionSpec, SpnSolver, SpnSpec,
+    SpnTimingSpec, SpnTransitionSpec, StructureSpec, SubmodelSpec, TransitionSpec,
+    UncertainParamSpec, UncertaintySpec,
 };

@@ -15,8 +15,8 @@
 //! counter-based RNG streams.
 
 use crate::convert::{
-    availability_from_sum, event_probability, lifetime_from, solve_fault_tree_analytic,
-    solve_model, solve_with, CtmcChain, SolvedMeasures, DEFAULT_MAX_CUT_SETS,
+    availability_from_sum, item_value, lifetime_from, solve_fault_tree_analytic, solve_model,
+    solve_with, CtmcChain, SolvedMeasures, DEFAULT_MAX_CUT_SETS,
 };
 use crate::report::{SolveOptions, SolveReport, SolveStats};
 use crate::schema::{
@@ -520,7 +520,7 @@ pub(crate) fn solve_bounds(
             q = ft
                 .events
                 .iter()
-                .map(event_probability)
+                .map(|e| item_value(e, reliab_ftree::Polarity::Failure))
                 .collect::<Result<_>>()?;
             cuts = set_indices(&names, &minimal_cut_sets);
             exact = Some(top_event_probability);
@@ -656,6 +656,7 @@ mod tests {
     fn unbounded(model: &ModelSpec) -> bool {
         match model {
             ModelSpec::Rbd(r) => r.sim.is_some(),
+            ModelSpec::FaultTree(f) => f.sim.is_some(),
             ModelSpec::SemiMarkov(s) => s.interval_times.is_some(),
             _ => false,
         }

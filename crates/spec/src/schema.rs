@@ -10,6 +10,7 @@
 use crate::json::{self, JsonValue};
 use crate::slot::Slot;
 use reliab_core::{Error, Result};
+use reliab_ftree::Polarity;
 
 /// A top-level model document: exactly one model class.
 #[derive(Debug, Clone, PartialEq)]
@@ -178,9 +179,11 @@ pub struct EdgeSpec {
 /// RBD specification.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RbdSpec {
-    /// Component declarations.
-    pub components: Vec<RbdComponentSpec>,
-    /// The block structure.
+    /// Component declarations (key `components`; an item's value is its
+    /// `availability`).
+    pub components: Vec<ItemSpec>,
+    /// The block structure (key `structure`): `series`, `parallel` and
+    /// `k_of_n` groups of working components.
     pub structure: StructureSpec,
     /// Discrete-event simulation request: when present, the model is
     /// solved by simulation (components then need lifetime
@@ -188,24 +191,26 @@ pub struct RbdSpec {
     pub sim: Option<SimSpec>,
 }
 
-/// One RBD component.
+/// One RBD component or fault-tree basic event.
 ///
-/// Either a point `availability` or a `ttf_dist` (plus `ttr_dist` for
-/// repairable components) must be given. Analytic solves use
-/// `availability` directly, deriving it from the distribution means
-/// (`E[ttf] / (E[ttf] + E[ttr])`) when absent; simulation requires the
-/// distributions.
+/// Either a point value or a `ttf_dist` (plus `ttr_dist` for repairable
+/// items) must be given. Analytic solves use the value directly; when
+/// it is absent they derive it from the distribution means: a
+/// component's availability `E[ttf] / (E[ttf] + E[ttr])`, or a basic
+/// event's unavailability `E[ttr] / (E[ttf] + E[ttr])`. Simulation
+/// requires the distributions.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RbdComponentSpec {
-    /// Component name (referenced from the structure).
+pub struct ItemSpec {
+    /// Item name (referenced from the structure or the gates).
     pub name: String,
-    /// Steady-state availability (or any point probability of being
-    /// up).
-    pub availability: Option<f64>,
+    /// The point value, under the class's key: a component's
+    /// `availability` (any point probability of being up) or a basic
+    /// event's failure `probability`.
+    pub value: Option<f64>,
     /// Time-to-failure distribution (required for simulation).
     pub ttf_dist: Option<DistSpec>,
-    /// Time-to-repair distribution; absent means the component is
-    /// never repaired once failed.
+    /// Time-to-repair distribution; absent means the item is never
+    /// repaired once failed.
     pub ttr_dist: Option<DistSpec>,
 }
 
@@ -333,44 +338,98 @@ pub struct SimSpec {
     pub warmup_fraction: Option<f64>,
 }
 
-/// Recursive RBD structure.
+/// A node of an RBD structure or a fault-tree gate tree.
+///
+/// Each combinator reads in its model's own space, under its class's
+/// key: in an RBD the members are components that work (`series`,
+/// `parallel`), in a fault tree events that occur (`and`, `or`).
 #[derive(Debug, Clone, PartialEq)]
 pub enum StructureSpec {
-    /// Reference to a component by name.
-    Component(String),
-    /// Series group.
-    Series {
-        /// The members, all required.
-        series: Vec<StructureSpec>,
-    },
-    /// Parallel group.
-    Parallel {
-        /// The members, any one suffices.
-        parallel: Vec<StructureSpec>,
-    },
-    /// k-of-n group.
+    /// A component or basic event, by name.
+    Item(String),
+    /// Every member holds: a `series` group or an `and` gate.
+    All(Vec<StructureSpec>),
+    /// Some member holds: a `parallel` group or an `or` gate.
+    Any(Vec<StructureSpec>),
+    /// At least `k` members hold (`k_of_n`): work in an RBD, fail in a
+    /// fault tree.
     KOfN {
-        /// The `{ "k": ..., "of": [...] }` payload.
-        k_of_n: KOfNSpec,
+        /// Members required to hold.
+        k: usize,
+        /// The members.
+        of: Vec<StructureSpec>,
     },
 }
 
-/// Payload of a k-of-n group.
-#[derive(Debug, Clone, PartialEq)]
-pub struct KOfNSpec {
-    /// Members required to work (RBD) / fail (fault tree).
-    pub k: usize,
-    /// The members.
-    pub of: Vec<StructureSpec>,
+/// The key names and schema terms of one structure-function class: an
+/// RBD reads its structure in success space, a fault tree in failure
+/// space.
+#[derive(Debug)]
+pub(crate) struct Terms {
+    /// Which truth value of the structure function the class reads.
+    pub(crate) polarity: Polarity,
+    /// The model class key.
+    pub(crate) class: &'static str,
+    /// Keys of the item list and of the root node.
+    pub(crate) items: &'static str,
+    pub(crate) root: &'static str,
+    /// An item, in messages.
+    pub(crate) item: &'static str,
+    /// The key of an item's point value, and its article.
+    pub(crate) value: &'static str,
+    value_article: &'static str,
+    /// Keys of the [`StructureSpec::All`] and [`StructureSpec::Any`]
+    /// combinators.
+    pub(crate) all: &'static str,
+    pub(crate) any: &'static str,
+    /// A node, what a node may be, and a combinator key, in schema
+    /// errors.
+    node: &'static str,
+    node_forms: &'static str,
+    combinator: &'static str,
 }
+
+/// The terms of an RBD.
+pub(crate) const RBD: Terms = Terms {
+    polarity: Polarity::Success,
+    class: "rbd",
+    items: "components",
+    root: "structure",
+    item: "component",
+    value: "availability",
+    value_article: "an",
+    all: "series",
+    any: "parallel",
+    node: "structure",
+    node_forms: "a name or a combinator object",
+    combinator: "structure combinator",
+};
+
+/// The terms of a fault tree.
+pub(crate) const FAULT_TREE: Terms = Terms {
+    polarity: Polarity::Failure,
+    class: "fault_tree",
+    items: "events",
+    root: "top",
+    item: "event",
+    value: "probability",
+    value_article: "a",
+    all: "and",
+    any: "or",
+    node: "gate",
+    node_forms: "an event name or a gate object",
+    combinator: "gate type",
+};
 
 /// Fault-tree specification.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultTreeSpec {
-    /// Basic-event declarations.
-    pub events: Vec<EventSpec>,
-    /// The top gate.
-    pub top: GateSpec,
+    /// Basic-event declarations (key `events`; an item's value is its
+    /// failure `probability`).
+    pub events: Vec<ItemSpec>,
+    /// The top gate (key `top`): `and`, `or` and `k_of_n` gates of
+    /// occurring events.
+    pub top: StructureSpec,
     /// Cap on the listed minimal cut sets (default 100 000), checked
     /// against their exact count before any is listed; a larger family
     /// is a model error. The BDD probability has no such cap.
@@ -383,55 +442,6 @@ pub struct FaultTreeSpec {
     /// solved by simulating event lifetimes (which then need
     /// distributions) instead of the exact BDD evaluation.
     pub sim: Option<SimSpec>,
-}
-
-/// One basic event.
-///
-/// Either a point `probability` or a `ttf_dist` (plus `ttr_dist` for
-/// repairable events) must be given; the same rules as
-/// [`RbdComponentSpec`] apply, with the derived analytic value being
-/// the *unavailability* `E[ttr] / (E[ttf] + E[ttr])`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EventSpec {
-    /// Event name.
-    pub name: String,
-    /// Failure probability.
-    pub probability: Option<f64>,
-    /// Time-to-failure distribution (required for simulation).
-    pub ttf_dist: Option<DistSpec>,
-    /// Time-to-repair distribution; absent means no repair.
-    pub ttr_dist: Option<DistSpec>,
-}
-
-/// Recursive gate structure.
-#[derive(Debug, Clone, PartialEq)]
-pub enum GateSpec {
-    /// Reference to a basic event.
-    Event(String),
-    /// AND gate.
-    And {
-        /// Inputs; fails when all fail.
-        and: Vec<GateSpec>,
-    },
-    /// OR gate.
-    Or {
-        /// Inputs; fails when any fails.
-        or: Vec<GateSpec>,
-    },
-    /// k-of-n voting gate.
-    KOfN {
-        /// The `{ "k": ..., "of": [...] }` payload.
-        k_of_n: KOfNGateSpec,
-    },
-}
-
-/// Payload of a voting gate.
-#[derive(Debug, Clone, PartialEq)]
-pub struct KOfNGateSpec {
-    /// Failures required to trip the gate.
-    pub k: usize,
-    /// Gate inputs.
-    pub of: Vec<GateSpec>,
 }
 
 /// CTMC specification.
@@ -984,32 +994,17 @@ impl RbdSpec {
             &["components", "structure", "sim"],
             "rbd",
         )?;
-        let components = req(v, "components", "rbd")?
-            .as_array()
-            .ok_or_else(|| schema_err("rbd 'components' must be an array"))?
-            .iter()
-            .map(RbdComponentSpec::from_json)
-            .collect::<Result<_>>()?;
-        let structure = StructureSpec::from_json(req(v, "structure", "rbd")?)?;
         Ok(RbdSpec {
-            components,
-            structure,
+            components: ItemSpec::list_from_json(v, &RBD)?,
+            structure: StructureSpec::from_json(req(v, "structure", "rbd")?, &RBD)?,
             sim: SimSpec::from_json_opt(v.get("sim"))?,
         })
     }
 
     fn to_json(&self) -> JsonValue {
         let mut entries = vec![
-            (
-                "components",
-                JsonValue::Array(
-                    self.components
-                        .iter()
-                        .map(RbdComponentSpec::to_json)
-                        .collect(),
-                ),
-            ),
-            ("structure", self.structure.to_json()),
+            ("components", ItemSpec::list_to_json(&self.components, &RBD)),
+            ("structure", self.structure.to_json(&RBD)),
         ];
         if let Some(sim) = &self.sim {
             entries.push(("sim", sim.to_json()));
@@ -1018,45 +1013,66 @@ impl RbdSpec {
     }
 }
 
-impl RbdComponentSpec {
-    fn from_json(v: &JsonValue) -> Result<RbdComponentSpec> {
+impl ItemSpec {
+    /// The item list under the class's key of the model object `v`.
+    fn list_from_json(v: &JsonValue, terms: &Terms) -> Result<Vec<ItemSpec>> {
+        req(v, terms.items, terms.class)?
+            .as_array()
+            .ok_or_else(|| {
+                schema_err(format!(
+                    "{} '{}' must be an array",
+                    terms.class, terms.items
+                ))
+            })?
+            .iter()
+            .map(|item| ItemSpec::from_json(item, terms))
+            .collect()
+    }
+
+    fn from_json(v: &JsonValue, terms: &Terms) -> Result<ItemSpec> {
+        let what = terms.item;
         check_keys(
-            as_obj(v, "component")?,
-            &["name", "availability", "ttf_dist", "ttr_dist"],
-            "component",
+            as_obj(v, what)?,
+            &["name", terms.value, "ttf_dist", "ttr_dist"],
+            what,
         )?;
-        let name = str_field(v, "name", "component")?;
-        let availability = match v.get("availability") {
+        let name = str_field(v, "name", what)?;
+        let value = match v.get(terms.value) {
             None | Some(JsonValue::Null) => None,
-            Some(a) => Some(
-                a.as_f64()
-                    .ok_or_else(|| schema_err("'availability' must be a number"))?,
+            Some(x) => Some(
+                x.as_f64()
+                    .ok_or_else(|| schema_err(format!("'{}' must be a number", terms.value)))?,
             ),
         };
         let ttf_dist = DistSpec::from_json_opt(v.get("ttf_dist"))?;
         let ttr_dist = DistSpec::from_json_opt(v.get("ttr_dist"))?;
-        if availability.is_none() && ttf_dist.is_none() {
+        if value.is_none() && ttf_dist.is_none() {
             return Err(schema_err(format!(
-                "component '{name}' needs an 'availability' or a 'ttf_dist'"
+                "{what} '{name}' needs {} '{}' or a 'ttf_dist'",
+                terms.value_article, terms.value
             )));
         }
         if ttr_dist.is_some() && ttf_dist.is_none() {
             return Err(schema_err(format!(
-                "component '{name}' has a 'ttr_dist' but no 'ttf_dist'"
+                "{what} '{name}' has a 'ttr_dist' but no 'ttf_dist'"
             )));
         }
-        Ok(RbdComponentSpec {
+        Ok(ItemSpec {
             name,
-            availability,
+            value,
             ttf_dist,
             ttr_dist,
         })
     }
 
-    fn to_json(&self) -> JsonValue {
+    fn list_to_json(items: &[ItemSpec], terms: &Terms) -> JsonValue {
+        JsonValue::Array(items.iter().map(|item| item.to_json(terms)).collect())
+    }
+
+    fn to_json(&self, terms: &Terms) -> JsonValue {
         let mut entries = vec![("name", JsonValue::from(self.name.as_str()))];
-        if let Some(a) = self.availability {
-            entries.push(("availability", a.into()));
+        if let Some(x) = self.value {
+            entries.push((terms.value, x.into()));
         }
         if let Some(d) = &self.ttf_dist {
             entries.push(("ttf_dist", d.to_json()));
@@ -1313,68 +1329,57 @@ impl SimSpec {
 }
 
 impl StructureSpec {
-    fn from_json(v: &JsonValue) -> Result<StructureSpec> {
+    fn from_json(v: &JsonValue, terms: &Terms) -> Result<StructureSpec> {
         if let Some(name) = v.as_str() {
-            return Ok(StructureSpec::Component(name.to_owned()));
+            return Ok(StructureSpec::Item(name.to_owned()));
         }
         let entries = v
             .as_object()
-            .ok_or_else(|| schema_err("structure must be a name or a combinator object"))?;
+            .ok_or_else(|| schema_err(format!("{} must be {}", terms.node, terms.node_forms)))?;
         if entries.len() != 1 {
-            return Err(schema_err(
-                "structure object must have exactly one key ('series', 'parallel', or 'k_of_n')",
-            ));
+            return Err(schema_err(format!(
+                "{} object must have exactly one key ('{}', '{}', or 'k_of_n')",
+                terms.node, terms.all, terms.any
+            )));
         }
         let (key, payload) = &entries[0];
         let members = |p: &JsonValue, what: &str| -> Result<Vec<StructureSpec>> {
             p.as_array()
                 .ok_or_else(|| schema_err(format!("'{what}' must be an array")))?
                 .iter()
-                .map(StructureSpec::from_json)
+                .map(|m| StructureSpec::from_json(m, terms))
                 .collect()
         };
         match key.as_str() {
-            "series" => Ok(StructureSpec::Series {
-                series: members(payload, "series")?,
-            }),
-            "parallel" => Ok(StructureSpec::Parallel {
-                parallel: members(payload, "parallel")?,
-            }),
+            k if k == terms.all => Ok(StructureSpec::All(members(payload, k)?)),
+            k if k == terms.any => Ok(StructureSpec::Any(members(payload, k)?)),
             "k_of_n" => {
                 check_keys(as_obj(payload, "k_of_n")?, &["k", "of"], "k_of_n")?;
                 let k = k_value(req(payload, "k", "k_of_n")?)?;
                 Ok(StructureSpec::KOfN {
-                    k_of_n: KOfNSpec {
-                        k,
-                        of: members(req(payload, "of", "k_of_n")?, "of")?,
-                    },
+                    k,
+                    of: members(req(payload, "of", "k_of_n")?, "of")?,
                 })
             }
             other => Err(schema_err(format!(
-                "unknown structure combinator '{other}'"
+                "unknown {} '{other}'",
+                terms.combinator
             ))),
         }
     }
 
-    fn to_json(&self) -> JsonValue {
+    fn to_json(&self, terms: &Terms) -> JsonValue {
+        let members =
+            |m: &[StructureSpec]| JsonValue::Array(m.iter().map(|x| x.to_json(terms)).collect());
         match self {
-            StructureSpec::Component(name) => name.as_str().into(),
-            StructureSpec::Series { series } => json::object(vec![(
-                "series",
-                JsonValue::Array(series.iter().map(StructureSpec::to_json).collect()),
-            )]),
-            StructureSpec::Parallel { parallel } => json::object(vec![(
-                "parallel",
-                JsonValue::Array(parallel.iter().map(StructureSpec::to_json).collect()),
-            )]),
-            StructureSpec::KOfN { k_of_n } => json::object(vec![(
+            StructureSpec::Item(name) => name.as_str().into(),
+            StructureSpec::All(m) => json::object(vec![(terms.all, members(m))]),
+            StructureSpec::Any(m) => json::object(vec![(terms.any, members(m))]),
+            StructureSpec::KOfN { k, of } => json::object(vec![(
                 "k_of_n",
                 json::object(vec![
-                    ("k", JsonValue::Number(k_of_n.k as f64)),
-                    (
-                        "of",
-                        JsonValue::Array(k_of_n.of.iter().map(StructureSpec::to_json).collect()),
-                    ),
+                    ("k", JsonValue::Number(*k as f64)),
+                    ("of", members(of)),
                 ]),
             )]),
         }
@@ -1388,13 +1393,8 @@ impl FaultTreeSpec {
             &["events", "top", "max_cut_sets", "var_order", "sim"],
             "fault_tree",
         )?;
-        let events = req(v, "events", "fault_tree")?
-            .as_array()
-            .ok_or_else(|| schema_err("fault_tree 'events' must be an array"))?
-            .iter()
-            .map(EventSpec::from_json)
-            .collect::<Result<_>>()?;
-        let top = GateSpec::from_json(req(v, "top", "fault_tree")?)?;
+        let events = ItemSpec::list_from_json(v, &FAULT_TREE)?;
+        let top = StructureSpec::from_json(req(v, "top", "fault_tree")?, &FAULT_TREE)?;
         let max_cut_sets = match v.get("max_cut_sets") {
             None | Some(JsonValue::Null) => None,
             Some(m) => Some(max_cut_sets_value(m)?),
@@ -1423,11 +1423,8 @@ impl FaultTreeSpec {
 
     fn to_json(&self) -> JsonValue {
         let mut entries = vec![
-            (
-                "events",
-                JsonValue::Array(self.events.iter().map(EventSpec::to_json).collect()),
-            ),
-            ("top", self.top.to_json()),
+            ("events", ItemSpec::list_to_json(&self.events, &FAULT_TREE)),
+            ("top", self.top.to_json(&FAULT_TREE)),
         ];
         if let Some(m) = self.max_cut_sets {
             entries.push(("max_cut_sets", JsonValue::Number(m as f64)));
@@ -1439,123 +1436,6 @@ impl FaultTreeSpec {
             entries.push(("sim", sim.to_json()));
         }
         json::object(entries)
-    }
-}
-
-impl EventSpec {
-    fn from_json(v: &JsonValue) -> Result<EventSpec> {
-        check_keys(
-            as_obj(v, "event")?,
-            &["name", "probability", "ttf_dist", "ttr_dist"],
-            "event",
-        )?;
-        let name = str_field(v, "name", "event")?;
-        let probability = match v.get("probability") {
-            None | Some(JsonValue::Null) => None,
-            Some(p) => Some(
-                p.as_f64()
-                    .ok_or_else(|| schema_err("'probability' must be a number"))?,
-            ),
-        };
-        let ttf_dist = DistSpec::from_json_opt(v.get("ttf_dist"))?;
-        let ttr_dist = DistSpec::from_json_opt(v.get("ttr_dist"))?;
-        if probability.is_none() && ttf_dist.is_none() {
-            return Err(schema_err(format!(
-                "event '{name}' needs a 'probability' or a 'ttf_dist'"
-            )));
-        }
-        if ttr_dist.is_some() && ttf_dist.is_none() {
-            return Err(schema_err(format!(
-                "event '{name}' has a 'ttr_dist' but no 'ttf_dist'"
-            )));
-        }
-        Ok(EventSpec {
-            name,
-            probability,
-            ttf_dist,
-            ttr_dist,
-        })
-    }
-
-    fn to_json(&self) -> JsonValue {
-        let mut entries = vec![("name", JsonValue::from(self.name.as_str()))];
-        if let Some(p) = self.probability {
-            entries.push(("probability", p.into()));
-        }
-        if let Some(d) = &self.ttf_dist {
-            entries.push(("ttf_dist", d.to_json()));
-        }
-        if let Some(d) = &self.ttr_dist {
-            entries.push(("ttr_dist", d.to_json()));
-        }
-        json::object(entries)
-    }
-}
-
-impl GateSpec {
-    fn from_json(v: &JsonValue) -> Result<GateSpec> {
-        if let Some(name) = v.as_str() {
-            return Ok(GateSpec::Event(name.to_owned()));
-        }
-        let entries = v
-            .as_object()
-            .ok_or_else(|| schema_err("gate must be an event name or a gate object"))?;
-        if entries.len() != 1 {
-            return Err(schema_err(
-                "gate object must have exactly one key ('and', 'or', or 'k_of_n')",
-            ));
-        }
-        let (key, payload) = &entries[0];
-        let inputs = |p: &JsonValue, what: &str| -> Result<Vec<GateSpec>> {
-            p.as_array()
-                .ok_or_else(|| schema_err(format!("'{what}' must be an array")))?
-                .iter()
-                .map(GateSpec::from_json)
-                .collect()
-        };
-        match key.as_str() {
-            "and" => Ok(GateSpec::And {
-                and: inputs(payload, "and")?,
-            }),
-            "or" => Ok(GateSpec::Or {
-                or: inputs(payload, "or")?,
-            }),
-            "k_of_n" => {
-                check_keys(as_obj(payload, "k_of_n")?, &["k", "of"], "k_of_n")?;
-                let k = k_value(req(payload, "k", "k_of_n")?)?;
-                Ok(GateSpec::KOfN {
-                    k_of_n: KOfNGateSpec {
-                        k,
-                        of: inputs(req(payload, "of", "k_of_n")?, "of")?,
-                    },
-                })
-            }
-            other => Err(schema_err(format!("unknown gate type '{other}'"))),
-        }
-    }
-
-    fn to_json(&self) -> JsonValue {
-        match self {
-            GateSpec::Event(name) => name.as_str().into(),
-            GateSpec::And { and } => json::object(vec![(
-                "and",
-                JsonValue::Array(and.iter().map(GateSpec::to_json).collect()),
-            )]),
-            GateSpec::Or { or } => json::object(vec![(
-                "or",
-                JsonValue::Array(or.iter().map(GateSpec::to_json).collect()),
-            )]),
-            GateSpec::KOfN { k_of_n } => json::object(vec![(
-                "k_of_n",
-                json::object(vec![
-                    ("k", JsonValue::Number(k_of_n.k as f64)),
-                    (
-                        "of",
-                        JsonValue::Array(k_of_n.of.iter().map(GateSpec::to_json).collect()),
-                    ),
-                ]),
-            )]),
-        }
     }
 }
 
@@ -2780,7 +2660,7 @@ mod tests {
                 assert_eq!(sim.horizon, Some(40000.0));
                 assert_eq!(sim.seed, Some(42));
                 assert_eq!(sim.max_replications, Some(256));
-                assert_eq!(r.components[0].availability, None);
+                assert_eq!(r.components[0].value, None);
                 assert!(matches!(
                     r.components[0].ttf_dist,
                     Some(DistSpec::Weibull { .. })

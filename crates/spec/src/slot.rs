@@ -17,8 +17,8 @@ use crate::schema::{
     jump_probability_value, k_value, level_value, max_cut_sets_value, max_iterations_value,
     prior_path, samples_value, sim_int, spn_int, tolerance_value, total_time_value,
     truncation_order_value, u32_value, uncertainty_int, BoundsSpec, DistSpec, FaultTreeSpec,
-    GateSpec, ModelSpec, PriorSpec, RbdSpec, SimSpec, SpnSpec, SpnTimingSpec, SpnTransitionSpec,
-    StructureSpec,
+    ItemSpec, ModelSpec, PriorSpec, SimSpec, SpnSpec, SpnTimingSpec, SpnTransitionSpec,
+    StructureSpec, Terms, FAULT_TREE, RBD,
 };
 use reliab_core::{Error, Result};
 
@@ -30,8 +30,8 @@ use reliab_core::{Error, Result};
 /// document would have reported.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum Slot {
-    Rbd(RbdSlot),
-    FaultTree(FaultTreeSlot),
+    Rbd(StructureSlot),
+    FaultTree(StructureSlot),
     Ctmc(CtmcSlot),
     /// `rel_graph.edges.N.reliability`.
     RelGraph(usize),
@@ -42,21 +42,15 @@ pub(crate) enum Slot {
     Bounds(BoundsSlot),
 }
 
+/// A numeric field of an RBD or a fault tree (an RBD has no
+/// `max_cut_sets`).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) enum RbdSlot {
-    Component(usize, ItemField),
+pub(crate) enum StructureSlot {
+    Item(usize, ItemField),
     /// The `k` of the k-of-n node at this member path.
-    Structure(Vec<usize>),
-    /// A `sim` field, by its index in [`SIM_FIELDS`].
-    Sim(usize),
-}
-
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) enum FaultTreeSlot {
-    Event(usize, ItemField),
-    /// The `k` of the k-of-n gate at this input path.
-    Top(Vec<usize>),
+    K(Vec<usize>),
     MaxCutSets,
+    /// A `sim` field, by its index in [`SIM_FIELDS`].
     Sim(usize),
 }
 
@@ -125,7 +119,7 @@ pub(crate) enum UncertaintySlot {
 
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum BoundsSlot {
-    FaultTree(FaultTreeSlot),
+    FaultTree(StructureSlot),
     Event(usize),
     TruncationOrder,
 }
@@ -160,24 +154,9 @@ impl Slot {
     fn write(&self, model: &mut ModelSpec, v: f64) -> Result<()> {
         let x = JsonValue::Number(v);
         match (self, model) {
-            (Slot::Rbd(slot), ModelSpec::Rbd(r)) => match slot {
-                RbdSlot::Component(i, field) => {
-                    let c = r.components.get_mut(*i).ok_or_else(stale)?;
-                    write_item(
-                        *field,
-                        &mut c.availability,
-                        &mut c.ttf_dist,
-                        &mut c.ttr_dist,
-                        v,
-                    )
-                }
-                RbdSlot::Structure(path) => {
-                    let k = k_value(&x)?;
-                    *tree_k_mut(&mut r.structure, path).ok_or_else(stale)? = k;
-                    Ok(())
-                }
-                RbdSlot::Sim(i) => write_sim(r.sim.as_mut().ok_or_else(stale)?, *i, v),
-            },
+            (Slot::Rbd(slot), ModelSpec::Rbd(r)) => {
+                write_structure(slot, &mut r.components, &mut r.structure, r.sim.as_mut(), v)
+            }
             (Slot::FaultTree(slot), ModelSpec::FaultTree(f)) => write_fault_tree(slot, f, v),
             (Slot::Ctmc(slot), ModelSpec::Ctmc(c)) => {
                 let field = match *slot {
@@ -292,7 +271,13 @@ fn index(seg: &str, len: usize) -> Option<usize> {
 
 fn resolve(model: &ModelSpec, segs: &[&str]) -> Option<Slot> {
     Some(match (model, segs) {
-        (ModelSpec::Rbd(r), ["rbd", rest @ ..]) => Slot::Rbd(rbd_slot(r, rest)?),
+        (ModelSpec::Rbd(r), ["rbd", rest @ ..]) => Slot::Rbd(structure_slot(
+            &RBD,
+            &r.components,
+            &r.structure,
+            r.sim.as_ref(),
+            rest,
+        )?),
         (ModelSpec::FaultTree(f), ["fault_tree", rest @ ..]) => {
             Slot::FaultTree(fault_tree_slot(f, rest)?)
         }
@@ -367,92 +352,80 @@ fn resolve(model: &ModelSpec, segs: &[&str]) -> Option<Slot> {
     })
 }
 
-fn rbd_slot(r: &RbdSpec, segs: &[&str]) -> Option<RbdSlot> {
-    Some(match segs {
-        ["components", i, field @ ..] => {
-            let i = index(i, r.components.len())?;
-            let c = &r.components[i];
-            let ttf = c.ttf_dist.as_ref();
-            let value = c.availability.map(|_| "availability");
-            RbdSlot::Component(i, item_field(value, ttf, c.ttr_dist.as_ref(), field)?)
-        }
-        ["structure", rest @ ..] => RbdSlot::Structure(tree_slot(&r.structure, rest)?),
-        ["sim", rest @ ..] => RbdSlot::Sim(sim_slot(r.sim.as_ref()?, rest)?),
-        _ => return None,
-    })
-}
-
-fn fault_tree_slot(f: &FaultTreeSpec, segs: &[&str]) -> Option<FaultTreeSlot> {
-    Some(match segs {
-        ["events", i, field @ ..] => {
-            let i = index(i, f.events.len())?;
-            let e = &f.events[i];
-            let value = e.probability.map(|_| "probability");
-            let field = item_field(value, e.ttf_dist.as_ref(), e.ttr_dist.as_ref(), field)?;
-            FaultTreeSlot::Event(i, field)
-        }
-        ["top", rest @ ..] => FaultTreeSlot::Top(tree_slot(&f.top, rest)?),
-        ["max_cut_sets"] if f.max_cut_sets.is_some() => FaultTreeSlot::MaxCutSets,
-        ["sim", rest @ ..] => FaultTreeSlot::Sim(sim_slot(f.sim.as_ref()?, rest)?),
-        _ => return None,
-    })
-}
-
-/// `value` is the key of the item's point value, when it has one.
-fn item_field(
-    value: Option<&str>,
-    ttf: Option<&DistSpec>,
-    ttr: Option<&DistSpec>,
-    segs: &[&str],
-) -> Option<ItemField> {
+fn fault_tree_slot(f: &FaultTreeSpec, segs: &[&str]) -> Option<StructureSlot> {
     match segs {
-        [key] if Some(*key) == value => Some(ItemField::Value),
-        ["ttf_dist", param @ ..] => dist_param(ttf?, param).map(ItemField::Ttf),
-        ["ttr_dist", param @ ..] => dist_param(ttr?, param).map(ItemField::Ttr),
-        _ => None,
+        ["max_cut_sets"] if f.max_cut_sets.is_some() => Some(StructureSlot::MaxCutSets),
+        _ => structure_slot(&FAULT_TREE, &f.events, &f.top, f.sim.as_ref(), segs),
     }
 }
 
-fn write_item(
-    field: ItemField,
-    value: &mut Option<f64>,
-    ttf: &mut Option<DistSpec>,
-    ttr: &mut Option<DistSpec>,
+/// An item's field, a `k`, or a `sim` field of an RBD or a fault tree,
+/// under the class's keys.
+fn structure_slot(
+    terms: &Terms,
+    items: &[ItemSpec],
+    root: &StructureSpec,
+    sim: Option<&SimSpec>,
+    segs: &[&str],
+) -> Option<StructureSlot> {
+    Some(match segs {
+        [key, i, field @ ..] if *key == terms.items => {
+            let i = index(i, items.len())?;
+            let item = &items[i];
+            StructureSlot::Item(
+                i,
+                match field {
+                    [key] if *key == terms.value && item.value.is_some() => ItemField::Value,
+                    ["ttf_dist", param @ ..] => {
+                        ItemField::Ttf(dist_param(item.ttf_dist.as_ref()?, param)?)
+                    }
+                    ["ttr_dist", param @ ..] => {
+                        ItemField::Ttr(dist_param(item.ttr_dist.as_ref()?, param)?)
+                    }
+                    _ => return None,
+                },
+            )
+        }
+        [key, rest @ ..] if *key == terms.root => StructureSlot::K(tree_slot(terms, root, rest)?),
+        ["sim", rest @ ..] => StructureSlot::Sim(sim_slot(sim?, rest)?),
+        _ => return None,
+    })
+}
+
+fn write_fault_tree(slot: &StructureSlot, f: &mut FaultTreeSpec, v: f64) -> Result<()> {
+    if *slot == StructureSlot::MaxCutSets {
+        f.max_cut_sets = Some(max_cut_sets_value(&JsonValue::Number(v))?);
+        return Ok(());
+    }
+    write_structure(slot, &mut f.events, &mut f.top, f.sim.as_mut(), v)
+}
+
+fn write_structure(
+    slot: &StructureSlot,
+    items: &mut [ItemSpec],
+    root: &mut StructureSpec,
+    sim: Option<&mut SimSpec>,
     v: f64,
 ) -> Result<()> {
-    let target = match field {
-        ItemField::Value => value.as_mut(),
-        ItemField::Ttf(p) => ttf.as_mut().and_then(|d| dist_param_mut(d, p)),
-        ItemField::Ttr(p) => ttr.as_mut().and_then(|d| dist_param_mut(d, p)),
+    let target = match slot {
+        StructureSlot::Item(i, field) => {
+            let item = items.get_mut(*i).ok_or_else(stale)?;
+            match *field {
+                ItemField::Value => item.value.as_mut(),
+                ItemField::Ttf(p) => item.ttf_dist.as_mut().and_then(|d| dist_param_mut(d, p)),
+                ItemField::Ttr(p) => item.ttr_dist.as_mut().and_then(|d| dist_param_mut(d, p)),
+            }
+        }
+        StructureSlot::K(path) => {
+            let k = k_value(&JsonValue::Number(v))?;
+            *tree_k_mut(root, path).ok_or_else(stale)? = k;
+            return Ok(());
+        }
+        StructureSlot::MaxCutSets => None,
+        StructureSlot::Sim(i) => return write_sim(sim.ok_or_else(stale)?, *i, v),
     };
     *target.ok_or_else(stale)? = v;
     Ok(())
-}
-
-fn write_fault_tree(slot: &FaultTreeSlot, f: &mut FaultTreeSpec, v: f64) -> Result<()> {
-    let x = JsonValue::Number(v);
-    match slot {
-        FaultTreeSlot::Event(i, field) => {
-            let e = f.events.get_mut(*i).ok_or_else(stale)?;
-            write_item(
-                *field,
-                &mut e.probability,
-                &mut e.ttf_dist,
-                &mut e.ttr_dist,
-                v,
-            )
-        }
-        FaultTreeSlot::Top(path) => {
-            let k = k_value(&x)?;
-            *tree_k_mut(&mut f.top, path).ok_or_else(stale)? = k;
-            Ok(())
-        }
-        FaultTreeSlot::MaxCutSets => {
-            f.max_cut_sets = Some(max_cut_sets_value(&x)?);
-            Ok(())
-        }
-        FaultTreeSlot::Sim(i) => write_sim(f.sim.as_mut().ok_or_else(stale)?, *i, v),
-    }
 }
 
 fn write_bounds(slot: &BoundsSlot, b: &mut BoundsSpec, v: f64) -> Result<()> {
@@ -610,77 +583,18 @@ fn write_spn(slot: SpnSlot, s: &mut SpnSpec, v: f64) -> Result<()> {
     Ok(())
 }
 
-/// An RBD structure or a fault-tree gate: combinators whose members are
-/// reached by index, among them k-of-n votes with a numeric `k`.
-trait Tree: Sized {
-    /// The combinator key, whether it is a k-of-n vote, and the
-    /// members; `None` for a leaf.
-    fn shape(&self) -> Option<(&'static str, bool, &[Self])>;
-    fn members_mut(&mut self) -> Option<&mut [Self]>;
-    fn k_mut(&mut self) -> Option<&mut usize>;
-}
-
-impl Tree for StructureSpec {
-    fn shape(&self) -> Option<(&'static str, bool, &[Self])> {
-        match self {
-            StructureSpec::Component(_) => None,
-            StructureSpec::Series { series } => Some(("series", false, series)),
-            StructureSpec::Parallel { parallel } => Some(("parallel", false, parallel)),
-            StructureSpec::KOfN { k_of_n } => Some(("k_of_n", true, &k_of_n.of)),
-        }
-    }
-
-    fn members_mut(&mut self) -> Option<&mut [Self]> {
-        match self {
-            StructureSpec::Component(_) => None,
-            StructureSpec::Series { series: m } | StructureSpec::Parallel { parallel: m } => {
-                Some(m)
-            }
-            StructureSpec::KOfN { k_of_n } => Some(&mut k_of_n.of),
-        }
-    }
-
-    fn k_mut(&mut self) -> Option<&mut usize> {
-        match self {
-            StructureSpec::KOfN { k_of_n } => Some(&mut k_of_n.k),
-            _ => None,
-        }
-    }
-}
-
-impl Tree for GateSpec {
-    fn shape(&self) -> Option<(&'static str, bool, &[Self])> {
-        match self {
-            GateSpec::Event(_) => None,
-            GateSpec::And { and } => Some(("and", false, and)),
-            GateSpec::Or { or } => Some(("or", false, or)),
-            GateSpec::KOfN { k_of_n } => Some(("k_of_n", true, &k_of_n.of)),
-        }
-    }
-
-    fn members_mut(&mut self) -> Option<&mut [Self]> {
-        match self {
-            GateSpec::Event(_) => None,
-            GateSpec::And { and: m } | GateSpec::Or { or: m } => Some(m),
-            GateSpec::KOfN { k_of_n } => Some(&mut k_of_n.of),
-        }
-    }
-
-    fn k_mut(&mut self) -> Option<&mut usize> {
-        match self {
-            GateSpec::KOfN { k_of_n } => Some(&mut k_of_n.k),
-            _ => None,
-        }
-    }
-}
-
 /// The member path to the k-of-n node whose `k` the canonical path
 /// `segs` names: `{"series": [...]}` members sit under the key,
 /// `{"k_of_n": {"k": .., "of": [...]}}` members under `of`.
-fn tree_slot<T: Tree>(mut node: &T, mut segs: &[&str]) -> Option<Vec<usize>> {
+fn tree_slot(terms: &Terms, mut node: &StructureSpec, mut segs: &[&str]) -> Option<Vec<usize>> {
     let mut path = Vec::new();
     loop {
-        let (key, vote, members) = node.shape()?;
+        let (key, vote, members) = match node {
+            StructureSpec::Item(_) => return None,
+            StructureSpec::All(m) => (terms.all, false, m),
+            StructureSpec::Any(m) => (terms.any, false, m),
+            StructureSpec::KOfN { of, .. } => ("k_of_n", true, of),
+        };
         let (i, rest) = match segs {
             [k, "k"] if *k == key && vote => return Some(path),
             [k, "of", i, rest @ ..] if *k == key && vote => (i, rest),
@@ -694,11 +608,19 @@ fn tree_slot<T: Tree>(mut node: &T, mut segs: &[&str]) -> Option<Vec<usize>> {
     }
 }
 
-fn tree_k_mut<'a, T: Tree>(mut node: &'a mut T, path: &[usize]) -> Option<&'a mut usize> {
+fn tree_k_mut<'a>(mut node: &'a mut StructureSpec, path: &[usize]) -> Option<&'a mut usize> {
     for &i in path {
-        node = node.members_mut()?.get_mut(i)?;
+        node = match node {
+            StructureSpec::All(m) | StructureSpec::Any(m) | StructureSpec::KOfN { of: m, .. } => {
+                m.get_mut(i)?
+            }
+            StructureSpec::Item(_) => return None,
+        };
     }
-    node.k_mut()
+    match node {
+        StructureSpec::KOfN { k, .. } => Some(k),
+        _ => None,
+    }
 }
 
 #[cfg(test)]

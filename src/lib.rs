@@ -5,8 +5,10 @@
 //! *Reliability and Availability Modeling in Practice*:
 //!
 //! * **Non-state-space models** — reliability block diagrams
-//!   ([`rbd`]), fault trees ([`ftree`]), reliability graphs
-//!   ([`relgraph`]), all BDD-exact under shared components.
+//!   ([`rbd`]) and fault trees ([`ftree`]), one structure function read
+//!   in success or failure space and compiled by one kernel, and
+//!   reliability graphs ([`relgraph`]), all BDD-exact under shared
+//!   components.
 //! * **Bounding methods** ([`bounds`]) for systems too large to solve
 //!   exactly.
 //! * **State-space models** — Markov chains ([`markov`]), stochastic
@@ -59,7 +61,6 @@ pub use reliab_obs as obs;
 
 pub use reliab_bdd as bdd;
 pub use reliab_ftree as ftree;
-pub use reliab_rbd as rbd;
 pub use reliab_relgraph as relgraph;
 
 pub use reliab_bounds as bounds;
@@ -73,3 +74,9 @@ pub use reliab_models as models;
 pub use reliab_sim as sim;
 pub use reliab_spec as spec;
 pub use reliab_uncert as uncert;
+
+/// Reliability block diagrams: the success-space view of the
+/// structure-function kernel in [`ftree`].
+pub mod rbd {
+    pub use reliab_ftree::{Block, ComponentId, Rbd, RbdBuilder};
+}

@@ -196,6 +196,8 @@ mod random_tree_equivalence {
     use proptest::prelude::*;
     use reliab::bounds::union_probability;
     use reliab::ftree::{EventId, FaultTreeBuilder, FtNode, VariableOrdering};
+    use reliab::rbd::{Block, ComponentId, RbdBuilder};
+    use reliab::spec::{solve_str_with, SolveOptions};
 
     const EVENTS: usize = 6;
 
@@ -295,6 +297,127 @@ mod random_tree_equivalence {
             let up: Vec<f64> = probs.iter().map(|q| 1.0 - q).collect();
             let r_union = union_probability(&paths, &up, EVENTS).unwrap();
             prop_assert!((1.0 - q_top - r_union).abs() < 1e-12, "{q_top} vs 1 - {r_union}");
+        }
+    }
+
+    /// The De Morgan dual of a tree as a block diagram: an AND of
+    /// failures is a parallel group of working components, an OR a
+    /// series group, and `k` failures of `n` are `n − k + 1` working.
+    fn dual_block(s: &Shape, components: &[ComponentId]) -> Block {
+        let all = |xs: &[Shape]| xs.iter().map(|x| dual_block(x, components)).collect();
+        match s {
+            Shape::Leaf(i) => Block::Component(components[*i]),
+            Shape::And(xs) => Block::Parallel(all(xs)),
+            Shape::Or(xs) => Block::Series(all(xs)),
+            Shape::KOfN(k, xs) => Block::k_of_n(xs.len() + 1 - k, all(xs)),
+        }
+    }
+
+    /// A tree's gates as a spec `top`, or its dual as an RBD
+    /// `structure`.
+    fn shape_json(s: &Shape, dual: bool) -> String {
+        let list = |xs: &[Shape]| {
+            let items: Vec<String> = xs.iter().map(|x| shape_json(x, dual)).collect();
+            format!("[{}]", items.join(", "))
+        };
+        match (s, dual) {
+            (Shape::Leaf(i), _) => format!("\"e{i}\""),
+            (Shape::And(xs), false) => format!("{{\"and\": {}}}", list(xs)),
+            (Shape::Or(xs), false) => format!("{{\"or\": {}}}", list(xs)),
+            (Shape::And(xs), true) => format!("{{\"parallel\": {}}}", list(xs)),
+            (Shape::Or(xs), true) => format!("{{\"series\": {}}}", list(xs)),
+            (Shape::KOfN(k, xs), _) => {
+                let k = if dual { xs.len() + 1 - k } else { *k };
+                format!("{{\"k_of_n\": {{\"k\": {k}, \"of\": {}}}}}", list(xs))
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        /// A tree and its dual RBD at availabilities `1 − q` are one
+        /// structure function: `A + Q = 1`, the same Birnbaum
+        /// importance, and the same criticality and Fussell–Vesely
+        /// importance, which are themselves equal (`Q` is multilinear in
+        /// each `q_i`, so `Q − Q(q_i = 0) = q_i · B_i`).
+        #[test]
+        fn tree_and_its_dual_rbd_agree(
+            shape in tree_strategy(),
+            probs in proptest::collection::vec(0.01f64..0.6, EVENTS),
+        ) {
+            let mut b = FaultTreeBuilder::new();
+            let events: Vec<EventId> =
+                (0..EVENTS).map(|i| b.basic_event(&format!("e{i}"))).collect();
+            let mut ft = b.build(to_node(&shape, &events)).unwrap();
+            let mut rb = RbdBuilder::new();
+            let components: Vec<ComponentId> =
+                (0..EVENTS).map(|i| rb.component(&format!("e{i}"))).collect();
+            let mut rbd = rb.build(dual_block(&shape, &components)).unwrap();
+            let up: Vec<f64> = probs.iter().map(|q| 1.0 - q).collect();
+            let q = ft.top_event_probability(&probs).unwrap();
+            let a = rbd.availability(&up).unwrap();
+            prop_assert!((a + q - 1.0).abs() < 1e-12, "A {a} + Q {q}");
+            let tol = 1e-12 + 64.0 * f64::EPSILON / q;
+            let tree_rows = ft.importance(&probs).unwrap();
+            let rbd_rows = rbd.importance(&up).unwrap();
+            for (t, r) in tree_rows.iter().zip(&rbd_rows) {
+                prop_assert_eq!(&t.component, &r.component);
+                prop_assert!((t.birnbaum - r.birnbaum).abs() < 1e-12, "{t:?} vs {r:?}");
+                prop_assert!((t.criticality - r.criticality).abs() < tol, "{t:?} vs {r:?}");
+                prop_assert!((t.fussell_vesely - r.fussell_vesely).abs() < tol, "{t:?} vs {r:?}");
+                for m in [t, r] {
+                    prop_assert!((m.fussell_vesely - m.criticality).abs() < tol, "{m:?}");
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+        /// Simulated through the spec layer with the same distributions
+        /// and seed, a repairable tree and its dual RBD give
+        /// byte-identical measures.
+        #[test]
+        fn simulated_tree_and_its_dual_rbd_are_byte_identical(
+            shape in tree_strategy(),
+            ttf_means in proptest::collection::vec(20.0f64..200.0, EVENTS),
+            ttr_means in proptest::collection::vec(1.0f64..20.0, EVENTS),
+            seed in 0usize..1_000_000,
+            replications in 2usize..=16,
+        ) {
+            let items: Vec<String> = ttf_means
+                .iter()
+                .zip(&ttr_means)
+                .enumerate()
+                .map(|(i, (ttf, ttr))| {
+                    format!(
+                        "{{\"name\": \"e{i}\", \
+                          \"ttf_dist\": {{\"exponential\": {{\"mean\": {ttf}}}}}, \
+                          \"ttr_dist\": {{\"exponential\": {{\"mean\": {ttr}}}}}}}"
+                    )
+                })
+                .collect();
+            let sim = format!(
+                "{{\"measure\": \"availability\", \"horizon\": 500, \"seed\": {seed}, \
+                  \"max_replications\": {replications}, \"rel_precision\": 0}}"
+            );
+            let items = items.join(", ");
+            let tree = format!(
+                "{{\"fault_tree\": {{\"events\": [{items}], \"top\": {}, \"sim\": {sim}}}}}",
+                shape_json(&shape, false)
+            );
+            let rbd = format!(
+                "{{\"rbd\": {{\"components\": [{items}], \"structure\": {}, \"sim\": {sim}}}}}",
+                shape_json(&shape, true)
+            );
+            let measures = |doc: &str| {
+                solve_str_with(doc, &SolveOptions::default())
+                    .unwrap()
+                    .measures
+                    .to_json()
+                    .to_json()
+            };
+            prop_assert_eq!(measures(&tree), measures(&rbd));
         }
     }
 }
