@@ -79,9 +79,15 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 1024;
 /// current tick; when an insert would exceed `capacity`, the entry with
 /// the oldest stamp is dropped (LRU by linear scan — capacities are
 /// small enough that the scan is noise next to a solve).
+///
+/// Reports sit behind a `Box`. A `SolveReport` is about 600 bytes, so
+/// inline reports made each bucket 640 bytes, and every empty bucket
+/// cost as much: the full table was 1.25 MiB, and 2.5 MiB once a
+/// daemon's eviction churn had left enough tombstones to make it grow.
+/// Boxed, a bucket is 40 bytes.
 #[derive(Debug, Default)]
 struct MemoCache {
-    map: FxHashMap<String, (SolveReport, u64)>,
+    map: FxHashMap<String, (Box<SolveReport>, u64)>,
     tick: u64,
     evictions: usize,
 }
@@ -92,7 +98,7 @@ impl MemoCache {
         let tick = self.tick;
         self.map.get_mut(key).map(|(report, stamp)| {
             *stamp = tick;
-            report.clone()
+            SolveReport::clone(report)
         })
     }
 
@@ -113,7 +119,7 @@ impl MemoCache {
                 obs::counter_add("engine.memo.evictions", 1);
             }
         }
-        self.map.insert(key, (report.clone(), self.tick));
+        self.map.insert(key, (Box::new(report.clone()), self.tick));
     }
 }
 
@@ -504,6 +510,69 @@ mod tests {
         // 0.7 must have survived the eviction.
         engine.solve_texts(&[rbd_doc(0.7)]);
         assert_eq!(engine.last_stats().memo_hits, 1);
+    }
+
+    /// A daemon pushes far more distinct documents through the memo
+    /// than it holds. After 25 times its capacity in distinct misses the
+    /// cache holds exactly `capacity` entries, the newest, still in LRU
+    /// order, and a hit returns the measures bytes of the miss.
+    #[test]
+    fn churn_keeps_capacity_lru_order_and_hit_bytes() {
+        const CAPACITY: usize = 8;
+        let docs: Vec<String> = (0..25 * CAPACITY)
+            .map(|i| rbd_doc(0.5 + i as f64 / 1000.0))
+            .collect();
+        let key = |doc: &str| ModelSpec::from_json_str(doc).unwrap().canonical_string();
+        let engine = BatchEngine::new()
+            .with_jobs(1)
+            .with_cache_capacity(CAPACITY);
+        let missed: Vec<String> = engine
+            .solve_texts(&docs)
+            .iter()
+            .map(|r| r.as_ref().unwrap().measures.to_json().to_json())
+            .collect();
+        let stats = engine.last_stats();
+        assert_eq!(stats.solved, docs.len());
+        assert_eq!(stats.evictions, docs.len() - CAPACITY);
+        let newest = &docs[docs.len() - CAPACITY..];
+        {
+            let cache = lock(&engine.cache);
+            assert_eq!(cache.map.len(), CAPACITY);
+            assert!(newest.iter().all(|d| cache.map.contains_key(&key(d))));
+        }
+
+        // Touch the oldest survivor; the next miss must evict the one
+        // after it instead.
+        engine.solve_texts(&newest[..1]);
+        assert_eq!(engine.last_stats().memo_hits, 1);
+        engine.solve_texts(&[rbd_doc(0.25)]);
+        {
+            let cache = lock(&engine.cache);
+            assert_eq!(cache.map.len(), CAPACITY);
+            assert!(cache.map.contains_key(&key(&newest[0])));
+            assert!(!cache.map.contains_key(&key(&newest[1])));
+        }
+        assert_eq!(engine.last_stats().evictions, docs.len() - CAPACITY + 1);
+
+        let last = docs.len() - 1;
+        let hit = engine.solve_texts(&docs[last..]);
+        assert_eq!(engine.last_stats().memo_hits, 1);
+        assert_eq!(
+            hit[0].as_ref().unwrap().measures.to_json().to_json(),
+            missed[last]
+        );
+    }
+
+    /// Memo reports live behind a pointer: a `SolveReport` is hundreds
+    /// of bytes, and the table's empty slots and tombstone-driven growth
+    /// would each cost that much if buckets held reports inline.
+    #[test]
+    fn memo_bucket_stays_small() {
+        fn bucket_size<K, V, S>(_: &std::collections::HashMap<K, V, S>) -> usize {
+            std::mem::size_of::<(K, V)>()
+        }
+        let size = bucket_size(&MemoCache::default().map);
+        assert!(size <= 64, "memo bucket is {size} bytes");
     }
 
     #[test]

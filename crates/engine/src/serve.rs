@@ -42,6 +42,7 @@ use reliab_spec::wire::{
 };
 use reliab_spec::{json, ModelSpec, SolveOptions, SolveReport};
 use std::collections::{BTreeMap, VecDeque};
+use std::fmt::Write as _;
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -436,6 +437,10 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
             return;
         }
         let Ok(stream) = stream else { continue };
+        // Each response leaves in one write (see `write_response`), so
+        // Nagle's algorithm has nothing to coalesce; it could only hold
+        // a segment back until the peer's delayed ACK, about 40 ms.
+        let _ = stream.set_nodelay(true);
         if shared.active_conns.load(Ordering::SeqCst) >= shared.config.max_connections {
             let mut stream = stream;
             respond_error(
@@ -661,31 +666,36 @@ fn status_reason(status: u16) -> &'static str {
     }
 }
 
-fn write_response(
-    stream: &mut TcpStream,
+/// Sends one HTTP response. Head and body go to the socket in one
+/// write: with two, the body of a kept-alive reply waited for the
+/// peer's delayed ACK of the head (about 40 ms per request).
+fn write_response<W: std::io::Write>(
+    stream: &mut W,
     status: u16,
     content_type: &str,
     trace: Option<u64>,
     keep_alive: bool,
     body: &str,
 ) {
-    let mut head = format!(
+    let mut message = String::with_capacity(192 + body.len());
+    let _ = write!(
+        message,
         "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: {}\r\n",
         status_reason(status),
         body.len(),
         if keep_alive { "keep-alive" } else { "close" }
     );
     if let Some(trace) = trace {
-        head.push_str(&format!("X-Trace-Id: {trace}\r\n"));
+        let _ = write!(message, "X-Trace-Id: {trace}\r\n");
     }
     if status == 429 || status == 503 {
-        head.push_str("Retry-After: 1\r\n");
+        message.push_str("Retry-After: 1\r\n");
     }
-    head.push_str("\r\n");
+    message.push_str("\r\n");
+    message.push_str(body);
     // The peer may already be gone (mid-solve disconnects are one of
     // the tested degraded modes); a failed write is not our problem.
-    let _ = stream.write_all(head.as_bytes());
-    let _ = stream.write_all(body.as_bytes());
+    let _ = stream.write_all(message.as_bytes());
     let _ = stream.flush();
 }
 
@@ -1191,22 +1201,21 @@ pub fn http_request(
     body: &str,
 ) -> std::io::Result<HttpResponse> {
     let mut stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(Duration::from_secs(120)))?;
-    let mut req = format!(
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nConnection: close\r\n",
-        body.len()
+    let req = encode_request(
+        method,
+        path,
+        addr,
+        &[&[("Connection", "close")], headers].concat(),
+        body,
     );
-    for (k, v) in headers {
-        req.push_str(&format!("{k}: {v}\r\n"));
-    }
-    req.push_str("\r\n");
     // The server may reject mid-upload (e.g. 413 on an oversized body)
     // and close its read side; the write then fails with a broken pipe
     // but the response is still there to be read — so write errors are
     // tolerated and only an unreadable response is fatal.
     let sent = stream
         .write_all(req.as_bytes())
-        .and_then(|()| stream.write_all(body.as_bytes()))
         .and_then(|()| stream.flush());
     let mut raw = Vec::new();
     match (stream.read_to_end(&mut raw), sent) {
@@ -1231,6 +1240,30 @@ pub fn http_request(
         headers,
         body,
     })
+}
+
+/// Encodes one HTTP/1.1 request, head and body in one buffer. The
+/// clients send it in one write on a `TCP_NODELAY` socket: a body
+/// written after its head waited for the daemon's delayed ACK.
+fn encode_request(
+    method: &str,
+    path: &str,
+    host: &str,
+    headers: &[(&str, &str)],
+    body: &str,
+) -> String {
+    let mut req = String::with_capacity(128 + body.len());
+    let _ = write!(
+        req,
+        "{method} {path} HTTP/1.1\r\nHost: {host}\r\nContent-Length: {}\r\n",
+        body.len()
+    );
+    for (k, v) in headers {
+        let _ = write!(req, "{k}: {v}\r\n");
+    }
+    req.push_str("\r\n");
+    req.push_str(body);
+    req
 }
 
 /// Parses an HTTP response status line and headers (names lowercased).
@@ -1279,6 +1312,7 @@ impl KeepAliveClient {
     /// Propagates socket errors.
     pub fn connect(addr: &str) -> std::io::Result<KeepAliveClient> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(Duration::from_secs(120)))?;
         Ok(KeepAliveClient {
             stream,
@@ -1302,17 +1336,8 @@ impl KeepAliveClient {
         headers: &[(&str, &str)],
         body: &str,
     ) -> std::io::Result<HttpResponse> {
-        let mut req = format!(
-            "{method} {path} HTTP/1.1\r\nHost: {}\r\nContent-Length: {}\r\n",
-            self.addr,
-            body.len()
-        );
-        for (k, v) in headers {
-            req.push_str(&format!("{k}: {v}\r\n"));
-        }
-        req.push_str("\r\n");
+        let req = encode_request(method, path, &self.addr, headers, body);
         self.stream.write_all(req.as_bytes())?;
-        self.stream.write_all(body.as_bytes())?;
         self.stream.flush()?;
 
         let mut raw = std::mem::take(&mut self.residue);
@@ -1380,6 +1405,54 @@ mod tests {
         assert_eq!(find_header_end(raw), Some(14));
         assert_eq!(&raw[14 + 4..], b"body");
         assert_eq!(find_header_end(b"partial\r\n"), None);
+    }
+
+    /// Records what reaches the "socket" and in how many calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl std::io::Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A response that reaches the socket in two writes waits for the
+    /// peer's delayed ACK between them, so every response, head and
+    /// body, must leave in exactly one write.
+    #[test]
+    fn responses_leave_in_one_write() {
+        let cases = [
+            (200, Some(7), true, "{\"kind\":\"result\"}\n"),
+            (429, None, false, "{\"kind\":\"overloaded\"}\n"),
+            (200, None, true, ""),
+        ];
+        for (status, trace, keep_alive, body) in cases {
+            let mut socket = CountingWriter::default();
+            write_response(
+                &mut socket,
+                status,
+                "application/json",
+                trace,
+                keep_alive,
+                body,
+            );
+            assert_eq!(socket.writes, 1, "status {status}: head and body split");
+            let end = find_header_end(&socket.bytes).expect("complete head");
+            let head = std::str::from_utf8(&socket.bytes[..end]).unwrap();
+            assert!(head.starts_with(&format!("HTTP/1.1 {status} ")), "{head}");
+            assert!(head.contains(&format!("Content-Length: {}\r\n", body.len())));
+            assert_eq!(&socket.bytes[end + 4..], body.as_bytes());
+        }
     }
 
     #[test]

@@ -281,6 +281,54 @@ fn keep_alive_connection_serves_sequential_solves() {
     server.shutdown();
 }
 
+/// Keep-alive round trips carry no transport stall. When a request or
+/// a response was sent in two writes, each memo-hit round trip waited
+/// about 44 ms for a delayed ACK; sent in one write on `TCP_NODELAY`
+/// sockets, it costs well under a millisecond. The 10-ms bound sits
+/// far from both, so scheduling noise cannot flip it.
+#[test]
+fn keep_alive_memo_hits_do_not_stall() {
+    let root = repo_root();
+    let server = boot(|c| {
+        c.workers = 1;
+        c.spec_dir = Some(root.join("specs"));
+        c.default_deadline_ms = 0;
+    });
+    let addr = server.local_addr().to_string();
+    let body = "{\"kind\":\"solve\",\"spec\":\"two_component\"}";
+    let mut client = KeepAliveClient::connect(&addr).expect("daemon accepts the connection");
+    let mut solve = || {
+        let response = client
+            .request(
+                "POST",
+                "/solve",
+                &[("Content-Type", "application/json")],
+                body,
+            )
+            .expect("keep-alive request");
+        assert_eq!(response.status, 200, "{}", response.body.trim_end());
+        response.body
+    };
+    let first = solve(); // the miss that fills the memo
+
+    let mut round_trips: Vec<Duration> = (0..100)
+        .map(|_| {
+            let t0 = Instant::now();
+            assert_eq!(solve(), first, "a memo hit changed the response");
+            t0.elapsed()
+        })
+        .collect();
+    round_trips.sort();
+    let median = round_trips[round_trips.len() / 2];
+    assert!(
+        median < Duration::from_millis(10),
+        "median keep-alive memo-hit round trip {median:?}"
+    );
+
+    assert_drains(&server);
+    server.shutdown();
+}
+
 /// The CLI's `--connect` client mode is output- and exit-code-parity
 /// locked against local solving: the whole shipped batch and an
 /// unreadable-input error case produce identical stdout bytes.
@@ -323,11 +371,15 @@ fn cli_connect_mode_matches_local_cli_byte_for_byte() {
 
     // Error parity: a malformed document fails with the same structured
     // error JSON and the same exit code through both front ends.
-    let bad = root.join("target/serve-test-bad-input.json");
-    std::fs::write(&bad, "this is not a model\n").unwrap();
-    let bad = bad.to_string_lossy().into_owned();
+    let bad_path = std::env::temp_dir().join(format!(
+        "reliab-serve-test-bad-input-{}.json",
+        std::process::id()
+    ));
+    std::fs::write(&bad_path, "this is not a model\n").unwrap();
+    let bad = bad_path.to_string_lossy().into_owned();
     let (local_code, local_out) = run(&[], &[&bad]);
     let (remote_code, remote_out) = run(&["--connect", &addr], &[&bad]);
+    std::fs::remove_file(&bad_path).unwrap();
     assert_eq!(local_code, 1);
     assert_eq!(remote_code, local_code, "exit-code parity broke");
     assert_eq!(local_out, remote_out, "error-document parity broke");
