@@ -7,25 +7,50 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use reliab_bench::{birth_death, ordering_ablation_tree};
 use reliab_ftree::VariableOrdering;
 use reliab_hier::FixedPointOptions;
-use reliab_markov::{SteadyStateMethod, TransientOptions};
+use reliab_markov::{Ctmc, SteadyStateMethod, TransientOptions};
 use reliab_models::sip::{sip_availability, SipParams};
+
+/// A seeded random chain that no state order makes banded: a cycle
+/// through every state keeps it irreducible, and each other ordered
+/// pair is joined with probability `density`.
+fn random_sparse(n: usize, density: f64) -> Ctmc {
+    let mut seed = 0x5eed_u64;
+    let mut unit = || {
+        seed = seed
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (seed >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let mut arcs: Vec<_> = (0..n).map(|i| (i, (i + 1) % n, 0.5 + unit())).collect();
+    for i in 0..n {
+        for j in 0..n {
+            if i != j && j != (i + 1) % n && unit() < density {
+                arcs.push((i, j, 0.5 + unit()));
+            }
+        }
+    }
+    Ctmc::from_parts((0..n).map(|i| format!("s{i}")).collect(), arcs).expect("valid chain")
+}
 
 fn bench_steady_state_methods(c: &mut Criterion) {
     let mut group = c.benchmark_group("steady_state_method");
     for n in [50usize, 200, 400] {
-        let chain = birth_death(n, 1.0, 2.0).expect("valid chain");
-        group.bench_with_input(BenchmarkId::new("gth", n), &chain, |b, ch| {
-            b.iter(|| {
-                ch.steady_state_report(&SteadyStateMethod::Gth)
-                    .expect("solve")
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("sor", n), &chain, |b, ch| {
-            b.iter(|| {
-                ch.steady_state_report(&SteadyStateMethod::Sor(Default::default()))
-                    .expect("solve")
-            })
-        });
+        // GTH works within the envelope: linear on the banded chain,
+        // about cubic on the random one, whose envelope fills.
+        for (shape, chain) in [
+            ("", birth_death(n, 1.0, 2.0).expect("valid chain")),
+            ("-sparse", random_sparse(n, 0.05)),
+        ] {
+            for (name, method) in [
+                ("gth", SteadyStateMethod::Gth),
+                ("sor", SteadyStateMethod::Sor(Default::default())),
+            ] {
+                let id = BenchmarkId::new(format!("{name}{shape}"), n);
+                group.bench_with_input(id, &chain, |b, ch| {
+                    b.iter(|| ch.steady_state_report(&method).expect("solve"))
+                });
+            }
+        }
     }
     group.finish();
 }

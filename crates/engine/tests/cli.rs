@@ -439,6 +439,7 @@ fn metrics_flag_dumps_prometheus_and_json() {
         "engine_specs_solved",
         "spec_solves",
         "markov_steady_solves",
+        "markov_gth_updates",
         "bdd_ite_lookups",
     ] {
         assert!(text.contains(needle), "metrics dump missing {needle}");

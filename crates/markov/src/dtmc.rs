@@ -3,8 +3,9 @@
 
 use crate::block::solve_in_core;
 use crate::num_err;
+use crate::steady::GTH_SIZE_THRESHOLD;
 use reliab_core::{Error, Result};
-use reliab_numeric::{gth_steady_state, CsrMatrix, DenseMatrix};
+use reliab_numeric::{gth_steady_state_rows, CsrMatrix, DenseMatrix};
 
 /// A finite discrete-time Markov chain with row-stochastic transition
 /// matrix `P`.
@@ -171,18 +172,11 @@ impl Dtmc {
     /// Returns solver errors for reducible chains or non-convergence.
     pub fn steady_state(&self) -> Result<Vec<f64>> {
         let n = self.num_states();
-        if n <= 512 {
-            // P - I is a generator-like matrix suitable for GTH.
-            let mut q = DenseMatrix::zeros(n, n);
-            for i in 0..n {
-                for (j, v) in self.p.row(i) {
-                    if i == j {
-                        continue;
-                    }
-                    q.add_to(i, j, v);
-                }
-            }
-            gth_steady_state(&q).map_err(num_err)
+        if n <= GTH_SIZE_THRESHOLD {
+            // GTH ignores the diagonal, so P's rows are those of P − I.
+            gth_steady_state_rows(n, |i| self.p.row(i), &mut |_| {})
+                .map(|s| s.pi)
+                .map_err(num_err)
         } else {
             solve_in_core(self, &Default::default()).map(|r| r.pi)
         }
@@ -192,6 +186,7 @@ impl Dtmc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use reliab_numeric::gth_steady_state;
 
     #[test]
     fn validation() {

@@ -11,9 +11,11 @@
 //!
 //! * [`DenseMatrix`] — row-major dense matrix with LU solves.
 //! * [`CsrMatrix`] — compressed sparse row matrix built from triplets.
-//! * [`gth_steady_state`] — Grassmann–Taksar–Heyman elimination: the
-//!   subtraction-free, numerically stable direct method for stationary
-//!   vectors of CTMC generators.
+//! * [`gth_steady_state_rows`] — Grassmann–Taksar–Heyman elimination:
+//!   the subtraction-free, numerically stable direct method for
+//!   stationary vectors of CTMC generators, read row by row and
+//!   eliminated within the chain's envelope ([`gth_steady_state`] is its
+//!   dense adapter).
 //! * [`poisson_weights`] — truncated, normalized Poisson probabilities for
 //!   uniformization (Fox–Glynn-style tail control).
 //! * [`expm`] — dense matrix exponential (Padé-13 scaling and
@@ -38,7 +40,7 @@ pub mod special;
 pub use csr::CsrMatrix;
 pub use dense::DenseMatrix;
 pub use expm::expm;
-pub use gth::{gth_steady_state, gth_steady_state_observed};
+pub use gth::{gth_steady_state, gth_steady_state_rows, GthSolution};
 pub use poisson::{poisson_weights, PoissonWeights};
 
 /// Error type for the numeric layer.
@@ -52,6 +54,8 @@ pub enum NumericError {
     Invalid(String),
     /// A direct solve broke down (singular matrix, zero pivot).
     Singular(String),
+    /// The problem needs more memory than can be allocated.
+    TooLarge(String),
     /// An iterative method exhausted its budget.
     NoConvergence {
         /// Description of the failing method.
@@ -68,6 +72,7 @@ impl std::fmt::Display for NumericError {
         match self {
             NumericError::Invalid(m) => write!(f, "invalid numeric input: {m}"),
             NumericError::Singular(m) => write!(f, "singular system: {m}"),
+            NumericError::TooLarge(m) => write!(f, "problem too large: {m}"),
             NumericError::NoConvergence {
                 what,
                 iterations,

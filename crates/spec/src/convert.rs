@@ -1515,7 +1515,20 @@ fn solve_ctmc(
     let initial = ctmc.point_mass(initial_state);
 
     let mut stats = SolveStats::default();
-    let steady = ctmc.steady_state_report(&steady_method(opts)).ok();
+    let steady = match ctmc.steady_state_report(&steady_method(opts)) {
+        Ok(report) => Some(report),
+        // Without up states the stationary vector is optional: a chain
+        // read for its MTTF has an absorbing state and none.
+        Err(_) if spec.up_states.is_none() => None,
+        // The chain has a stationary distribution the solver did not
+        // reach (it ran out of sweeps or of memory): say why.
+        Err(e) if ctmc.is_irreducible() => return Err(e),
+        Err(e) => {
+            return Err(Error::model(format!(
+                "up_states given but the chain has no stationary distribution: {e}"
+            )))
+        }
+    };
     if let Some(report) = &steady {
         stats.method = Some(report.method);
         stats.iterations += report.iterations;
@@ -1539,11 +1552,6 @@ fn solve_ctmc(
             }
             let a = availability_from_sum(a, up.len());
             (Some(a), Some(downtime_minutes_per_year(a)?))
-        }
-        (Some(_), None) => {
-            return Err(Error::model(
-                "up_states given but the chain has no stationary distribution",
-            ))
         }
         _ => (None, None),
     };
@@ -1850,6 +1858,71 @@ mod tests {
         let a = gth.measures.availability().unwrap();
         assert!((sor.measures.availability().unwrap() - a).abs() < 1e-9);
         assert!((power.measures.availability().unwrap() - a).abs() < 1e-9);
+    }
+
+    /// A birth–death `ctmc` document: `n` states, failure 0.45 up the
+    /// chain, repair 0.5 down it, the first ten states up.
+    fn birth_death_spec(n: usize) -> String {
+        let states: Vec<String> = (0..n).map(|i| format!("\"s{i}\"")).collect();
+        let arcs: Vec<String> = (1..n)
+            .map(|i| {
+                format!(
+                    r#"{{"from": "s{}", "to": "s{i}", "rate": 0.45}},
+                       {{"from": "s{i}", "to": "s{}", "rate": 0.5}}"#,
+                    i - 1,
+                    i - 1
+                )
+            })
+            .collect();
+        format!(
+            r#"{{"ctmc": {{"states": [{}], "transitions": [{}], "up_states": [{}]}}}}"#,
+            states.join(","),
+            arcs.join(","),
+            states[..10].join(",")
+        )
+    }
+
+    #[test]
+    fn steady_state_failures_keep_their_kind() {
+        // SOR runs out of sweeps on a long birth-death chain: a
+        // convergence failure, not a chain without a stationary vector.
+        let text = birth_death_spec(2000);
+        let few_sweeps = SolveOptions {
+            max_iterations: 500,
+            ..SolveOptions::default().with_steady_solver(SteadySolver::Sor)
+        };
+        let err = solve_str_with(&text, &few_sweeps).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                Error::Convergence {
+                    iterations: 500,
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
+        // GTH solves it exactly: pi_i ∝ 0.9^i.
+        let gth = SolveOptions::default().with_steady_solver(SteadySolver::Gth);
+        let a = solve_str_with(&text, &gth)
+            .unwrap()
+            .measures
+            .availability()
+            .unwrap();
+        assert!((a - (1.0 - 0.9f64.powi(10))).abs() < 1e-12, "{a}");
+        // A reducible chain is a model error carrying the solver's reason.
+        let err = run(r#"{"ctmc": {"states": ["a", "b"],
+                 "transitions": [{"from": "a", "to": "b", "rate": 1.0}],
+                 "up_states": ["a"]}}"#)
+        .unwrap_err();
+        assert_eq!(
+            err,
+            Error::model(
+                "up_states given but the chain has no stationary distribution: \
+                 numerical failure: singular system: state 1 cannot reach \
+                 lower-numbered states: chain is reducible"
+            )
+        );
     }
 
     #[test]
