@@ -204,23 +204,31 @@ fn write_number(out: &mut String, x: f64) {
     }
 }
 
+/// Writes `s` as a JSON string. Every byte that needs an escape is
+/// ASCII, so the runs between them are copied whole.
 fn write_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0x00..=0x1f) {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            0x08 => out.push_str("\\b"),
+            0x0c => out.push_str("\\f"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -238,6 +246,7 @@ const MAX_DEPTH: usize = 128;
 /// syntax error, or of the first bracket nested more than 128 deep.
 pub fn parse(input: &str) -> Result<JsonValue, String> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
         depth: 0,
@@ -255,6 +264,7 @@ pub fn parse(input: &str) -> Result<JsonValue, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects currently open.
@@ -377,13 +387,22 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut s = String::new();
         loop {
+            // The run up to the next quote or backslash is copied whole:
+            // both are ASCII, so it ends on a character boundary.
+            let run = self.pos;
+            self.pos += self.bytes[run..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(self.bytes.len() - run);
+            s.push_str(&self.text[run..self.pos]);
             match self.peek() {
                 None => return Err("unterminated string".into()),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(s);
                 }
-                Some(b'\\') => {
+                _ => {
+                    // A backslash.
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => s.push('"'),
@@ -423,15 +442,6 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
-                Some(_) => {
-                    // Consume one UTF-8 character (input is a valid &str).
-                    let rest = &self.bytes[self.pos..];
-                    let len = utf8_len(rest[0]);
-                    let chunk =
-                        std::str::from_utf8(&rest[..len]).map_err(|_| "invalid UTF-8 in string")?;
-                    s.push_str(chunk);
-                    self.pos += len;
-                }
             }
         }
     }
@@ -470,20 +480,10 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text =
-            std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| "invalid number")?;
+        let text = &self.text[start..self.pos];
         text.parse::<f64>()
             .map(JsonValue::Number)
             .map_err(|_| format!("invalid number '{text}' at byte {start}"))
-    }
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7F => 1,
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        _ => 4,
     }
 }
 
@@ -588,6 +588,105 @@ mod tests {
         let v = JsonValue::String(original.into());
         let text = v.to_json();
         assert_eq!(parse(&text).unwrap().as_str(), Some(original));
+    }
+
+    /// The character-at-a-time encoder that byte runs replaced.
+    fn escape_by_chars(s: &str) -> String {
+        let mut out = String::from('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                '\u{08}' => out.push_str("\\b"),
+                '\u{0c}' => out.push_str("\\f"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    /// Seeded random strings over quotes, backslashes, every control
+    /// character, ASCII and 2-, 3- and 4-byte text: each serializes as
+    /// the character-at-a-time encoder wrote it and parses back; spelled
+    /// with random escapes (short, `\uXXXX`, surrogate pairs) it parses
+    /// to the same string; and a cut-off copy fails as it always did.
+    #[test]
+    fn strings_round_trip_through_byte_runs() {
+        let mut state = 0x5EED_u64;
+        let mut next = move |n: u64| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
+        };
+        let alphabet: Vec<char> = "\"\\/ aZ09{}:,\u{7f}é€😀\u{10ffff}\u{fffd}"
+            .chars()
+            .chain((0..0x20u8).map(char::from))
+            .collect();
+        for _ in 0..2_000 {
+            let len = next(24) as usize;
+            let s: String = (0..len)
+                .map(|_| alphabet[next(alphabet.len() as u64) as usize])
+                .collect();
+            let text = JsonValue::String(s.clone()).to_json();
+            assert_eq!(text, escape_by_chars(&s), "{s:?}");
+            assert_eq!(parse(&text).unwrap().as_str(), Some(s.as_str()), "{text}");
+
+            let mut spelled = String::from('"');
+            for c in s.chars() {
+                let short = match c {
+                    '"' => Some("\\\""),
+                    '\\' => Some("\\\\"),
+                    '/' => Some("\\/"),
+                    '\u{08}' => Some("\\b"),
+                    '\u{0c}' => Some("\\f"),
+                    '\n' => Some("\\n"),
+                    '\r' => Some("\\r"),
+                    '\t' => Some("\\t"),
+                    _ => None,
+                };
+                match (short, next(3)) {
+                    (Some(e), 0) => spelled.push_str(e),
+                    (None, 0) if c != '"' && c != '\\' => spelled.push(c),
+                    _ => {
+                        let mut units = [0u16; 2];
+                        for u in c.encode_utf16(&mut units) {
+                            let _ = write!(spelled, "\\u{:04X}", *u);
+                        }
+                    }
+                }
+            }
+            spelled.push('"');
+            assert_eq!(
+                parse(&spelled).unwrap().as_str(),
+                Some(s.as_str()),
+                "{spelled}"
+            );
+            let cut = &spelled[..spelled.len() - 1];
+            assert!(parse(cut).is_err(), "{cut}");
+        }
+        for (bad, message) in [
+            (r#""abc"#, "unterminated string"),
+            (r#""a\q""#, "invalid escape at byte 3"),
+            (r#""\ud83d""#, "unpaired surrogate"),
+            (r#""\ud83d\u0041""#, "invalid low surrogate"),
+            (r#""\udc00""#, "invalid \\u escape"),
+            (r#""\u12g4""#, "invalid \\u escape"),
+            (r#""\u12""#, "truncated \\u escape"),
+            (r#""\u1"#, "truncated \\u escape"),
+            (r#"["é", "x] "#, "unterminated string"),
+            (r#"{"é": 1 "x"}"#, "expected ',' or '}' at byte 9"),
+        ] {
+            assert_eq!(parse(bad).unwrap_err(), message, "{bad}");
+        }
     }
 
     #[test]
