@@ -1,7 +1,7 @@
 //! CTMC construction with named states and boundary validation.
 
 use reliab_core::{ensure_finite_positive, Error, Result};
-use reliab_numeric::{CsrMatrix, DenseMatrix};
+use reliab_numeric::{CsrMatrix, DenseMatrix, NumericError};
 use std::collections::HashMap;
 
 /// Opaque handle to a CTMC state, returned by [`CtmcBuilder::state`].
@@ -87,7 +87,28 @@ impl CtmcBuilder {
             transitions: self.transitions,
             out_rate,
             generator,
+            slots: Vec::new(),
         })
+    }
+}
+
+/// Sums each state's exit rate over `(from, rate)` arcs, in order.
+fn sum_exit_rates(out_rate: &mut [f64], arcs: impl Iterator<Item = (usize, f64)>) {
+    out_rate.fill(0.0);
+    for (f, r) in arcs {
+        out_rate[f] += r;
+    }
+}
+
+/// Rejects an exit rate that overflowed, as the generator's assembly
+/// rejects the diagonal entry it would become.
+fn check_exit_rates(out_rate: &[f64]) -> Result<()> {
+    match out_rate.iter().position(|r| !r.is_finite()) {
+        Some(i) => Err(crate::num_err(NumericError::Invalid(format!(
+            "non-finite value {} at ({i}, {i})",
+            -out_rate[i]
+        )))),
+        None => Ok(()),
     }
 }
 
@@ -96,9 +117,8 @@ impl CtmcBuilder {
 /// Duplicate `(from, to)` pairs accumulate in the generator.
 fn assemble(n: usize, transitions: &[(usize, usize, f64)]) -> Result<(Vec<f64>, CsrMatrix)> {
     let mut out_rate = vec![0.0f64; n];
-    for &(f, _, r) in transitions {
-        out_rate[f] += r;
-    }
+    sum_exit_rates(&mut out_rate, transitions.iter().map(|&(f, _, r)| (f, r)));
+    check_exit_rates(&out_rate)?;
     let mut trips = transitions.to_vec();
     for (i, &r) in out_rate.iter().enumerate() {
         if r > 0.0 {
@@ -152,16 +172,19 @@ impl Ctmc {
             transitions,
             out_rate,
             generator,
+            slots: Vec::new(),
         })
     }
 
     /// Replaces the rate of every transition, given in declaration
     /// order, keeping the states and arcs. The exit rates and the
-    /// generator are re-assembled exactly as [`CtmcBuilder::build`]
-    /// assembles them, so the refilled chain is bitwise the one a
-    /// builder given the same transitions would produce — which lets a
-    /// model re-solved with new rates skip name interning and
-    /// validation of its structure.
+    /// generator's values are refilled in place, summed in the order
+    /// [`CtmcBuilder::build`] sums them, so the refilled chain is
+    /// bitwise the one a builder given the same transitions would
+    /// produce — which lets a model re-solved with new rates skip name
+    /// interning, validation of its structure and the generator's
+    /// assembly. The first refill records where each rate lands in the
+    /// generator; later ones allocate nothing.
     ///
     /// # Errors
     ///
@@ -171,26 +194,49 @@ impl Ctmc {
     /// [`Error::Numerical`] if the exit rates overflow. The chain is
     /// unchanged on error.
     pub fn set_rates(&mut self, rates: &[f64]) -> Result<()> {
-        if rates.len() != self.transitions.len() {
+        let m = self.transitions.len();
+        if rates.len() != m {
             return Err(Error::model(format!(
-                "{} rates given for {} transitions",
-                rates.len(),
-                self.transitions.len()
+                "{} rates given for {m} transitions",
+                rates.len()
             )));
         }
         for &r in rates {
             ensure_finite_positive(r, "transition rate")?;
         }
-        let transitions: Vec<(usize, usize, f64)> = self
-            .transitions
-            .iter()
-            .zip(rates)
-            .map(|(&(f, t, _), &r)| (f, t, r))
-            .collect();
-        let (out_rate, generator) = assemble(self.num_states(), &transitions)?;
-        self.transitions = transitions;
-        self.out_rate = out_rate;
-        self.generator = generator;
+        sum_exit_rates(
+            &mut self.out_rate,
+            self.transitions.iter().zip(rates).map(|(t, &r)| (t.0, r)),
+        );
+        if let Err(e) = check_exit_rates(&self.out_rate) {
+            sum_exit_rates(
+                &mut self.out_rate,
+                self.transitions.iter().map(|t| (t.0, t.2)),
+            );
+            return Err(e);
+        }
+        if self.slots.is_empty() {
+            let g = &self.generator;
+            self.slots = self
+                .transitions
+                .iter()
+                .map(|&(f, t, _)| (f, t))
+                .chain((0..self.names.len()).map(|i| (i, i)))
+                .map(|(i, j)| g.slot(i, j).unwrap_or(usize::MAX))
+                .collect();
+        }
+        let (arc_slots, diagonal_slots) = self.slots.split_at(m);
+        let values = self.generator.values_mut();
+        values.fill(0.0);
+        for ((t, &r), &k) in self.transitions.iter_mut().zip(rates).zip(arc_slots) {
+            t.2 = r;
+            values[k] += r;
+        }
+        for (&r, &k) in self.out_rate.iter().zip(diagonal_slots) {
+            if r > 0.0 {
+                values[k] = -r;
+            }
+        }
         Ok(())
     }
 
@@ -214,6 +260,10 @@ pub struct Ctmc {
     pub(crate) out_rate: Vec<f64>,
     /// Full generator (including diagonal) in CSR form.
     pub(crate) generator: CsrMatrix,
+    /// Position in the generator's values of each transition's rate,
+    /// then of each state's diagonal (`usize::MAX` for a state without
+    /// exits): recorded by the first [`Ctmc::set_rates`], empty before.
+    slots: Vec<usize>,
 }
 
 impl Ctmc {
@@ -330,6 +380,23 @@ mod tests {
         assert_eq!(c.generator().get(0, 0), -3.0);
     }
 
+    /// Exit rates and generator entries of `c`, as bits.
+    fn chain_bits(c: &Ctmc) -> (Vec<u64>, Vec<(usize, usize, u64)>) {
+        let g = c.generator();
+        let entries = (0..g.nrows())
+            .flat_map(|i| g.row(i).map(move |(j, v)| (i, j, v.to_bits())))
+            .collect();
+        (
+            c.exit_rates().iter().map(|r| r.to_bits()).collect(),
+            entries,
+        )
+    }
+
+    /// A refilled chain equals a fresh build from the same transitions
+    /// bit for bit, on a hand-made chain and on seeded random chains
+    /// with repeated `(from, to)` arcs and states without exits, each
+    /// refilled several times; a rejected rate or an overflowing exit
+    /// rate fails as the build fails and leaves the chain as it was.
     #[test]
     fn set_rates_matches_a_fresh_build() {
         let chain = |rates: [f64; 4]| {
@@ -344,16 +411,73 @@ mod tests {
         let mut refilled = chain([1.0, 2.0, 3.0, 4.0]);
         let fresh = chain([0.1, 0.7, 1e-9, 0.3]);
         refilled.set_rates(&[0.1, 0.7, 1e-9, 0.3]).unwrap();
-        assert_eq!(refilled.exit_rates(), fresh.exit_rates());
-        assert_eq!(refilled.generator(), fresh.generator());
-        // A bad rate is reported like the builder reports it and leaves
-        // the chain as it was.
+        assert_eq!(chain_bits(&refilled), chain_bits(&fresh));
         let err = refilled.set_rates(&[0.1, -1.0, 0.2, 0.3]).unwrap_err();
         let mut b = CtmcBuilder::new();
         let (up, down) = (b.state("up"), b.state("down"));
         assert_eq!(err, b.transition(up, down, -1.0).unwrap_err());
-        assert_eq!(refilled.generator(), fresh.generator());
+        assert_eq!(chain_bits(&refilled), chain_bits(&fresh));
         assert!(refilled.set_rates(&[1.0]).is_err());
+
+        let mut state = 0x5EED_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let (mut refills, mut overflows) = (0, 0);
+        for _ in 0..300 {
+            let n = 1 + (next() % 12) as usize;
+            // States at or past `sinks` have no exits.
+            let sinks = n - (next() % 3) as usize % n;
+            let names: Vec<String> = (0..n).map(|i| format!("s{i}")).collect();
+            let mut arcs = Vec::new();
+            for _ in 0..next() % 40 {
+                let (f, t) = ((next() as usize) % sinks, (next() as usize) % n);
+                if f != t {
+                    arcs.push((f, t));
+                    if next() % 4 == 0 {
+                        arcs.push((f, t));
+                    }
+                }
+            }
+            if arcs.is_empty() {
+                continue;
+            }
+            let build = |rates: &[f64]| {
+                let trips = arcs.iter().zip(rates).map(|(&(f, t), &r)| (f, t, r));
+                Ctmc::from_parts(names.clone(), trips.collect())
+            };
+            let mut draw = || -> Vec<f64> {
+                arcs.iter()
+                    .map(|_| {
+                        let scale = [1e-9, 1e-3, 1.0, 7.0, 1e6][(next() % 5) as usize];
+                        scale * (1 + next() % 1000) as f64 / 997.0
+                    })
+                    .collect()
+            };
+            let mut refilled = build(&draw()).unwrap();
+            for _ in 0..3 {
+                let rates = draw();
+                refilled.set_rates(&rates).unwrap();
+                assert_eq!(chain_bits(&refilled), chain_bits(&build(&rates).unwrap()));
+                refills += 1;
+            }
+            let before = chain_bits(&refilled);
+            let huge = vec![f64::MAX; arcs.len()];
+            match (refilled.set_rates(&huge), build(&huge)) {
+                (Ok(()), Ok(fresh)) => assert_eq!(chain_bits(&refilled), chain_bits(&fresh)),
+                (Err(a), Err(b)) => {
+                    assert_eq!(a, b);
+                    assert_eq!(chain_bits(&refilled), before);
+                    overflows += 1;
+                }
+                (a, b) => panic!("refill {a:?}, build {:?}", b.err()),
+            }
+        }
+        assert!(refills > 600 && overflows > 50, "{refills} {overflows}");
     }
 
     #[test]

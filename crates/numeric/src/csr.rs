@@ -145,11 +145,24 @@ impl CsrMatrix {
     /// Panics if out of bounds.
     pub fn get(&self, i: usize, j: usize) -> f64 {
         assert!(i < self.nrows && j < self.ncols, "index out of bounds");
+        self.slot(i, j).map_or(0.0, |k| self.values[k])
+    }
+
+    /// Position of entry `(i, j)` in the stored values, if it is
+    /// stored; see [`CsrMatrix::values_mut`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of bounds.
+    pub fn slot(&self, i: usize, j: usize) -> Option<usize> {
         let (lo, hi) = (self.row_ptr[i], self.row_ptr[i + 1]);
-        match self.col_idx[lo..hi].binary_search(&j) {
-            Ok(k) => self.values[lo + k],
-            Err(_) => 0.0,
-        }
+        self.col_idx[lo..hi].binary_search(&j).ok().map(|k| lo + k)
+    }
+
+    /// The stored values, row by row, for refilling a matrix whose
+    /// pattern stays fixed.
+    pub fn values_mut(&mut self) -> &mut [f64] {
+        &mut self.values
     }
 
     /// Computes `x^T * self`.
