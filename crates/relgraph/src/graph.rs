@@ -135,8 +135,9 @@ impl RelGraph {
     /// pass and both minimal set families read the same diagram: the
     /// OR, over every simple source→sink path found by DFS, of the AND
     /// of its edges. A simple path's edge set contains no other path's,
-    /// and the BDD is canonical, so no path needs filtering.
-    pub fn compile(&self) -> CompiledGraph<'_> {
+    /// and the BDD is canonical, so no path needs filtering. The
+    /// compiled graph keeps a copy of this one, so it can outlive it.
+    pub fn compile(&self) -> CompiledGraph {
         // adjacency: node -> (neighbor, edge index)
         let mut adj: Vec<Vec<(usize, usize)>> = vec![Vec::new(); self.node_names.len()];
         for (i, e) in self.edges.iter().enumerate() {
@@ -164,7 +165,7 @@ impl RelGraph {
             &mut or_path,
         );
         CompiledGraph {
-            graph: self,
+            graph: self.clone(),
             bdd,
             works,
         }
@@ -488,13 +489,18 @@ impl RelGraph {
 /// A reliability graph with its works function compiled to a BDD; see
 /// [`RelGraph::compile`].
 #[derive(Debug)]
-pub struct CompiledGraph<'g> {
-    graph: &'g RelGraph,
+pub struct CompiledGraph {
+    graph: RelGraph,
     bdd: Bdd,
     works: BddNode,
 }
 
-impl CompiledGraph<'_> {
+impl CompiledGraph {
+    /// The graph this was compiled from.
+    pub fn graph(&self) -> &RelGraph {
+        &self.graph
+    }
+
     /// Exact s-t reliability given per-edge up-probabilities: one
     /// linear pass over the compiled BDD.
     ///

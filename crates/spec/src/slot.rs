@@ -240,6 +240,19 @@ impl Slot {
     }
 }
 
+impl Slot {
+    /// Whether a write through this slot changes a structure function
+    /// compiled from the model: the `k` of an RBD's or a fault tree's
+    /// k-of-n node. Every other slot writes a value the structure is
+    /// evaluated at, or a setting of the solve.
+    pub(crate) fn writes_structure(&self) -> bool {
+        matches!(
+            self,
+            Slot::Rbd(StructureSlot::K(_)) | Slot::FaultTree(StructureSlot::K(_))
+        )
+    }
+}
+
 /// Writes `values` through `slots` (pairwise) into `model`. As in a
 /// document, the last value written to a field is the one it keeps; of
 /// the fields whose value is rejected, the one the parser reads first
