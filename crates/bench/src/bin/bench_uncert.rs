@@ -3,7 +3,12 @@
 //!
 //! Solves an `"uncertainty"` spec wrapping a birth–death CTMC: every
 //! Monte-Carlo sample re-solves the inner chain with rates drawn from
-//! gamma priors. Before any speedup is reported the run asserts the
+//! gamma priors. A second spec wraps a 144-event fault tree (twelve
+//! units of five redundant pairs and two simplex parts, ten voting
+//! 2-of-n and two 2-of-2) with uniform priors on four event
+//! probabilities, so each sample re-runs the tree's probability pass;
+//! its cost per sample is timed sequentially, median and min/max of
+//! five passes. Before any speedup is reported the run asserts the
 //! scenario layer's reproducibility guarantee: the solved measures JSON
 //! — mean, standard deviation, percentile interval — is bitwise
 //! identical at thread budgets 1, 2 and 4, and each solve reports that
@@ -38,7 +43,7 @@
 
 use std::time::Instant;
 
-use reliab_bench::{detected_cpu_cores, profiled_phases, ParallelTiming};
+use reliab_bench::{detected_cpu_cores, profiled_phases, ParallelTiming, Spread};
 use reliab_spec::json::{self, JsonValue};
 use reliab_spec::{solve_str_with, SolveOptions, SolveReport};
 
@@ -118,6 +123,82 @@ fn uncert_doc(n: usize, samples: usize) -> String {
     )
 }
 
+/// An `"uncertainty"` spec over a fault tree of `voters + 2` units:
+/// each unit fails when one of five redundant pairs or one of two
+/// simplex parts fails, the first `voters` units vote 2-of-n and the
+/// last two 2-of-2, and the top event is either subsystem failing. The
+/// first four events' probabilities carry uniform priors.
+fn fault_tree_uncert_doc(voters: usize, samples: usize) -> String {
+    let mut events = Vec::new();
+    let mut units = Vec::new();
+    for u in 0..voters + 2 {
+        let mut inputs = Vec::new();
+        for i in 0..5 {
+            let (a, b) = (format!("u{u}p{i}a"), format!("u{u}p{i}b"));
+            inputs.push(format!(r#"{{"and": ["{a}", "{b}"]}}"#));
+            events.push(a);
+            events.push(b);
+        }
+        for i in 0..2 {
+            let e = format!("u{u}s{i}");
+            inputs.push(format!("\"{e}\""));
+            events.push(e);
+        }
+        units.push(format!(r#"{{"or": [{}]}}"#, inputs.join(", ")));
+    }
+    let events: Vec<String> = events
+        .iter()
+        .enumerate()
+        .map(|(i, e)| {
+            let p = 1e-4 * (1 + i % 10) as f64;
+            format!(r#"{{"name": "{e}", "probability": {p}}}"#)
+        })
+        .collect();
+    let parameters: Vec<String> = (0..4)
+        .map(|i| {
+            format!(
+                r#"{{"path": "fault_tree.events.{i}.probability",
+                    "prior": {{"uniform": {{"low": 1e-4, "high": 1.1e-3}}}}}}"#
+            )
+        })
+        .collect();
+    format!(
+        r#"{{"uncertainty": {{
+            "model": {{"fault_tree": {{"events": [{events}],
+                "top": {{"or": [{{"k_of_n": {{"k": 2, "of": [{voting}]}}}},
+                                {{"k_of_n": {{"k": 2, "of": [{pair}]}}}}]}}}}}},
+            "parameters": [{parameters}],
+            "measure": "unreliability",
+            "samples": {samples},
+            "seed": 48879,
+            "latin_hypercube": true}}}}"#,
+        events = events.join(","),
+        voting = units[..voters].join(","),
+        pair = units[voters..].join(","),
+        parameters = parameters.join(","),
+    )
+}
+
+/// Wall time per sample of sequential solves of `doc`: one untimed
+/// solve, then five passes of back-to-back solves, each lasting at
+/// least 0.3 s.
+fn per_sample(doc: &str, samples: usize) -> Spread {
+    let solve = || solve_str_with(doc, &SolveOptions::default().with_threads(1));
+    let t = Instant::now();
+    solve().expect("valid spec");
+    let runs = (0.3 / t.elapsed().as_secs_f64().max(1e-9)).ceil() as usize;
+    let passes: Vec<u128> = (0..5)
+        .map(|_| {
+            let t = Instant::now();
+            for _ in 0..runs {
+                solve().expect("valid spec");
+            }
+            t.elapsed().as_nanos() / (runs * samples) as u128
+        })
+        .collect();
+    Spread::of(&passes)
+}
+
 /// Canonical measures JSON — the whole solved record except stats
 /// (which carry wall time and the worker count, the fields allowed to
 /// differ between runs).
@@ -176,6 +257,32 @@ fn main() {
     eprintln!("  rate:      {samples_per_sec:.0} model solves/s sequential");
     eprintln!("  timing:    {}", timing.summary());
 
+    // The fault-tree inner model: the same bitwise gate, then its cost
+    // per sample.
+    let (voters, ft_samples) = (10, if args.quick { 64 } else { 256 });
+    let ft_doc = fault_tree_uncert_doc(voters, ft_samples);
+    let ft_solve = |threads: usize| {
+        solve_str_with(&ft_doc, &SolveOptions::default().with_threads(threads))
+            .expect("valid spec")
+    };
+    let ft_report = ft_solve(1);
+    for threads in [2usize, 4] {
+        if measures_json(&ft_solve(threads)) != measures_json(&ft_report) {
+            eprintln!("EQUIVALENCE FAILURE: fault tree at budget {threads}");
+            std::process::exit(1);
+        }
+    }
+    let ft_sample = per_sample(&ft_doc, ft_samples);
+    let ft_mean = ft_report.measures.primary_value().expect("a sample mean");
+    let ft_events = (voters + 2) * 12;
+    eprintln!(
+        "  fault tree: {ft_events} events, {ft_samples} samples, {:.1} us per sample \
+         [{:.1}, {:.1}]",
+        ft_sample.median / 1e3,
+        ft_sample.min / 1e3,
+        ft_sample.max / 1e3
+    );
+
     // Untimed instrumented pass: per-phase wall-time breakdown of one
     // sequential solve, after every timed measurement is in.
     let phases = profiled_phases(|| {
@@ -196,6 +303,20 @@ fn main() {
         ("mean_availability", JsonValue::Number(mean)),
         ("parallel_bitwise_equal", JsonValue::Bool(true)),
         ("phases", phases),
+        (
+            "fault_tree",
+            json::object(vec![
+                ("events", JsonValue::Number(ft_events as f64)),
+                ("samples", JsonValue::Number(ft_samples as f64)),
+                ("per_sample", ft_sample.to_json()),
+                (
+                    "samples_per_sec_sequential",
+                    JsonValue::Number(1e9 / ft_sample.median),
+                ),
+                ("mean_unreliability", JsonValue::Number(ft_mean)),
+                ("parallel_bitwise_equal", JsonValue::Bool(true)),
+            ]),
+        ),
     ]);
 
     if let Some(baseline_path) = &args.check {

@@ -377,7 +377,9 @@ impl Spread {
         }
     }
 
-    fn to_json(self) -> reliab_spec::json::JsonValue {
+    /// `{"median_ns", "min_ns", "max_ns"}`.
+    #[must_use]
+    pub fn to_json(self) -> reliab_spec::json::JsonValue {
         use reliab_spec::json::{self, JsonValue};
         json::object(vec![
             ("median_ns", JsonValue::Number(self.median)),
