@@ -1,5 +1,5 @@
 //! Batch-engine benches: thread-pool scaling on a 32-spec batch and
-//! the effect of canonical-spec memoization.
+//! the effect of memoization.
 //!
 //! The workload is 32 distinct birth–death CTMC documents (so
 //! memoization cannot shortcut the scaling runs), each large enough
@@ -71,16 +71,23 @@ fn bench_batch_scaling(c: &mut Criterion) {
 
 fn bench_memoization(c: &mut Criterion) {
     // 32 copies of one document: the memo cache should collapse the
-    // batch to a single solve.
+    // batch to a single solve. `memo_distinct` keeps the memo on over
+    // the 32 distinct documents, so nothing hits: it measures what the
+    // memo key costs when it cannot pay off.
     let doc = birth_death_doc(120, 1.0, 2.0, &[1.0, 10.0, 50.0]);
-    let docs: Vec<String> = (0..32).map(|_| doc.clone()).collect();
+    let copies: Vec<String> = (0..32).map(|_| doc.clone()).collect();
+    let distinct = distinct_batch();
     let mut group = c.benchmark_group("batch_engine_memoization");
     group.sample_size(10);
-    for (label, memoize) in [("memo", true), ("no_memo", false)] {
+    for (label, memoize, docs) in [
+        ("memo", true, &copies),
+        ("no_memo", false, &copies),
+        ("memo_distinct", true, &distinct),
+    ] {
         group.bench_with_input(BenchmarkId::new(label, 32usize), &memoize, |b, &memoize| {
             b.iter(|| {
                 let engine = BatchEngine::new().with_jobs(1).with_memoization(memoize);
-                black_box(engine.solve_texts(&docs))
+                black_box(engine.solve_texts(docs))
             })
         });
     }

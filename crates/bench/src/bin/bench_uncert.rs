@@ -262,8 +262,7 @@ fn main() {
     let (voters, ft_samples) = (10, if args.quick { 64 } else { 256 });
     let ft_doc = fault_tree_uncert_doc(voters, ft_samples);
     let ft_solve = |threads: usize| {
-        solve_str_with(&ft_doc, &SolveOptions::default().with_threads(threads))
-            .expect("valid spec")
+        solve_str_with(&ft_doc, &SolveOptions::default().with_threads(threads)).expect("valid spec")
     };
     let ft_report = ft_solve(1);
     for threads in [2usize, 4] {

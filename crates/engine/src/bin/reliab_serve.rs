@@ -31,7 +31,8 @@ OPTIONS:
     --max-connections N    Concurrently open connections (default 256)
     --spec-dir DIR         Serve *.json in DIR as the named spec library (hot-reloadable)
     --artifact-dir DIR     Write per-request telemetry to DIR/record-<trace>.jsonl
-    --cache-capacity N     Canonical-form memo cache entries (default 1024)
+    --cache-capacity N     Memo cache entries, each a fingerprint confirmed by a
+                           witness (default 1024)
     -h, --help             Show this help
 
 ENDPOINTS:

@@ -9,12 +9,17 @@
 //! changes wall time only, never values. The engine's worker count is
 //! the batch's thread budget, split by [`Split`]: `min(budget, inputs)`
 //! workers, each input solved on one thread, or a lone worker whose
-//! solves get the whole budget. A shared memo cache keyed on
-//! the canonical form of each spec ([`ModelSpec::canonical_string`])
-//! lets structurally identical documents in one batch — common when
-//! sweeping a parameter grid that leaves some models unchanged, or
+//! solves get the whole budget. A shared memo cache, keyed on each
+//! model's fingerprint ([`ModelSpec::fingerprint`]) confirmed by a
+//! witness, lets structurally identical documents in one batch — common
+//! when sweeping a parameter grid that leaves some models unchanged, or
 //! when many files share boilerplate sub-models — reuse the solve
-//! instead of repeating it.
+//! instead of repeating it. The witness is the document text an entry
+//! was solved from (or, for [`BatchEngine::solve`], a shared copy of
+//! the model): a match is a hit when the texts are byte-equal or the
+//! witness parses to a model equal to the new one, so formatting, key
+//! order, number spelling and ignored keys still hit, and a fingerprint
+//! collision costs a miss, never another document's answer.
 //!
 //! ```
 //! use reliab_engine::BatchEngine;
@@ -47,7 +52,7 @@ use reliab_core::{Error, Result, Split};
 use reliab_obs as obs;
 use reliab_spec::{ModelSpec, SolveOptions, SolveReport};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
@@ -73,12 +78,60 @@ pub struct BatchStats {
 /// [`BatchEngine::with_cache_capacity`].
 pub const DEFAULT_CACHE_CAPACITY: usize = 1024;
 
-/// Bounded memo cache: an `FxHashMap` (keys are canonical spec JSON the
-/// process produced itself, so the fast non-DoS-resistant hash is safe)
-/// plus a logical clock. Each hit or insert stamps the entry with the
-/// current tick; when an insert would exceed `capacity`, the entry with
-/// the oldest stamp is dropped (LRU by linear scan — capacities are
-/// small enough that the scan is noise next to a solve).
+/// What a memo entry was solved from: the document text
+/// ([`BatchEngine::solve_texts`]) or a shared copy of the model
+/// ([`BatchEngine::solve`]). A fingerprint match reuses the entry only
+/// once its witness confirms the match.
+#[derive(Debug, Clone)]
+enum Witness {
+    Text(Arc<str>),
+    Model(Arc<ModelSpec>),
+}
+
+impl Witness {
+    /// Whether the witness is the same model as `spec`, parsed from
+    /// `text` if it came as one: a byte-equal text confirms at once,
+    /// another text is parsed again. Call this outside the cache lock.
+    fn confirms(&self, spec: &ModelSpec, text: Option<&str>) -> bool {
+        match self {
+            Witness::Text(witness) => {
+                text == Some(&**witness)
+                    || ModelSpec::from_json_str(witness).is_ok_and(|m| m == *spec)
+            }
+            Witness::Model(model) => **model == *spec,
+        }
+    }
+
+    fn same(&self, other: &Witness) -> bool {
+        match (self, other) {
+            (Witness::Text(a), Witness::Text(b)) => Arc::ptr_eq(a, b),
+            (Witness::Model(a), Witness::Model(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
+}
+
+/// One memo entry: the report, the witness that confirms a fingerprint
+/// match, and the tick of its last use.
+#[derive(Debug)]
+struct Entry {
+    witness: Witness,
+    report: Box<SolveReport>,
+    stamp: u64,
+}
+
+/// Bounded memo cache: an `FxHashMap` from model fingerprints
+/// ([`ModelSpec::fingerprint`]) to entries, plus a logical clock. A
+/// fingerprint is a 64-bit hash, so two models can share one; each
+/// match is therefore confirmed by the entry's witness, and a collision
+/// costs a miss, never another model's report. That also makes the
+/// fast non-DoS-resistant hash safe here: a crafted collision only
+/// keeps its document out of the cache. Each hit or insert stamps the
+/// entry with the current tick; when an insert would exceed
+/// `capacity`, the entry with the oldest stamp is dropped (LRU by
+/// linear scan — capacities are small enough that the scan is noise
+/// next to a solve). One fingerprint holds one entry: a second model
+/// under it is solved every time it is asked for.
 ///
 /// Reports sit behind a `Box`. A `SolveReport` is about 600 bytes, so
 /// inline reports made each bucket 640 bytes, and every empty bucket
@@ -87,40 +140,68 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 1024;
 /// Boxed, a bucket is 40 bytes.
 #[derive(Debug, Default)]
 struct MemoCache {
-    map: FxHashMap<String, (Box<SolveReport>, u64)>,
+    map: FxHashMap<u64, Entry>,
     tick: u64,
     evictions: usize,
 }
 
 impl MemoCache {
-    fn get(&mut self, key: &str) -> Option<SolveReport> {
-        self.tick += 1;
-        let tick = self.tick;
-        self.map.get_mut(key).map(|(report, stamp)| {
-            *stamp = tick;
-            SolveReport::clone(report)
-        })
+    fn witness(&self, fingerprint: u64) -> Option<Witness> {
+        self.map
+            .get(&fingerprint)
+            .map(|entry| entry.witness.clone())
     }
 
-    fn insert(&mut self, key: String, report: &SolveReport, capacity: usize) {
+    /// The report under `fingerprint` if `witness` still guards it.
+    fn hit(&mut self, fingerprint: u64, witness: &Witness) -> Option<SolveReport> {
         self.tick += 1;
-        if self.map.contains_key(&key) {
+        let tick = self.tick;
+        let entry = self.map.get_mut(&fingerprint)?;
+        if !entry.witness.same(witness) {
+            return None;
+        }
+        entry.stamp = tick;
+        Some(SolveReport::clone(&entry.report))
+    }
+
+    fn insert(
+        &mut self,
+        fingerprint: u64,
+        witness: Witness,
+        report: &SolveReport,
+        capacity: usize,
+    ) {
+        self.tick += 1;
+        if self.map.contains_key(&fingerprint) {
             return;
         }
         if capacity > 0 && self.map.len() >= capacity {
             if let Some(oldest) = self
                 .map
                 .iter()
-                .min_by_key(|(_, (_, stamp))| *stamp)
-                .map(|(k, _)| k.clone())
+                .min_by_key(|(_, entry)| entry.stamp)
+                .map(|(k, _)| *k)
             {
                 self.map.remove(&oldest);
                 self.evictions += 1;
                 obs::counter_add("engine.memo.evictions", 1);
             }
         }
-        self.map.insert(key, (Box::new(report.clone()), self.tick));
+        let entry = Entry {
+            witness,
+            report: Box::new(report.clone()),
+            stamp: self.tick,
+        };
+        self.map.insert(fingerprint, entry);
     }
+}
+
+/// One batch slot: the parsed model and, from
+/// [`BatchEngine::solve_texts`], the text it was parsed from.
+#[derive(Clone, Copy)]
+struct Input<'a> {
+    spec: &'a ModelSpec,
+    text: Option<&'a str>,
 }
 
 /// A batch solver: configuration plus a memo cache that persists across
@@ -178,7 +259,8 @@ impl BatchEngine {
         self
     }
 
-    /// Enables or disables the canonical-spec memo cache.
+    /// Enables or disables the memo cache (entries keyed on a model's
+    /// fingerprint confirmed by a witness; see [`crate`]).
     #[must_use]
     pub fn with_memoization(mut self, memoize: bool) -> Self {
         self.memoize = memoize;
@@ -222,7 +304,10 @@ impl BatchEngine {
     /// failures occupy their slot as `Err` without disturbing the rest
     /// of the batch.
     pub fn solve(&self, specs: &[ModelSpec]) -> Vec<Result<SolveReport>> {
-        let inputs: Vec<Result<&ModelSpec>> = specs.iter().map(Ok).collect();
+        let inputs = specs
+            .iter()
+            .map(|spec| Ok(Input { spec, text: None }))
+            .collect();
         self.run(inputs)
     }
 
@@ -233,14 +318,21 @@ impl BatchEngine {
             .iter()
             .map(|t| ModelSpec::from_json_str(t.as_ref()))
             .collect();
-        let inputs: Vec<Result<&ModelSpec>> = parsed
+        let inputs = parsed
             .iter()
-            .map(|p| p.as_ref().map_err(clone_err))
+            .zip(texts)
+            .map(|(parsed, text)| match parsed {
+                Ok(spec) => Ok(Input {
+                    spec,
+                    text: Some(text.as_ref()),
+                }),
+                Err(e) => Err(clone_err(e)),
+            })
             .collect();
         self.run(inputs)
     }
 
-    fn run(&self, inputs: Vec<Result<&ModelSpec>>) -> Vec<Result<SolveReport>> {
+    fn run(&self, inputs: Vec<Result<Input<'_>>>) -> Vec<Result<SolveReport>> {
         *lock(&self.last_stats) = BatchStats::default();
         lock(&self.kind_counts).clear();
         let split = Split::new(self.jobs, inputs.len());
@@ -319,13 +411,13 @@ impl BatchEngine {
     fn solve_one(
         &self,
         idx: usize,
-        input: Result<&ModelSpec>,
+        input: Result<Input<'_>>,
         options: &SolveOptions,
     ) -> Result<SolveReport> {
         let _span = obs::span("engine.solve");
         lifecycle(idx, "start", None);
-        let spec = match input {
-            Ok(spec) => spec,
+        let Input { spec, text } = match input {
+            Ok(input) => input,
             Err(e) => {
                 lock(&self.last_stats).errors += 1;
                 obs::counter_add("engine.errors", 1);
@@ -333,9 +425,9 @@ impl BatchEngine {
                 return Err(e);
             }
         };
-        let key = if self.memoize {
-            let key = spec.canonical_string();
-            if let Some(hit) = lock(&self.cache).get(&key) {
+        let fingerprint = if self.memoize {
+            let fingerprint = spec.fingerprint();
+            if let Some(hit) = self.lookup(fingerprint, spec, text) {
                 lock(&self.last_stats).memo_hits += 1;
                 *lock(&self.kind_counts)
                     .entry(hit.measures.kind())
@@ -345,7 +437,7 @@ impl BatchEngine {
                 return Ok(hit);
             }
             obs::counter_add("engine.memo.misses", 1);
-            Some(key)
+            Some(fingerprint)
         } else {
             None
         };
@@ -357,8 +449,12 @@ impl BatchEngine {
                 *lock(&self.kind_counts).entry(kind).or_insert(0) += 1;
                 obs::counter_add("engine.specs.solved", 1);
                 obs::counter_add(&format!("engine.specs.solved.{kind}"), 1);
-                if let Some(key) = key {
-                    lock(&self.cache).insert(key, report, self.cache_capacity);
+                if let Some(fingerprint) = fingerprint {
+                    let witness = match text {
+                        Some(text) => Witness::Text(text.into()),
+                        None => Witness::Model(Arc::new(spec.clone())),
+                    };
+                    lock(&self.cache).insert(fingerprint, witness, report, self.cache_capacity);
                 }
                 lifecycle(idx, "done", Some("ok"));
             }
@@ -369,6 +465,22 @@ impl BatchEngine {
             }
         }
         result
+    }
+
+    /// The memo's report for `spec`, if the entry under `fingerprint`
+    /// holds the same model: its witness is `text` byte for byte, or
+    /// is (or parses to) a model equal to `spec`.
+    fn lookup(
+        &self,
+        fingerprint: u64,
+        spec: &ModelSpec,
+        text: Option<&str>,
+    ) -> Option<SolveReport> {
+        let witness = lock(&self.cache).witness(fingerprint)?;
+        if !witness.confirms(spec, text) {
+            return None;
+        }
+        lock(&self.cache).hit(fingerprint, &witness)
     }
 }
 
@@ -522,7 +634,7 @@ mod tests {
         let docs: Vec<String> = (0..25 * CAPACITY)
             .map(|i| rbd_doc(0.5 + i as f64 / 1000.0))
             .collect();
-        let key = |doc: &str| ModelSpec::from_json_str(doc).unwrap().canonical_string();
+        let key = |doc: &str| ModelSpec::from_json_str(doc).unwrap().fingerprint();
         let engine = BatchEngine::new()
             .with_jobs(1)
             .with_cache_capacity(CAPACITY);
@@ -561,6 +673,141 @@ mod tests {
             hit[0].as_ref().unwrap().measures.to_json().to_json(),
             missed[last]
         );
+    }
+
+    const HIERARCHY: &str = r#"{"hierarchy": {"submodels": [
+        {"name": "disk",
+         "model": {"rbd": {"components": [{"name": "d", "availability": 0.98}],
+                           "structure": "d"}},
+         "measure": "availability"},
+        {"name": "sys",
+         "model": {"rbd": {"components": [{"name": "front", "availability": 0.9},
+                                          {"name": "store", "availability": 1.0}],
+                           "structure": {"series": ["front", "store"]}}},
+         "measure": "availability",
+         "imports": [{"from": "disk", "path": "rbd.components.1.availability"}]}],
+        "tolerance": 1e-10}}"#;
+
+    /// [`HIERARCHY`] with the keys of every object in another order.
+    const HIERARCHY_REORDERED: &str = r#"{"hierarchy": {"tolerance": 1e-10, "submodels": [
+        {"measure": "availability", "name": "disk",
+         "model": {"rbd": {"structure": "d", "components": [{"availability": 0.98, "name": "d"}]}}},
+        {"imports": [{"path": "rbd.components.1.availability", "from": "disk"}],
+         "measure": "availability", "name": "sys",
+         "model": {"rbd": {"structure": {"series": ["front", "store"]},
+                           "components": [{"availability": 0.9, "name": "front"},
+                                          {"availability": 1.0, "name": "store"}]}}}]}}"#;
+
+    /// Solves `base` on a fresh engine, then each of `variants`: every
+    /// variant is a memo hit whose report is the base's byte for byte.
+    fn assert_variants_hit(base: &str, variants: &[String]) {
+        let engine = BatchEngine::new().with_jobs(1);
+        let first = engine.solve_texts(&[base]).remove(0).unwrap();
+        let first = first.to_json().to_json();
+        for variant in variants {
+            let again = engine.solve_texts(&[variant]).remove(0).unwrap();
+            let stats = engine.last_stats();
+            assert_eq!((stats.solved, stats.memo_hits), (0, 1), "{variant}");
+            assert_eq!(again.to_json().to_json(), first, "{variant}");
+        }
+    }
+
+    /// Documents that parse to one model share an entry, whatever their
+    /// formatting, key order, number spelling or ignored keys.
+    #[test]
+    fn equal_models_in_other_spellings_hit() {
+        let doc = reliab_spec::json::parse(HIERARCHY).unwrap();
+        assert_variants_hit(
+            HIERARCHY,
+            &[
+                doc.to_json(),
+                doc.to_json_pretty(),
+                HIERARCHY_REORDERED.to_owned(),
+                HIERARCHY.replace(r#""tolerance""#, r#""jobs": 4, "tolerance""#),
+                HIERARCHY
+                    .replace("0.98", "9.8e-1")
+                    .replace("1e-10", "0.0000000001"),
+            ],
+        );
+        let base = rbd_doc(0.9);
+        assert_variants_hit(
+            &base,
+            &[base.replace("0.9", "0.90"), base.replace("0.9", "9e-1")],
+        );
+        let zero = rbd_doc(0.0).replace(r#""availability": 0}"#, r#""availability": 0.0}"#);
+        assert_variants_hit(&zero, &[zero.replacen("0.0", "-0", 1)]);
+    }
+
+    /// A last-bit change of one number or a renamed component is
+    /// another model and solves afresh.
+    #[test]
+    fn unequal_models_miss() {
+        let engine = BatchEngine::new().with_jobs(1);
+        let base = rbd_doc(0.9);
+        engine.solve_texts(&[&base]);
+        let last_bit = base.replacen("0.9", &f64::next_up(0.9).to_string(), 1);
+        let renamed = base.replace(r#""b""#, r#""c""#);
+        for other in [last_bit, renamed] {
+            assert_ne!(other, base);
+            engine.solve_texts(&[&other]);
+            let stats = engine.last_stats();
+            assert_eq!((stats.solved, stats.memo_hits), (1, 0), "{other}");
+        }
+    }
+
+    /// Texts and parsed models share entries: a model hits the entry a
+    /// text filled, and a text the entry a model filled.
+    #[test]
+    fn texts_and_models_share_entries() {
+        for (fill_text, doc) in [(true, rbd_doc(0.9)), (false, rbd_doc(0.8))] {
+            let engine = BatchEngine::new().with_jobs(1);
+            let spec = ModelSpec::from_json_str(&doc).unwrap();
+            let pretty = reliab_spec::json::parse(&doc).unwrap().to_json_pretty();
+            let first = if fill_text {
+                engine.solve_texts(&[&doc])
+            } else {
+                engine.solve(std::slice::from_ref(&spec))
+            };
+            let again = if fill_text {
+                engine.solve(&[spec])
+            } else {
+                engine.solve_texts(&[pretty])
+            };
+            assert_eq!(engine.last_stats().memo_hits, 1);
+            let bytes = |r: &[Result<SolveReport>]| r[0].as_ref().unwrap().to_json().to_json();
+            assert_eq!(bytes(&again), bytes(&first));
+        }
+    }
+
+    /// Two unequal models forced under one fingerprint: the second is
+    /// never answered with the first's report, through either witness,
+    /// and cannot displace the first's entry.
+    #[test]
+    fn a_fingerprint_collision_is_a_miss() {
+        const SHARED: u64 = 7;
+        let engine = BatchEngine::new();
+        let (a, b) = (rbd_doc(0.9), rbd_doc(0.8));
+        let spec_a = ModelSpec::from_json_str(&a).unwrap();
+        let spec_b = ModelSpec::from_json_str(&b).unwrap();
+        let options = SolveOptions::default();
+        let report_a = reliab_spec::solve_with(&spec_a, &options).unwrap();
+        let report_b = reliab_spec::solve_with(&spec_b, &options).unwrap();
+        let witnesses = [
+            Witness::Text(a.as_str().into()),
+            Witness::Model(Arc::new(spec_a.clone())),
+        ];
+        for witness in witnesses {
+            let mut cache = MemoCache::default();
+            cache.insert(SHARED, witness, &report_a, 0);
+            cache.insert(SHARED, Witness::Text(b.as_str().into()), &report_b, 0);
+            *lock(&engine.cache) = cache;
+            assert!(engine.lookup(SHARED, &spec_b, Some(&b)).is_none());
+            assert!(engine.lookup(SHARED, &spec_b, None).is_none());
+            for text in [Some(a.as_str()), None] {
+                let hit = engine.lookup(SHARED, &spec_a, text).unwrap();
+                assert_eq!(hit.to_json().to_json(), report_a.to_json().to_json());
+            }
+        }
     }
 
     /// Memo reports live behind a pointer: a `SolveReport` is hundreds

@@ -1,14 +1,16 @@
 //! `reliab-serve`: a persistent solver daemon over the batch engine.
 //!
 //! The server owns one [`BatchEngine`] for its whole lifetime, so the
-//! canonical-form LRU memo cache — and the warmed-up worker threads
-//! behind it — are shared across every request: a spec document solved
-//! once is answered from cache for every later client that submits the
-//! same canonical form. Admission is a bounded FIFO queue; when it is
-//! full new work is shed immediately with HTTP 429 rather than queued
-//! into unbounded latency, and every request carries a deadline that
-//! is enforced while it waits (a request whose deadline elapses in the
-//! queue is answered 504 without ever occupying a solver).
+//! LRU memo cache (a model's fingerprint confirmed by a witness, the
+//! text it was solved from) — and the warmed-up worker threads behind
+//! it — are shared across every request: a spec document solved once is
+//! answered from cache for every later client that submits the same
+//! model, however it is formatted. Admission is a bounded FIFO queue;
+//! when it is full new work is shed immediately with HTTP 429 rather
+//! than queued into unbounded latency, and every request carries a
+//! deadline that is enforced while it waits (a request whose deadline
+//! elapses in the queue is answered 504 without ever occupying a
+//! solver).
 //!
 //! ## Endpoints
 //!

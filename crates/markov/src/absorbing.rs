@@ -51,7 +51,8 @@ impl Ctmc {
         // τ = -T^{-1} 1  =>  solve T τ = -1.
         let rhs = vec![-1.0f64; m];
         let tau = t.lu_solve(&rhs).map_err(|e| match e {
-            reliab_numeric::NumericError::Singular(_) => Error::numerical(
+            reliab_numeric::NumericError::Singular(_) => self.mttf_failure(
+                &absorbing_mask,
                 "transient sub-generator is singular: some state never reaches absorption \
                  (MTTF diverges)"
                     .to_owned(),
@@ -63,11 +64,42 @@ impl Ctmc {
             mttf += initial[s] * tau[c];
         }
         if mttf < 0.0 || !mttf.is_finite() {
-            return Err(Error::numerical(format!(
-                "MTTF computation produced {mttf}; chain structure is inconsistent"
-            )));
+            return Err(self.mttf_failure(
+                &absorbing_mask,
+                format!("MTTF computation produced {mttf}; chain structure is inconsistent"),
+            ));
         }
         Ok(mttf)
+    }
+
+    /// The error of a failed MTTF solve: `structural` when some
+    /// transient state has no path into `absorbing`, otherwise an
+    /// overflow of the solve, which then names the largest rate.
+    fn mttf_failure(&self, absorbing: &[bool], structural: String) -> Error {
+        let n = self.num_states();
+        let mut into = vec![Vec::new(); n];
+        for &(from, to, rate) in &self.transitions {
+            if rate > 0.0 && !absorbing[from] {
+                into[to].push(from);
+            }
+        }
+        let mut reaches = absorbing.to_vec();
+        let mut stack: Vec<usize> = (0..n).filter(|&i| absorbing[i]).collect();
+        while let Some(s) = stack.pop() {
+            for &from in &into[s] {
+                if !std::mem::replace(&mut reaches[from], true) {
+                    stack.push(from);
+                }
+            }
+        }
+        if !reaches.iter().all(|&r| r) {
+            return Error::numerical(structural);
+        }
+        let largest = self.transitions.iter().fold(0.0, |m, &(_, _, r)| r.max(m));
+        Error::numerical(format!(
+            "MTTF solve overflowed (largest rate {largest:e}), although every transient \
+             state reaches absorption"
+        ))
     }
 
     /// Reliability at time `t`: the probability that, starting from
@@ -301,6 +333,68 @@ mod tests {
         b.transition(bb, a, 1.0).unwrap();
         let c = b.build().unwrap();
         assert!(c.mttf(&c.point_mass(a), &[dead]).is_err());
+    }
+
+    /// A chain from which absorption is reachable but whose rates
+    /// overflow the solve is not blamed for its structure: the error
+    /// says the solve overflowed and names the largest rate. The two
+    /// chains are `specs/two_component.json` with its first rate, and
+    /// `specs/maintained_cluster.json` with its second, set to 1e308.
+    /// A chain that cannot reach absorption keeps the structural
+    /// message.
+    #[test]
+    fn overflowing_rates_are_not_blamed_on_the_structure() {
+        let chain = |states: &[&str], arcs: &[(usize, usize, f64)]| {
+            let mut b = CtmcBuilder::new();
+            let ids: Vec<_> = states.iter().map(|s| b.state(s)).collect();
+            for &(from, to, rate) in arcs {
+                b.transition(ids[from], ids[to], rate).unwrap();
+            }
+            (b.build().unwrap(), ids)
+        };
+        let two_component = chain(
+            &["both-up", "one-up", "none-up"],
+            &[(0, 1, 1e308), (1, 0, 1.0), (1, 2, 0.01), (2, 1, 1.0)],
+        );
+        let maintained_cluster = chain(
+            &["all-up", "degraded", "maintenance", "repair", "down"],
+            &[
+                (0, 1, 0.3),
+                (0, 2, 1e308),
+                (1, 4, 0.07),
+                (1, 0, 1.9),
+                (1, 3, 0.3),
+                (1, 2, 0.2),
+                (2, 0, 2.3),
+                (3, 0, 0.9),
+                (3, 4, 0.05),
+                (4, 3, 0.4),
+            ],
+        );
+        for (c, ids) in [two_component, maintained_cluster] {
+            let down = *ids.last().unwrap();
+            let err = c.mttf(&c.point_mass(ids[0]), &[down]).unwrap_err();
+            assert!(matches!(err, reliab_core::Error::Numerical(_)), "{err}");
+            let msg = err.to_string();
+            assert!(
+                msg.contains("MTTF solve overflowed (largest rate 1e308)"),
+                "{msg}"
+            );
+        }
+        // A closed pair that never reaches "dead", at a tame rate (the
+        // LU meets a zero pivot) and at an overflowing one (it returns
+        // inf): either way the structure is blamed.
+        for (rate, structural) in [
+            (1.0, "some state never reaches absorption"),
+            (1e308, "produced inf; chain structure is inconsistent"),
+        ] {
+            let (c, ids) = chain(&["a", "b", "dead"], &[(0, 1, rate), (1, 0, 1.0)]);
+            let msg = c
+                .mttf(&c.point_mass(ids[0]), &[ids[2]])
+                .unwrap_err()
+                .to_string();
+            assert!(msg.contains(structural), "{msg}");
+        }
     }
 
     #[test]

@@ -2183,6 +2183,30 @@ mod tests {
         assert!(steady_state.is_none());
     }
 
+    /// A shipped CTMC with one rate set to 1e308 still reaches
+    /// absorption from every state; its failed MTTF solve says the solve
+    /// overflowed instead of blaming the chain's structure.
+    #[test]
+    fn overflowing_mttf_names_the_largest_rate() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs");
+        for (name, path) in [
+            ("two_component.json", "ctmc.transitions.0.rate"),
+            ("maintained_cluster.json", "ctmc.transitions.1.rate"),
+        ] {
+            let text = std::fs::read_to_string(format!("{dir}/{name}")).unwrap();
+            let mut doc = crate::json::parse(&text).unwrap();
+            crate::json::set_number_at_path(&mut doc, path, 1e308).unwrap();
+            let spec = ModelSpec::from_json(&doc).unwrap();
+            let err = solve_with(&spec, &SolveOptions::default()).unwrap_err();
+            assert!(matches!(err, Error::Numerical(_)), "{name}: {err:?}");
+            let msg = err.to_string();
+            assert!(
+                msg.contains("MTTF solve overflowed (largest rate 1e308)"),
+                "{name}: {msg}"
+            );
+        }
+    }
+
     #[test]
     fn relgraph_spec_solves_bridge() {
         let out = run(r#"{

@@ -141,6 +141,7 @@
 
 mod aggregate;
 mod convert;
+mod fingerprint;
 pub mod json;
 mod report;
 mod scenario;

@@ -231,7 +231,7 @@ impl SolveOptions {
 }
 
 /// BDD variable-ordering selection for fault-tree solves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 #[non_exhaustive]
 pub enum VarOrder {
     /// Use the spec's `var_order` field if present, otherwise the

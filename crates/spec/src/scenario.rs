@@ -592,7 +592,7 @@ pub(crate) fn solve_bounds(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::{extract_measure, Working};
     use crate::convert::{solve_str_with, solve_with, SolvedMeasures};
     use crate::json::{self, JsonValue};
@@ -640,7 +640,7 @@ mod tests {
     }
 
     /// Dotted paths and values of every number in a canonical document.
-    fn numeric_leaves(v: &JsonValue, path: &str, out: &mut Vec<(String, f64)>) {
+    pub(crate) fn numeric_leaves(v: &JsonValue, path: &str, out: &mut Vec<(String, f64)>) {
         let join = |seg: &str| {
             if path.is_empty() {
                 seg.to_owned()
@@ -679,7 +679,7 @@ mod tests {
 
     /// `model` and the models inside it: an uncertainty wrapper's inner
     /// model and a hierarchy's submodels, at any depth.
-    fn models_within(model: &ModelSpec) -> Vec<&ModelSpec> {
+    pub(crate) fn models_within(model: &ModelSpec) -> Vec<&ModelSpec> {
         let mut out = vec![model];
         match model {
             ModelSpec::Uncertainty(u) => out.extend(models_within(&u.model)),

@@ -13,7 +13,7 @@ use reliab_core::{Error, Result};
 use reliab_ftree::Polarity;
 
 /// A top-level model document: exactly one model class.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum ModelSpec {
     /// A reliability block diagram.
     Rbd(RbdSpec),
@@ -42,7 +42,7 @@ pub enum ModelSpec {
 /// (and optional `priority`). The `reach_jobs` and `shard_bits` keys
 /// of older documents are type-checked and ignored: the solve's thread
 /// budget (`SolveOptions::threads`) sets the generator's workers.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct SpnSpec {
     /// Place declarations.
     pub places: Vec<PlaceSpec>,
@@ -65,7 +65,7 @@ pub struct SpnSpec {
 }
 
 /// SPN solver-tier selection (the spec's `"solver"` key).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 #[non_exhaustive]
 pub enum SpnSolver {
     /// Generate the state space and materialize the CTMC in CSR (the
@@ -97,7 +97,7 @@ impl SpnSolver {
 }
 
 /// One SPN place.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct PlaceSpec {
     /// Place name.
     pub name: String,
@@ -106,7 +106,7 @@ pub struct PlaceSpec {
 }
 
 /// One SPN transition (timed or immediate).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct SpnTransitionSpec {
     /// Transition name.
     pub name: String,
@@ -138,7 +138,7 @@ pub enum SpnTimingSpec {
 }
 
 /// One arc of an SPN transition.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct ArcSpec {
     /// Place name.
     pub place: String,
@@ -147,7 +147,7 @@ pub struct ArcSpec {
 }
 
 /// Reliability-graph specification.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct RelGraphSpec {
     /// Node names.
     pub nodes: Vec<String>,
@@ -177,7 +177,7 @@ pub struct EdgeSpec {
 }
 
 /// RBD specification.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct RbdSpec {
     /// Component declarations (key `components`; an item's value is its
     /// `availability`).
@@ -272,7 +272,7 @@ pub enum DistSpec {
 }
 
 /// What a `sim` block estimates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SimMeasure {
     /// Steady-state availability (requires `horizon`).
     Availability,
@@ -343,7 +343,7 @@ pub struct SimSpec {
 /// Each combinator reads in its model's own space, under its class's
 /// key: in an RBD the members are components that work (`series`,
 /// `parallel`), in a fault tree events that occur (`and`, `or`).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum StructureSpec {
     /// A component or basic event, by name.
     Item(String),
@@ -422,7 +422,7 @@ pub(crate) const FAULT_TREE: Terms = Terms {
 };
 
 /// Fault-tree specification.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct FaultTreeSpec {
     /// Basic-event declarations (key `events`; an item's value is its
     /// failure `probability`).
@@ -475,7 +475,7 @@ pub struct TransitionSpec {
 
 /// Which scalar a scenario layer extracts from a solved submodel (the
 /// hierarchy import/export measure and the uncertainty output measure).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ScenarioMeasure {
     /// System availability ([`crate::SolvedMeasures::availability`]).
     Availability,
@@ -559,7 +559,7 @@ pub struct SubmodelSpec {
 /// submodel's canonical document, e.g.
 /// `"rbd.components.0.availability"`) is replaced by the current export
 /// of submodel `from`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct ImportSpec {
     /// Exporting submodel name.
     pub from: String,
@@ -592,7 +592,7 @@ pub struct SemiMarkovSpec {
 }
 
 /// One semi-Markov state.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct SmpStateSpec {
     /// State name.
     pub name: String,
@@ -639,7 +639,7 @@ pub struct UncertaintySpec {
 
 /// One uncertain parameter: a dotted JSON path into the inner model
 /// document plus its prior distribution.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct UncertainParamSpec {
     /// Dotted JSON path to the numeric field, relative to the inner
     /// model document (e.g. `"ctmc.transitions.0.rate"`).
@@ -671,7 +671,7 @@ pub enum PriorSpec {
 /// Cut/path-set bounds specification: Esary–Proschan and
 /// truncated-SDP bounds from explicit minimal cut sets (the Boeing-787
 /// workflow) or from an inline fault tree.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct BoundsSpec {
     /// Basic-event declarations with failure probabilities. Required
     /// with explicit `cut_sets`; forbidden with `fault_tree`.
@@ -979,8 +979,9 @@ impl ModelSpec {
     }
 
     /// Deterministic single-line serialization. Two structurally equal
-    /// specs produce equal strings, making this usable as a cache key
-    /// (the batch engine's memo map is keyed on it).
+    /// specs produce equal strings. The batch engine's memo does not
+    /// build it: it keys on [`ModelSpec::fingerprint`], confirmed by a
+    /// witness.
     #[must_use]
     pub fn canonical_string(&self) -> String {
         self.to_json().to_json()

@@ -28,7 +28,7 @@ use reliab_core::{Error, Result};
 /// `ModelSpec::from_json` reads the fields they address, so when two
 /// written values are rejected, the smaller slot holds the error the
 /// document would have reported.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub(crate) enum Slot {
     Rbd(StructureSlot),
     FaultTree(StructureSlot),
@@ -44,7 +44,7 @@ pub(crate) enum Slot {
 
 /// A numeric field of an RBD or a fault tree (an RBD has no
 /// `max_cut_sets`).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub(crate) enum StructureSlot {
     Item(usize, ItemField),
     /// The `k` of the k-of-n node at this member path.
@@ -56,27 +56,27 @@ pub(crate) enum StructureSlot {
 
 /// A numeric field of an RBD component or a basic event: its point
 /// value, or a parameter (by index) of one of its distributions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub(crate) enum ItemField {
     Value,
     Ttf(usize),
     Ttr(usize),
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub(crate) enum CtmcSlot {
     Rate(usize),
     AtTime(usize),
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub(crate) enum SpnSlot {
     Tokens(usize),
     Transition(usize, SpnField),
     MaxMarkings,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub(crate) enum SpnField {
     Rate,
     Priority,
@@ -85,7 +85,7 @@ pub(crate) enum SpnField {
     Arc(usize, usize),
 }
 
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub(crate) enum HierarchySlot {
     Submodel(usize, SubmodelField),
     Tolerance,
@@ -93,20 +93,20 @@ pub(crate) enum HierarchySlot {
     MaxIterations,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub(crate) enum SubmodelField {
     Model(Box<Slot>),
     Initial,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub(crate) enum SemiMarkovSlot {
     Sojourn(usize, usize),
     Probability(usize),
     IntervalTime(usize),
 }
 
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub(crate) enum UncertaintySlot {
     Model(Box<Slot>),
     /// Parameter `.1` of prior `.0`: a distribution parameter, or 0
@@ -117,7 +117,7 @@ pub(crate) enum UncertaintySlot {
     Seed,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub(crate) enum BoundsSlot {
     FaultTree(StructureSlot),
     Event(usize),
