@@ -1,7 +1,7 @@
 //! Ablation benches for the solver-level design choices called out in
 //! DESIGN.md: steady-state method (GTH vs SOR), uniformization
-//! steady-state detection, BDD variable ordering, and fixed-point
-//! damping.
+//! steady-state detection and Poisson truncation, BDD variable
+//! ordering, and fixed-point damping.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use reliab_bench::{birth_death, ordering_ablation_tree};
@@ -9,6 +9,7 @@ use reliab_ftree::VariableOrdering;
 use reliab_hier::FixedPointOptions;
 use reliab_markov::{Ctmc, SteadyStateMethod, TransientOptions};
 use reliab_models::sip::{sip_availability, SipParams};
+use reliab_numeric::poisson_weights;
 
 /// A seeded random chain that no state order makes banded: a cycle
 /// through every state keeps it irreducible, and each other ordered
@@ -93,6 +94,23 @@ fn bench_uniformization_ssd(c: &mut Criterion) {
     group.finish();
 }
 
+/// Truncated Poisson windows at rates uniformization meets: 15,637 in
+/// kernel_mix's semi-Markov range, 2.5e5, and 2.5194e7, the
+/// `maintained_cluster` chain at t = 1e7. A window closed only by its
+/// summed mass grew to about 2λ terms at all three, past the 20M-term
+/// guard into an error at the last; the result is black-boxed either
+/// way.
+fn bench_poisson_window(c: &mut Criterion) {
+    let mut group = c.benchmark_group("poisson_weights");
+    group.sample_size(5);
+    for lambda in [15_637.0, 2.5e5, 2.5194e7] {
+        group.bench_with_input(BenchmarkId::from_parameter(lambda), &lambda, |b, &l| {
+            b.iter(|| poisson_weights(l, 1e-12).map(|w| w.len()))
+        });
+    }
+    group.finish();
+}
+
 fn bench_bdd_ordering(c: &mut Criterion) {
     let mut group = c.benchmark_group("bdd_variable_ordering");
     let n = 10usize;
@@ -134,6 +152,7 @@ criterion_group!(
     benches,
     bench_steady_state_methods,
     bench_uniformization_ssd,
+    bench_poisson_window,
     bench_bdd_ordering,
     bench_fixed_point_damping
 );

@@ -58,6 +58,10 @@ pub struct TransientReport {
     pub matvecs: usize,
     /// Number of significant Poisson terms in the truncated sum.
     pub poisson_terms: usize,
+    /// First term of the truncated Poisson window (0 when no step ran).
+    pub poisson_left: usize,
+    /// Last term of the truncated Poisson window (0 when no step ran).
+    pub poisson_right: usize,
     /// If steady-state detection fired, the term index at which the
     /// uniformized iterate stopped changing.
     pub converged_at: Option<usize>,
@@ -97,6 +101,8 @@ impl Ctmc {
                 distribution: initial.to_vec(),
                 matvecs: 0,
                 poisson_terms: 0,
+                poisson_left: 0,
+                poisson_right: 0,
                 converged_at: None,
             });
         }
@@ -113,6 +119,8 @@ impl Ctmc {
                 ("t", t.into()),
                 ("matvecs", report.matvecs.into()),
                 ("poisson_terms", report.poisson_terms.into()),
+                ("poisson_left", report.poisson_left.into()),
+                ("poisson_right", report.poisson_right.into()),
             ],
         );
         obs::counter_add("markov.transient.points", 1);
@@ -136,7 +144,18 @@ impl Ctmc {
         if t == 0.0 {
             return Ok(vec![0.0; self.num_states()]);
         }
-        uniformize(self, initial, t, epsilon, Sum::Integral).map(|r| r.distribution)
+        let report = uniformize(self, initial, t, epsilon, Sum::Integral)?;
+        obs::event(
+            "markov.transient.interval",
+            &[
+                ("t", t.into()),
+                ("matvecs", report.matvecs.into()),
+                ("poisson_left", report.poisson_left.into()),
+                ("poisson_right", report.poisson_right.into()),
+            ],
+        );
+        obs::counter_add("markov.transient.matvecs", report.matvecs as u64);
+        Ok(report.distribution)
     }
 }
 
@@ -238,6 +257,8 @@ fn uniformize(
             distribution,
             matvecs: 0,
             poisson_terms: 0,
+            poisson_left: 0,
+            poisson_right: 0,
             converged_at: None,
         });
     }
@@ -252,17 +273,24 @@ fn uniformize(
     let mut converged_at: Option<usize> = None;
     for k in 0..terms {
         // Terms left of the truncation point carry no point weight and
-        // (to within epsilon) the full integral weight 1/q.
+        // (to within epsilon) the full integral weight 1/q: the integral
+        // sums those iterates and divides the sum by q once, on entering
+        // the window.
         let coeff = match (sum, k.checked_sub(w.left)) {
             (Sum::Point(_), None) => None,
             (Sum::Point(_), Some(idx)) => Some(w.weights[idx]),
             (Sum::Integral, None) => {
                 for (o, &x) in out.iter_mut().zip(&v) {
-                    *o += x / q;
+                    *o += x;
                 }
                 None
             }
             (Sum::Integral, Some(idx)) => {
+                if idx == 0 {
+                    for o in &mut out {
+                        *o /= q;
+                    }
+                }
                 cum += w.weights[idx];
                 Some((1.0 - cum).max(0.0) / q)
             }
@@ -309,6 +337,8 @@ fn uniformize(
         distribution: out,
         matvecs,
         poisson_terms: w.weights.len(),
+        poisson_left: w.left,
+        poisson_right: w.right,
         converged_at,
     })
 }
@@ -448,6 +478,67 @@ mod tests {
             .transient_report(&p0, 0.0, &TransientOptions::default())
             .unwrap();
         assert_eq!(r0.matvecs, 0);
+    }
+
+    /// `maintained_cluster.json`'s chain: its `q·t` at t = 1e7 is
+    /// 2.5194e7, whose Poisson window exploded past the 20M-term guard
+    /// before the tail stop.
+    fn maintained_cluster() -> Ctmc {
+        let mut b = CtmcBuilder::new();
+        let names = ["all-up", "degraded", "maintenance", "repair", "down"];
+        let s: Vec<_> = names.iter().map(|n| b.state(n)).collect();
+        for (from, to, rate) in [
+            (0, 1, 0.3),
+            (0, 2, 0.1),
+            (1, 4, 0.07),
+            (1, 0, 1.9),
+            (1, 3, 0.3),
+            (1, 2, 0.2),
+            (2, 0, 2.3),
+            (3, 0, 0.9),
+            (3, 4, 0.05),
+            (4, 3, 0.4),
+        ] {
+            b.transition(s[from], s[to], rate).unwrap();
+        }
+        b.build().unwrap()
+    }
+
+    /// Uniformization at t = 1e7 against `π(0)·e^{Qt}` by Padé. The
+    /// oracle squares its approximant 24 times here, which amplifies its
+    /// own rounding: it sits 7.3e-10 from the chain's GTH steady state,
+    /// uniformization 5.5e-12. The checks allow 2e-9 against Padé and
+    /// 1e-10 against GTH (the chain has long since mixed).
+    #[test]
+    fn long_horizon_point_matches_expm() {
+        let c = maintained_cluster();
+        let p0 = c.point_mass(c.find_state("all-up").unwrap());
+        let t = 1e7;
+        let r = c
+            .transient_report(&p0, t, &TransientOptions::default())
+            .unwrap();
+        // q·t = 2.5194e7, whose square root is below 5,020.
+        assert!(r.poisson_right - r.poisson_left <= 16 * 5_020 + 8);
+        let mut qt = c.generator_dense();
+        for i in 0..c.num_states() {
+            for j in 0..c.num_states() {
+                qt.set(i, j, qt.get(i, j) * t);
+            }
+        }
+        let e = reliab_numeric::expm(&qt).unwrap();
+        let steady = c
+            .steady_state_report(&crate::SteadyStateMethod::Gth)
+            .unwrap()
+            .pi;
+        for (j, &p) in r.distribution.iter().enumerate() {
+            let pade: f64 = (0..c.num_states()).map(|i| p0[i] * e.get(i, j)).sum();
+            assert!((p - pade).abs() < 2e-9, "state {j}: {p} vs Padé {pade}");
+            assert!(
+                (p - steady[j]).abs() < 1e-10,
+                "state {j}: {p} vs GTH {}",
+                steady[j]
+            );
+        }
     }
 
     #[test]

@@ -34,7 +34,12 @@ impl PoissonWeights {
 }
 
 /// Computes [`PoissonWeights`] for rate `lambda` with truncation error
-/// at most `epsilon`.
+/// at most `epsilon`: the window spans O(√λ) terms, and the tails it
+/// omits hold at most `epsilon` of the mass. The one exception is a
+/// window closed by its summed mass reaching `1 − epsilon` while the
+/// mode weight `exp(−λ + k ln λ − ln Γ(k+1))` is overestimated: there
+/// the omitted tails may reach `epsilon` plus that overestimate, which
+/// grows with λ (2.5e-9 at λ = 7.5e5).
 ///
 /// # Errors
 ///
@@ -58,6 +63,14 @@ pub fn poisson_weights(lambda: f64, epsilon: f64) -> Result<PoissonWeights> {
             weights: vec![1.0],
         });
     }
+    // From 2^53 on, term indices are no longer exact in f64 (and the
+    // mode may not fit a usize); the window would hold over a billion
+    // terms, far past the guard below.
+    if lambda >= 9_007_199_254_740_992.0 {
+        return Err(NumericError::Invalid(format!(
+            "poisson truncation window exploded for lambda = {lambda}"
+        )));
+    }
 
     let mode = lambda.floor() as usize;
     let ln_pmf = |k: usize| -> f64 {
@@ -65,11 +78,19 @@ pub fn poisson_weights(lambda: f64, epsilon: f64) -> Result<PoissonWeights> {
         -lambda + kf * lambda.ln() - ln_gamma(kf + 1.0)
     };
 
-    // Expand around the mode until both tails are below epsilon/2.
-    // The pmf is unimodal, so a simple marching bound suffices: stop a
-    // tail when its next term falls below (epsilon/2) * (1 - r) / r
-    // geometric-domination estimate; we use the simpler conservative
-    // rule of accumulating mass until 1 - epsilon is covered.
+    // March outward from the mode, always extending the side with the
+    // larger next term, until one of two stops holds:
+    //
+    // * the mass summed so far reaches 1 − ε;
+    // * geometric bounds on both omitted tails sum to at most ε times
+    //   the mass summed so far.
+    //
+    // With exact weights the tail stop implies the mass stop. The mode
+    // weight is not exact, though, and the mass stop alone never fires
+    // once it is underestimated by more than ε: the window would grow
+    // until both tails underflow, about 2λ terms. Every weight is the
+    // mode weight times exact ratios, so the tail stop, being
+    // relative, holds however wrong the mode weight is.
     let target = 1.0 - epsilon;
     let mode_w = ln_pmf(mode).exp();
     let mut left = mode;
@@ -77,7 +98,6 @@ pub fn poisson_weights(lambda: f64, epsilon: f64) -> Result<PoissonWeights> {
     let mut lo_w = mode_w; // weight at current left
     let mut hi_w = mode_w; // weight at current right
     let mut mass = mode_w;
-    // March outward, always extending the side with the larger next term.
     while mass < target {
         let next_left = if left > 0 {
             lo_w * left as f64 / lambda
@@ -85,16 +105,24 @@ pub fn poisson_weights(lambda: f64, epsilon: f64) -> Result<PoissonWeights> {
             0.0
         };
         let next_right = hi_w * lambda / (right as f64 + 1.0);
+        // Below `left` the ratio of successive terms is at most
+        // (left − 1)/λ, beyond `right` at most λ/(right + 2); both are
+        // below 1 because left ≤ mode ≤ λ < mode + 1 ≤ right + 1.
+        let left_tail = next_left * lambda / (lambda - left as f64 + 1.0);
+        let right_tail = next_right * (right as f64 + 2.0) / (right as f64 + 2.0 - lambda);
+        if left_tail + right_tail <= epsilon * mass {
+            break;
+        }
         if next_left >= next_right && left > 0 {
             left -= 1;
             lo_w = next_left;
             mass += lo_w;
-        } else if next_right > 0.0 {
+        } else {
+            // next_right > 0 here: had both terms underflowed, both
+            // tail bounds would be zero and the tail stop would hold.
             right += 1;
             hi_w = next_right;
             mass += hi_w;
-        } else {
-            break; // underflow on both sides; accept what we have
         }
         if right - left > 20_000_000 {
             return Err(NumericError::Invalid(format!(
@@ -136,6 +164,7 @@ pub fn poisson_weights(lambda: f64, epsilon: f64) -> Result<PoissonWeights> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::special::{reg_lower_gamma, reg_upper_gamma};
 
     #[test]
     fn zero_lambda_is_degenerate() {
@@ -173,6 +202,78 @@ mod tests {
         assert!(w_large / w_small > 6.0);
     }
 
+    /// `λ` from 1 to 1e9 on a log grid (eight points a decade), plus
+    /// values that exploded the window when the mass stop was its only
+    /// stop (4,000 to 32,000 at ε = 1e-12; 2.5194e7 is the
+    /// `maintained_cluster` chain at t = 1e7).
+    fn window_grid() -> Vec<f64> {
+        let mut grid: Vec<f64> = (0..=72).map(|i| 10f64.powf(i as f64 / 8.0)).collect();
+        grid.extend([
+            4_000.0, 15_637.0, 16_000.0, 24_000.0, 32_000.0, 2.5e5, 2.5194e7,
+        ]);
+        grid
+    }
+
+    /// Relative error of the mode weight `poisson_weights` starts
+    /// from, against `pmf(m; λ)` computed without `ln_gamma`: a product
+    /// of `m` factors below m = 100, Stirling's series (to `m^-7`) in
+    /// the saddle-point form `m ln(λ/m) − (λ − m)` above.
+    fn mode_weight_error(lambda: f64) -> f64 {
+        let m = lambda.floor();
+        let exact = if m < 100.0 {
+            let step = (-lambda / m.max(1.0)).exp();
+            let mut p = if m == 0.0 { (-lambda).exp() } else { 1.0 };
+            for k in 1..=m as u32 {
+                p *= lambda / f64::from(k) * step;
+            }
+            p
+        } else {
+            let d = lambda - m;
+            let series = 1.0 / (12.0 * m) - 1.0 / (360.0 * m.powi(3)) + 1.0 / (1260.0 * m.powi(5))
+                - 1.0 / (1680.0 * m.powi(7));
+            (m * (d / m).ln_1p() - d - 0.5 * (2.0 * std::f64::consts::PI * m).ln() - series).exp()
+        };
+        let ln_pmf = -lambda + m * lambda.ln() - ln_gamma(m + 1.0);
+        ln_pmf.exp() / exact - 1.0
+    }
+
+    /// The window spans at most `16·√λ + 8` terms at every grid point
+    /// (the widest measured is 14.9·√λ, at ε = 1e-13); before the tail
+    /// stop, λ = 4,000 at ε = 1e-12 spanned about 2λ. Up to λ = 1e6 the
+    /// omitted tails, from the incomplete gamma function, are at most
+    /// `1.01·ε + δ⁺`: δ⁺ is the mode weight's overestimate, which lets
+    /// the mass stop close a window early (at most 2.5e-9 on this grid,
+    /// at λ = 7.5e5), and the 1% covers the oracles' rounding (the
+    /// largest measured excess over `ε + δ⁺` is −0.2% of ε).
+    #[test]
+    fn window_width_is_bounded_by_sqrt_lambda_and_tails_by_epsilon() {
+        for epsilon in [1e-10, 1e-12, 1e-13] {
+            for lambda in window_grid() {
+                let w = poisson_weights(lambda, epsilon).unwrap();
+                let width = (w.right - w.left) as f64;
+                assert!(
+                    width <= 16.0 * lambda.sqrt() + 8.0,
+                    "lambda = {lambda}, epsilon = {epsilon}: width {width}"
+                );
+                if lambda > 1e6 {
+                    continue;
+                }
+                let below = if w.left > 0 {
+                    reg_upper_gamma(w.left as f64, lambda).unwrap()
+                } else {
+                    0.0
+                };
+                let above = reg_lower_gamma(w.right as f64 + 1.0, lambda).unwrap();
+                let overestimate = mode_weight_error(lambda).max(0.0);
+                assert!(
+                    below + above <= 1.01 * epsilon + overestimate,
+                    "lambda = {lambda}, epsilon = {epsilon}: tails {below:e} + {above:e}, \
+                     mode weight {overestimate:e} high"
+                );
+            }
+        }
+    }
+
     #[test]
     fn mean_is_recovered() {
         let lambda = 37.5;
@@ -192,5 +293,10 @@ mod tests {
         assert!(poisson_weights(f64::NAN, 1e-10).is_err());
         assert!(poisson_weights(1.0, 0.0).is_err());
         assert!(poisson_weights(1.0, 1.0).is_err());
+        // The tail stop closes a window whose mode weight underflows at
+        // once; a mode past usize::MAX must still be an error.
+        for lambda in [9_007_199_254_740_992.0, 1e19, 1e300] {
+            assert!(poisson_weights(lambda, 1e-10).is_err(), "lambda = {lambda}");
+        }
     }
 }

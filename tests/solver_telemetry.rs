@@ -158,3 +158,55 @@ fn trace_covers_solver_layers() {
     obs::clear_subscribers();
     obs::set_metrics_enabled(false);
 }
+
+/// A semi-Markov interval availability reports its uniformization
+/// pass: one `markov.transient.interval` event with the horizon, the
+/// matrix–vector products and the Poisson window, whose width stays
+/// within `16·√λ + 8` terms. `rejuvenation_smp.json` at t = 100 h has
+/// λ = q·t ≈ 13,056, whose window spanned [0, 26,111] before the
+/// relative tail stop.
+#[test]
+fn interval_availability_reports_its_poisson_window() {
+    let _serial = serial();
+    let path = format!("{}/specs/rejuvenation_smp.json", env!("CARGO_MANIFEST_DIR"));
+    let text = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("cannot read {path}: {e}"))
+        .replace("[1000.0, 10000.0]", "[100.0]");
+    let mem = Arc::new(obs::MemorySubscriber::default());
+    obs::install_subscriber(mem.clone());
+    let solved = solve_str_with(&text, &SolveOptions::default());
+    obs::clear_subscribers();
+    solved.expect("rejuvenation_smp.json solves at t = 100 h");
+
+    let events: Vec<_> = mem
+        .records()
+        .into_iter()
+        .filter_map(|r| match r {
+            obs::TraceRecord::Event { name, fields, .. } if name == "markov.transient.interval" => {
+                Some(fields)
+            }
+            _ => None,
+        })
+        .collect();
+    assert_eq!(events.len(), 1, "one interval, one event");
+    let field = |name: &str| {
+        events[0]
+            .iter()
+            .find(|(k, _)| k == name)
+            .unwrap_or_else(|| panic!("no field {name}"))
+            .1
+            .clone()
+    };
+    assert_eq!(field("t"), obs::OwnedValue::F64(100.0));
+    let count = |name: &str| field(name).as_u64().unwrap_or_else(|| panic!("{name}"));
+    let (left, right) = (count("poisson_left"), count("poisson_right"));
+    // λ lies in the window, so √λ ≤ √(right + 1).
+    let width = (right - left) as f64;
+    assert!(
+        left > 0 && width <= 16.0 * ((right + 1) as f64).sqrt() + 8.0,
+        "[{left}, {right}]"
+    );
+    assert!(12_000 < left && right < 14_000, "[{left}, {right}]");
+    // The recurrence steps through the window's last term.
+    assert_eq!(count("matvecs"), right);
+}
