@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use reliab_bench::{birth_death, ordering_ablation_tree};
 use reliab_ftree::VariableOrdering;
 use reliab_hier::FixedPointOptions;
-use reliab_markov::{Ctmc, SteadyStateMethod, TransientOptions};
+use reliab_markov::{Ctmc, SteadyMethod, SteadyOptions, TransientOptions};
 use reliab_models::sip::{sip_availability, SipParams};
 use reliab_numeric::poisson_weights;
 
@@ -42,13 +42,14 @@ fn bench_steady_state_methods(c: &mut Criterion) {
             ("", birth_death(n, 1.0, 2.0).expect("valid chain")),
             ("-sparse", random_sparse(n, 0.05)),
         ] {
-            for (name, method) in [
-                ("gth", SteadyStateMethod::Gth),
-                ("sor", SteadyStateMethod::Sor(Default::default())),
-            ] {
+            for (name, method) in [("gth", SteadyMethod::Gth), ("sor", SteadyMethod::Sor)] {
                 let id = BenchmarkId::new(format!("{name}{shape}"), n);
+                let opts = SteadyOptions {
+                    method,
+                    ..Default::default()
+                };
                 group.bench_with_input(id, &chain, |b, ch| {
-                    b.iter(|| ch.steady_state_report(&method).expect("solve"))
+                    b.iter(|| ch.steady_state_report(&opts).expect("solve"))
                 });
             }
         }

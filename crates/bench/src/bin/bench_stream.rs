@@ -37,11 +37,11 @@ use std::time::Instant;
 
 use reliab_bench::{detected_cpu_cores, profiled_phases, tandem_spn};
 use reliab_markov::{
-    steady_state, IterativeOptions, MemoryPlan, PlanOutcome, RowSource, SteadyReport,
-    SteadyStateMethod, StreamMethod, StreamOptions,
+    steady_state, IterativeOptions, MemoryPlan, PlanOutcome, RowSource, SteadyMethod,
+    SteadyOptions, SteadyReport,
 };
 use reliab_spec::json::{self, JsonValue};
-use reliab_spn::{ArenaRowSource, ReachabilityOptions};
+use reliab_spn::{ReachabilityOptions, SpaceRows};
 
 struct Args {
     quick: bool,
@@ -102,7 +102,7 @@ fn materialized_peak_estimate(states: usize, arcs: u64, source_bytes: usize) -> 
 
 /// An exact streamed solve and its memory plan; the budgets here are
 /// all chosen to admit one.
-fn solve(src: &dyn RowSource, opts: &StreamOptions) -> (SteadyReport, MemoryPlan) {
+fn solve(src: &dyn RowSource, opts: &SteadyOptions) -> (SteadyReport, MemoryPlan) {
     match steady_state(src, opts).expect("stream solve converges") {
         PlanOutcome::Exact(report) => {
             let plan = report.plan.expect("iterative solves report their plan");
@@ -127,13 +127,13 @@ fn main() {
          {ref_capacity}, {ref_markings} markings)"
     );
 
-    let sopts = StreamOptions {
+    let sopts = SteadyOptions {
         iterative: IterativeOptions {
             tolerance: 1e-10,
             max_iterations: 100_000,
             relaxation: 1.0,
         },
-        method: StreamMethod::Sor,
+        method: SteadyMethod::Sor,
         ..Default::default()
     };
 
@@ -168,11 +168,11 @@ fn main() {
         std::process::exit(1);
     }
 
-    let budget_opts = StreamOptions {
+    let budget_opts = SteadyOptions {
         mem_budget: Some(mem_budget as usize),
         ..sopts
     };
-    let src = ArenaRowSource::new(&space);
+    let src = SpaceRows::new(&space);
     let t = Instant::now();
     let (report, plan) = solve(&src, &budget_opts);
     let solve_ns = t.elapsed().as_nanos();
@@ -228,12 +228,12 @@ fn main() {
         let solved = ref_net.solve_with(&ref_ropts).expect("bounded net");
         let report = solved
             .ctmc()
-            .steady_state_report(&SteadyStateMethod::Sor(sopts.iterative))
+            .steady_state_report(&sopts)
             .expect("materialized solve converges");
         (t.elapsed().as_nanos(), report.pi)
     };
     let ref_space = ref_net.tangible_space(&ref_ropts).expect("bounded net");
-    let ref_src = ArenaRowSource::new(&ref_space);
+    let ref_src = SpaceRows::new(&ref_space);
     let t = Instant::now();
     let (ref_report, ref_plan) = solve(&ref_src, &sopts);
     let stream_ns = t.elapsed().as_nanos();
@@ -254,7 +254,7 @@ fn main() {
     // ---- Equivalence gate 2: a budget that forces partial slice
     // caching must reproduce the full-cache result bitwise.
     let ref_floor = ref_src.resident_bytes() as u64 + 2 * 8 * ref_markings as u64;
-    let tight = StreamOptions {
+    let tight = SteadyOptions {
         // Roughly a third of the slice store fits: multiple blocks,
         // some cached, the rest recomputed every sweep.
         mem_budget: Some((ref_floor + ref_plan.slice_bytes / 3) as usize),
@@ -276,7 +276,7 @@ fn main() {
 
     // Untimed instrumented pass over the reference streamed solve.
     let phases = profiled_phases(|| {
-        let _ = steady_state(&ArenaRowSource::new(&ref_space), &sopts);
+        let _ = steady_state(&SpaceRows::new(&ref_space), &sopts);
     });
 
     let record = json::object(vec![

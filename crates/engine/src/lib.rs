@@ -738,6 +738,28 @@ mod tests {
         assert_variants_hit(&zero, &[zero.replacen("0.0", "-0", 1)]);
     }
 
+    /// The SPN `"solver"` key is ignored, so the two shipped tandem
+    /// documents that differ only by it are one model: one batch solves
+    /// the first and answers the second from the memo, byte for byte.
+    #[test]
+    fn spn_documents_differing_only_by_solver_share_an_entry() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs");
+        let texts: Vec<String> = ["tandem_rework.json", "tandem_rework_stream.json"]
+            .iter()
+            .map(|name| std::fs::read_to_string(format!("{dir}/{name}")).unwrap())
+            .collect();
+        assert_ne!(texts[0], texts[1]);
+        let engine = BatchEngine::new().with_jobs(1);
+        let reports: Vec<String> = engine
+            .solve_texts(&texts)
+            .into_iter()
+            .map(|r| r.unwrap().to_json().to_json())
+            .collect();
+        let stats = engine.last_stats();
+        assert_eq!((stats.solved, stats.memo_hits), (1, 1));
+        assert_eq!(reports[0], reports[1]);
+    }
+
     /// A last-bit change of one number or a renamed component is
     /// another model and solves afresh.
     #[test]

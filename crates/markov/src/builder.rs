@@ -100,14 +100,19 @@ fn sum_exit_rates(out_rate: &mut [f64], arcs: impl Iterator<Item = (usize, f64)>
     }
 }
 
-/// Rejects an exit rate that overflowed, as the generator's assembly
-/// rejects the diagonal entry it would become.
+/// The error of state `i`'s overflowed exit rate: the generator's
+/// assembly rejects the diagonal entry it would become.
+pub(crate) fn exit_rate_overflow(i: usize, exit: f64) -> Error {
+    crate::num_err(NumericError::Invalid(format!(
+        "non-finite value {} at ({i}, {i})",
+        -exit
+    )))
+}
+
+/// Rejects an exit rate that overflowed.
 fn check_exit_rates(out_rate: &[f64]) -> Result<()> {
     match out_rate.iter().position(|r| !r.is_finite()) {
-        Some(i) => Err(crate::num_err(NumericError::Invalid(format!(
-            "non-finite value {} at ({i}, {i})",
-            -out_rate[i]
-        )))),
+        Some(i) => Err(exit_rate_overflow(i, out_rate[i])),
         None => Ok(()),
     }
 }

@@ -527,7 +527,10 @@ mod tests {
         }
         let e = reliab_numeric::expm(&qt).unwrap();
         let steady = c
-            .steady_state_report(&crate::SteadyStateMethod::Gth)
+            .steady_state_report(&crate::SteadyOptions {
+                method: crate::SteadyMethod::Gth,
+                ..Default::default()
+            })
             .unwrap()
             .pi;
         for (j, &p) in r.distribution.iter().enumerate() {

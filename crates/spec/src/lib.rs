@@ -154,7 +154,7 @@ pub use report::{SolveOptions, SolveReport, SolveStats, SteadySolver, VarOrder};
 pub use schema::{
     ArcSpec, BoundsEventSpec, BoundsSpec, CtmcSpec, DistSpec, EdgeSpec, FaultTreeSpec,
     HierarchySpec, ImportSpec, ItemSpec, ModelSpec, PlaceSpec, PriorSpec, RbdSpec, RelGraphSpec,
-    ScenarioMeasure, SemiMarkovSpec, SimSpec, SmpStateSpec, SmpTransitionSpec, SpnSolver, SpnSpec,
+    ScenarioMeasure, SemiMarkovSpec, SimSpec, SmpStateSpec, SmpTransitionSpec, SpnSpec,
     SpnTimingSpec, SpnTransitionSpec, StructureSpec, SubmodelSpec, TransitionSpec,
     UncertainParamSpec, UncertaintySpec,
 };

@@ -1,6 +1,6 @@
 //! Property tests for the one state-space walk: on randomly generated
-//! bounded SPNs, the materialized tier (`Spn::solve_with`) and the
-//! streamed tier (`Spn::tangible_space`) must number the same markings
+//! bounded SPNs, the walk that keeps rows (`Spn::solve_with`) and the
+//! one that does not (`Spn::tangible_space`) must number the same markings
 //! in the same order, start from the same initial pairs and count the
 //! same arcs, and the generation guards (vanishing loops, marking caps)
 //! must fail identically through both entry points.

@@ -1,20 +1,20 @@
-//! Property tests for the streamed solve: on randomly generated
-//! bounded SPNs, the arena row source must reproduce the materialized
-//! chain's rows and exit rates bit for bit, so the one steady-state
-//! kernel gives bitwise-equal π on either source at any block count and
-//! any admitting memory budget; GTH and the Padé matrix exponential
-//! remain the oracles.
+//! Property tests for the one SPN solve: on randomly generated bounded
+//! SPNs, the rows the walk keeps and the rows regenerated from the
+//! arena must reproduce the chain's rows and exit rates bit for bit, so
+//! the one steady-state kernel gives bitwise-equal π on any source at
+//! any block count and any admitting memory budget; GTH and the Padé
+//! matrix exponential remain the oracles.
 //!
 //! Net generation is seeded and self-contained so any failure
 //! reproduces from the seed in the assertion message (same scheme as
 //! the reachability property tests).
 
 use reliab_markov::{
-    scan_rates, steady_state, PlanOutcome, RowSource, SteadyReport, SteadyStateMethod,
-    StreamMethod, StreamOptions,
+    scan_rates, steady_state, Ctmc, PlanOutcome, RowSource, SteadyMethod, SteadyOptions,
+    SteadyReport,
 };
 use reliab_numeric::{expm, DenseMatrix};
-use reliab_spn::{ArenaRowSource, PlaceId, ReachabilityOptions, SpnBuilder};
+use reliab_spn::{PlaceId, ReachabilityOptions, RowBuffer, SpaceRows, SpnBuilder, TangibleSpace};
 
 /// splitmix64 — deterministic, dependency-free.
 struct Rng(u64);
@@ -91,12 +91,37 @@ fn random_spn(seed: u64) -> reliab_spn::Spn {
     b.build().expect("random net is well-formed")
 }
 
-/// The exact streamed report; every budget here admits the model.
-fn exact(src: &dyn RowSource, opts: &StreamOptions) -> reliab_core::Result<SteadyReport> {
+/// The exact report; every budget here admits the model.
+fn exact(src: &dyn RowSource, opts: &SteadyOptions) -> reliab_core::Result<SteadyReport> {
     match steady_state(src, opts)? {
         PlanOutcome::Exact(report) => Ok(report),
         PlanOutcome::NeedsBounds { .. } => panic!("the budget admits the model"),
     }
+}
+
+/// SOR with the default iterative settings.
+fn sor() -> SteadyOptions {
+    SteadyOptions {
+        method: SteadyMethod::Sor,
+        ..Default::default()
+    }
+}
+
+/// The independent reference chain: [`Ctmc::from_parts`] over the arcs
+/// regenerated from the arena, in emission order, each state named by
+/// its marking.
+fn reference_ctmc(space: &TangibleSpace<'_>) -> Ctmc {
+    let n = space.num_markings();
+    let names = (0..n)
+        .map(|i| format!("{:?}", space.marking(i as u32)))
+        .collect();
+    let mut triplets = Vec::new();
+    let mut row = RowBuffer::new();
+    for i in 0..n {
+        space.successors(i as u32, &mut row).unwrap();
+        triplets.extend(row.arcs.iter().map(|&(j, r)| (i, j as usize, r)));
+    }
+    Ctmc::from_parts(names, triplets).unwrap()
 }
 
 #[test]
@@ -107,20 +132,33 @@ fn arena_rows_match_ctmc_rows_bitwise_on_random_nets() {
         let ropts = ReachabilityOptions::default();
         let solved = spn.solve_with(&ropts).expect("bounded net solves");
         let space = spn.tangible_space(&ropts).expect("space generates");
-        let arena = ArenaRowSource::new(&space);
+        let kept = SpaceRows::new(solved.space());
+        let arena = SpaceRows::new(&space);
         let ctmc = solved.ctmc();
+        // The chain built from the kept rows is the reference chain to
+        // the bit: the Debug form prints every field, each rate in a
+        // form that reads back to the same bits.
+        let reference = reference_ctmc(&space);
+        assert_eq!(format!("{ctmc:?}"), format!("{reference:?}"), "seed {seed}");
         assert_eq!(arena.num_states(), ctmc.num_states(), "seed {seed}");
-        let (mut a, mut c) = (Vec::new(), Vec::new());
+        let (mut k, mut a, mut c) = (Vec::new(), Vec::new(), Vec::new());
         for i in 0..arena.num_states() as u32 {
+            let ek = kept.row(i, &mut k).unwrap();
             let ea = arena.row(i, &mut a).unwrap();
             let ec = ctmc.row(i, &mut c).unwrap();
+            assert_eq!(ek.to_bits(), ec.to_bits(), "seed {seed}, kept exit of {i}");
             assert_eq!(ea.to_bits(), ec.to_bits(), "seed {seed}, exit of {i}");
+            assert_eq!(k, c, "seed {seed}, kept row {i}");
             assert_eq!(a, c, "seed {seed}, row {i}");
         }
         // The exit rates are the builder's declaration-order sums.
         let scan = scan_rates(&arena).unwrap();
         assert_eq!(scan.exit, ctmc.exit_rates(), "seed {seed}");
         assert_eq!(scan, scan_rates(ctmc).unwrap(), "seed {seed}");
+        assert_eq!(scan, scan_rates(&kept).unwrap(), "seed {seed}");
+        // Kept rows are read, never regenerated.
+        assert_eq!(kept.regenerated(), 0, "seed {seed}");
+        assert_eq!(arena.regenerated(), 2 * space.num_markings() as u64);
         with_parallel_arcs += usize::from(space.stats().arcs as u64 > scan.arcs);
     }
     assert!(with_parallel_arcs > 0, "no net merged a parallel arc");
@@ -134,12 +172,13 @@ fn arena_and_ctmc_sources_give_bitwise_equal_pi_at_any_blocking() {
         let ropts = ReachabilityOptions::default();
         let solved = spn.solve_with(&ropts).unwrap();
         let space = spn.tangible_space(&ropts).unwrap();
-        let arena = ArenaRowSource::new(&space);
+        let arena = SpaceRows::new(&space);
+        let kept = SpaceRows::new(solved.space());
         let ctmc = solved.ctmc();
         let n = space.num_markings();
 
-        let in_core = ctmc.steady_state_report(&SteadyStateMethod::Sor(Default::default()));
-        let streamed = exact(&arena, &StreamOptions::default());
+        let in_core = ctmc.steady_state_report(&sor());
+        let streamed = exact(&arena, &sor());
         let reference = match (in_core, streamed) {
             (Ok(a), Ok(b)) => {
                 assert_eq!(a.pi, b.pi, "seed {seed}: arena vs in-core SOR");
@@ -152,32 +191,35 @@ fn arena_and_ctmc_sources_give_bitwise_equal_pi_at_any_blocking() {
         compared += 1;
         // GTH is the oracle wherever the chain is irreducible (SOR
         // also settles on reducible chains with one closed class).
-        if let Ok(gth) = ctmc.steady_state_report(&SteadyStateMethod::Gth) {
+        if let Ok(gth) = ctmc.steady_state_report(&SteadyOptions::default()) {
             for (i, (g, p)) in gth.pi.iter().zip(&reference.pi).enumerate() {
                 assert!((g - p).abs() < 1e-8, "seed {seed}, state {i}: {g} vs {p}");
             }
         }
         let floor = arena.resident_bytes() + 2 * 8 * n;
+        let kept_floor = kept.resident_bytes() + 2 * 8 * n;
         let ctmc_floor = RowSource::resident_bytes(ctmc) + 2 * 8 * n;
         for blocks in [1usize, 2, 5, 32, 1000] {
-            let opts = StreamOptions {
+            let opts = SteadyOptions {
                 blocks: Some(blocks),
-                ..Default::default()
+                ..sor()
             };
             for (what, pi) in [
                 ("arena", exact(&arena, &opts).unwrap().pi),
+                ("kept", exact(&kept, &opts).unwrap().pi),
                 ("ctmc", exact(ctmc, &opts).unwrap().pi),
             ] {
                 assert_eq!(pi, reference.pi, "seed {seed}, {what}, blocks {blocks}");
             }
         }
         for extra in [0usize, 64, 512, 4096, 1 << 22] {
-            let budget = |floor: usize| StreamOptions {
+            let budget = |floor: usize| SteadyOptions {
                 mem_budget: Some(floor + extra),
-                ..Default::default()
+                ..sor()
             };
             for (what, pi) in [
                 ("arena", exact(&arena, &budget(floor)).unwrap().pi),
+                ("kept", exact(&kept, &budget(kept_floor)).unwrap().pi),
                 ("ctmc", exact(ctmc, &budget(ctmc_floor)).unwrap().pi),
             ] {
                 assert_eq!(pi, reference.pi, "seed {seed}, {what}, floor+{extra}");
@@ -222,16 +264,16 @@ fn stream_power_is_block_invariant_and_agrees_with_sor() {
         let spn = random_spn(seed);
         let ropts = ReachabilityOptions::default();
         let space = spn.tangible_space(&ropts).unwrap();
-        let arena = ArenaRowSource::new(&space);
+        let arena = SpaceRows::new(&space);
         let n = space.num_markings();
 
-        let Ok(sor) = exact(&arena, &StreamOptions::default()) else {
+        let Ok(sor) = exact(&arena, &sor()) else {
             continue; // absorbing / non-converging net: skip
         };
         let power = |blocks| {
-            let opts = StreamOptions {
+            let opts = SteadyOptions {
                 blocks: Some(blocks),
-                method: StreamMethod::Power,
+                method: SteadyMethod::Power,
                 ..Default::default()
             };
             exact(&arena, &opts).ok()

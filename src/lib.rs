@@ -13,10 +13,10 @@
 //!   exactly.
 //! * **State-space models** — Markov chains ([`markov`]), stochastic
 //!   Petri nets / stochastic reward nets ([`spn`]), semi-Markov and
-//!   regenerative processes ([`semimarkov`]). One steady-state kernel
+//!   regenerative processes ([`semimarkov`]). One steady-state entry
 //!   and one uniformization kernel read any [`markov::RowSource`], so
-//!   an SPN too large to materialize is solved from rows regenerated
-//!   on demand ([`spn::ArenaRowSource`]) under a memory budget.
+//!   an SPN is solved from its generator rows ([`spn::SpaceRows`]),
+//!   kept by its walk or, under a memory budget, regenerated.
 //! * **Hierarchical & fixed-point composition** ([`hier`]).
 //! * **Parametric uncertainty propagation** ([`uncert`]).
 //! * **Discrete-event simulation** ([`sim`]) for cross-validation.

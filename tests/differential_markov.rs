@@ -17,7 +17,7 @@
 
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
-use reliab::markov::{Ctmc, IterativeOptions, SteadyStateMethod};
+use reliab::markov::{Ctmc, IterativeOptions, SteadyMethod, SteadyOptions};
 use reliab::numeric::{expm, DenseMatrix};
 
 fn u01(rng: &mut SmallRng) -> f64 {
@@ -151,9 +151,16 @@ fn check_steady_three_way(seed: u64, n: usize, density: f64, stiffness: f64, wit
         max_iterations: 2_000_000,
         relaxation: 1.0,
     };
-    let solve = |method| ctmc.steady_state_report(&method).map(|r| r.pi);
-    let gth = solve(SteadyStateMethod::Gth).expect("GTH solves");
-    let sor = solve(SteadyStateMethod::Sor(tight)).expect("SOR converges");
+    let solve = |method| {
+        let opts = SteadyOptions {
+            iterative: tight,
+            method,
+            ..Default::default()
+        };
+        ctmc.steady_state_report(&opts).map(|r| r.pi)
+    };
+    let gth = solve(SteadyMethod::Gth).expect("GTH solves");
+    let sor = solve(SteadyMethod::Sor).expect("SOR converges");
 
     let mass: f64 = gth.iter().sum();
     assert!((mass - 1.0).abs() < 1e-12, "seed {seed}: GTH mass {mass}");
@@ -164,7 +171,7 @@ fn check_steady_three_way(seed: u64, n: usize, density: f64, stiffness: f64, wit
     );
 
     if with_power {
-        let power = solve(SteadyStateMethod::Power(tight)).expect("power iteration converges");
+        let power = solve(SteadyMethod::Power).expect("power iteration converges");
         let d_pow = max_abs_diff(&gth, &power);
         assert!(
             d_pow < 1e-10,
