@@ -3,21 +3,35 @@
 use crate::builder::Ctmc;
 use reliab_core::{Error, Result};
 
-impl Ctmc {
-    fn check_rewards(&self, rewards: &[f64]) -> Result<()> {
-        if rewards.len() != self.num_states() {
-            return Err(Error::invalid(format!(
-                "reward vector length {} != number of states {}",
-                rewards.len(),
-                self.num_states()
-            )));
-        }
-        if let Some(bad) = rewards.iter().find(|r| !r.is_finite()) {
-            return Err(Error::invalid(format!("non-finite reward {bad}")));
-        }
-        Ok(())
+/// `Σ_i w_i r_i` for one finite reward `r_i` per each of `states`
+/// states, summed in state order, where `weights` yields `w` (a
+/// distribution, or expected sojourn times) once the rewards pass — the
+/// reward measure of every chain view, so each validates and sums
+/// alike.
+///
+/// # Errors
+///
+/// [`Error::InvalidParameter`] for a reward vector of the wrong length
+/// or a non-finite reward, before `weights` runs; its errors propagate.
+pub fn expected_reward(
+    states: usize,
+    rewards: &[f64],
+    weights: impl FnOnce() -> Result<Vec<f64>>,
+) -> Result<f64> {
+    if rewards.len() != states {
+        return Err(Error::invalid(format!(
+            "reward vector length {} != number of states {states}",
+            rewards.len()
+        )));
     }
+    if let Some(bad) = rewards.iter().find(|r| !r.is_finite()) {
+        return Err(Error::invalid(format!("non-finite reward {bad}")));
+    }
+    let w = weights()?;
+    Ok(w.iter().zip(rewards).map(|(w, r)| w * r).sum())
+}
 
+impl Ctmc {
     /// Expected steady-state reward rate `Σ_i π_i r_i`.
     ///
     /// With `r_i = 1` on up states this is steady-state availability;
@@ -29,9 +43,7 @@ impl Ctmc {
     /// Propagates steady-state solver errors; rejects malformed reward
     /// vectors.
     pub fn expected_steady_state_reward(&self, rewards: &[f64]) -> Result<f64> {
-        self.check_rewards(rewards)?;
-        let pi = self.steady_state()?;
-        Ok(pi.iter().zip(rewards).map(|(p, r)| p * r).sum())
+        expected_reward(self.num_states(), rewards, || self.steady_state())
     }
 
     /// Expected instantaneous reward rate at time `t`.
@@ -40,9 +52,7 @@ impl Ctmc {
     ///
     /// Propagates transient-solver errors.
     pub fn expected_reward_at(&self, initial: &[f64], rewards: &[f64], t: f64) -> Result<f64> {
-        self.check_rewards(rewards)?;
-        let pi = self.transient(initial, t)?;
-        Ok(pi.iter().zip(rewards).map(|(p, r)| p * r).sum())
+        expected_reward(self.num_states(), rewards, || self.transient(initial, t))
     }
 
     /// Expected reward accumulated over `[0, t]`:
@@ -57,9 +67,9 @@ impl Ctmc {
         rewards: &[f64],
         t: f64,
     ) -> Result<f64> {
-        self.check_rewards(rewards)?;
-        let acc = self.accumulated(initial, t, 1e-12)?;
-        Ok(acc.iter().zip(rewards).map(|(a, r)| a * r).sum())
+        expected_reward(self.num_states(), rewards, || {
+            self.accumulated(initial, t, 1e-12)
+        })
     }
 
     /// Interval (time-averaged) reward over `[0, t]`.
