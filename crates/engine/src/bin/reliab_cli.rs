@@ -24,21 +24,6 @@
 //! * `--method auto|gth|sor|power|sim` — CTMC steady-state method, or
 //!   `sim` to force discrete-event simulation for component models
 //!   carrying a `sim` block.
-//! * `--sim-reps N` — replication cap for simulation (overrides the
-//!   spec's `max_replications`).
-//! * `--sim-precision X` — relative CI half-width stopping target
-//!   (overrides the spec's `rel_precision`; 0 disables adaptive
-//!   stopping).
-//! * `--sim-seed N` — master seed for simulation (overrides the spec's
-//!   `seed`). Results are a pure function of the seed and the model.
-//! * `--var-order auto|input|dfs|weighted|sift` — BDD variable
-//!   ordering for fault-tree models. `auto` (default) honors the
-//!   spec's `var_order` field, falling back to the depth-first
-//!   heuristic; `input` reproduces the historical declaration order.
-//! * `--ite-cache N` — ITE computed-cache capacity bound, in entries
-//!   (0 = kernel default).
-//! * `--gc-threshold N` — live BDD nodes before garbage collection
-//!   (0 = kernel default).
 //! * `--mem-budget BYTES` — total byte budget of an SPN solve (`K`/`M`/
 //!   `G` suffixes accepted). Without one, the state-space walk keeps
 //!   every generator row; with one, it keeps them while they fit the
@@ -46,12 +31,6 @@
 //!   the marking arena, with the same measures to the bit. A budget
 //!   below GTH's floor solves a small net by SOR instead, and one too
 //!   small for an exact solve escalates to aggregation bounds.
-//! * `--uncert-samples N` — Monte-Carlo samples for uncertainty models
-//!   (overrides the spec's `samples`).
-//! * `--fixed-point-tol X` — hierarchy fixed-point tolerance (overrides
-//!   the spec's `tolerance`).
-//! * `--truncation-order N` — cut-set truncation order for bounds
-//!   models (overrides the spec's `truncation_order`).
 //! * `--trace FILE` — stream the structured trace (spans + events) to
 //!   `FILE` as JSON Lines.
 //! * `--profile FILE` — write an aggregated phase profile of the solve
@@ -67,8 +46,12 @@
 //!   runs.
 //! * `--connect HOST:PORT` — submit each input to a running
 //!   `reliab-serve` daemon instead of solving in-process. Output and
-//!   exit codes match local solving; solver tuning flags are ignored
-//!   (the daemon's configuration governs).
+//!   exit codes match local solving. The daemon solves with default
+//!   options, so `--method` or `--mem-budget` with it is a usage error.
+//!
+//! A model's own numbers (simulation seed and replications, sample
+//! counts, tolerances, truncation order, variable order) are keys of
+//! its document, not flags.
 //!
 //! Artifact paths (`--trace` / `--profile` / `--record` / `--metrics`)
 //! may contain the literal `{trace}` placeholder, replaced by this
@@ -84,7 +67,7 @@ use reliab_engine::BatchEngine;
 use reliab_obs as obs;
 use reliab_spec::json::JsonValue;
 use reliab_spec::wire::{ErrorKind, SolveResponse, WireError};
-use reliab_spec::{json, SolveOptions, SolveReport, SteadySolver, VarOrder};
+use reliab_spec::{json, SolveOptions, SolveReport, SteadySolver};
 use std::io::{Read, Write};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -110,11 +93,7 @@ impl Emitter {
 fn usage(code: i32) -> ! {
     eprintln!(
         "usage: reliab-cli [--jobs N] [--json] [--stats] [--method M] \
-         [--var-order O] [--ite-cache N] [--gc-threshold N] \
-         [--sim-reps N] [--sim-precision X] [--sim-seed N] \
-         [--mem-budget BYTES] \
-         [--uncert-samples N] [--fixed-point-tol X] \
-         [--truncation-order N] [--trace FILE] [--profile FILE] \
+         [--mem-budget BYTES] [--trace FILE] [--profile FILE] \
          [--record FILE] [--metrics FILE] \
          [--metrics-format F] [--progress] [--connect HOST:PORT] \
          <spec.json|glob|-> ..."
@@ -127,24 +106,16 @@ fn usage(code: i32) -> ! {
     eprintln!("  --stats             include solver telemetry with each result");
     eprintln!("  --method M          steady-state method auto|gth|sor|power, or sim to");
     eprintln!("                      force discrete-event simulation (component models)");
-    eprintln!("  --sim-reps N        simulation replication cap (overrides the spec)");
-    eprintln!("  --sim-precision X   relative CI half-width target (0 = fixed budget)");
-    eprintln!("  --sim-seed N        simulation master seed (overrides the spec)");
-    eprintln!("  --var-order O       BDD variable ordering: auto|input|dfs|weighted|sift");
-    eprintln!("  --ite-cache N       ITE cache capacity in entries (0 = kernel default)");
-    eprintln!("  --gc-threshold N    live BDD nodes before GC (0 = kernel default)");
     eprintln!("  --mem-budget BYTES  SPN byte budget (K/M/G suffixes): rows it cannot hold");
     eprintln!("                      are regenerated from the marking arena, same measures");
-    eprintln!("  --uncert-samples N  uncertainty Monte-Carlo samples (overrides the spec)");
-    eprintln!("  --fixed-point-tol X hierarchy fixed-point tolerance (overrides the spec)");
-    eprintln!("  --truncation-order N bounds cut-set truncation order (overrides the spec)");
     eprintln!("  --trace FILE        write a JSONL trace of spans/events to FILE");
     eprintln!("  --profile FILE      write a Chrome-trace phase profile to FILE");
     eprintln!("  --record FILE       write per-iteration convergence telemetry (JSONL)");
     eprintln!("  --metrics FILE      dump solver metrics to FILE on exit (- = stderr)");
     eprintln!("  --metrics-format F  metrics exposition: prometheus (default) or json");
     eprintln!("  --progress          report per-spec completion on stderr");
-    eprintln!("  --connect HOST:PORT submit inputs to a running reliab-serve daemon");
+    eprintln!("  --connect HOST:PORT submit inputs to a running reliab-serve daemon, which");
+    eprintln!("                      solves with default options (no --method, --mem-budget)");
     eprintln!("  artifact FILE paths may embed {{trace}}, replaced by this run's trace id");
     std::process::exit(code);
 }
@@ -183,18 +154,10 @@ struct Cli {
     jobs: usize,
     json: bool,
     stats: bool,
-    method: SteadySolver,
-    simulate: bool,
-    sim_reps: Option<usize>,
-    sim_precision: Option<f64>,
-    sim_seed: Option<u64>,
-    var_order: VarOrder,
-    ite_cache: usize,
-    gc_threshold: usize,
-    mem_budget: Option<usize>,
-    uncert_samples: Option<usize>,
-    fixed_point_tol: Option<f64>,
-    truncation_order: Option<usize>,
+    options: SolveOptions,
+    /// The last flag given that sets `options`, which a daemon cannot
+    /// honour.
+    options_flag: Option<&'static str>,
     trace: Option<String>,
     profile: Option<String>,
     record: Option<String>,
@@ -210,18 +173,8 @@ fn parse_args(args: &[String]) -> Cli {
         jobs: 0,
         json: false,
         stats: false,
-        method: SteadySolver::Auto,
-        simulate: false,
-        sim_reps: None,
-        sim_precision: None,
-        sim_seed: None,
-        var_order: VarOrder::Auto,
-        ite_cache: 0,
-        gc_threshold: 0,
-        mem_budget: None,
-        uncert_samples: None,
-        fixed_point_tol: None,
-        truncation_order: None,
+        options: SolveOptions::default(),
+        options_flag: None,
         trace: None,
         profile: None,
         record: None,
@@ -246,13 +199,13 @@ fn parse_args(args: &[String]) -> Cli {
                 }
             },
             "--method" => {
-                cli.method = match it.next().map(String::as_str) {
+                cli.options.steady_solver = match it.next().map(String::as_str) {
                     Some("auto") => SteadySolver::Auto,
                     Some("gth") => SteadySolver::Gth,
                     Some("sor") => SteadySolver::Sor,
                     Some("power") => SteadySolver::Power,
                     Some("sim") => {
-                        cli.simulate = true;
+                        cli.options.simulate = true;
                         SteadySolver::Auto
                     }
                     other => {
@@ -262,77 +215,16 @@ fn parse_args(args: &[String]) -> Cli {
                         );
                         usage(2);
                     }
-                }
+                };
+                cli.options_flag = Some("--method");
             }
-            "--sim-reps" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => cli.sim_reps = Some(n),
-                None => {
-                    eprintln!("--sim-reps requires a non-negative integer");
-                    usage(2);
-                }
-            },
-            "--sim-precision" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(x) if x >= 0.0 => cli.sim_precision = Some(x),
-                _ => {
-                    eprintln!("--sim-precision requires a non-negative number");
-                    usage(2);
-                }
-            },
-            "--sim-seed" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => cli.sim_seed = Some(n),
-                None => {
-                    eprintln!("--sim-seed requires a non-negative integer");
-                    usage(2);
-                }
-            },
-            "--var-order" => {
-                cli.var_order = match it.next().and_then(|v| VarOrder::parse(v)) {
-                    Some(order) => order,
-                    None => {
-                        eprintln!("--var-order must be auto|input|dfs|weighted|sift");
-                        usage(2);
-                    }
-                }
-            }
-            "--ite-cache" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => cli.ite_cache = n,
-                None => {
-                    eprintln!("--ite-cache requires a non-negative integer");
-                    usage(2);
-                }
-            },
-            "--gc-threshold" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => cli.gc_threshold = n,
-                None => {
-                    eprintln!("--gc-threshold requires a non-negative integer");
-                    usage(2);
-                }
-            },
             "--mem-budget" => match it.next().and_then(|v| parse_bytes(v)) {
-                Some(n) => cli.mem_budget = Some(n),
+                Some(n) => {
+                    cli.options.mem_budget = Some(n);
+                    cli.options_flag = Some("--mem-budget");
+                }
                 None => {
                     eprintln!("--mem-budget requires a byte count (K/M/G suffixes accepted)");
-                    usage(2);
-                }
-            },
-            "--uncert-samples" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => cli.uncert_samples = Some(n),
-                None => {
-                    eprintln!("--uncert-samples requires a positive integer");
-                    usage(2);
-                }
-            },
-            "--fixed-point-tol" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(x) if x > 0.0 => cli.fixed_point_tol = Some(x),
-                _ => {
-                    eprintln!("--fixed-point-tol requires a positive number");
-                    usage(2);
-                }
-            },
-            "--truncation-order" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => cli.truncation_order = Some(n),
-                _ => {
-                    eprintln!("--truncation-order requires a positive integer");
                     usage(2);
                 }
             },
@@ -388,6 +280,10 @@ fn parse_args(args: &[String]) -> Cli {
         }
     }
     if cli.inputs.is_empty() {
+        usage(2);
+    }
+    if let (Some(flag), Some(_)) = (cli.options_flag, &cli.connect) {
+        eprintln!("{flag} cannot be used with --connect: the daemon solves with default options");
         usage(2);
     }
     cli
@@ -605,33 +501,6 @@ fn main() {
         obs::set_metrics_enabled(true);
     }
 
-    let mut solve_opts = SolveOptions::default()
-        .with_steady_solver(cli.method)
-        .with_var_order(cli.var_order)
-        .with_ite_cache_capacity(cli.ite_cache)
-        .with_gc_node_threshold(cli.gc_threshold)
-        .with_simulate(cli.simulate);
-    if let Some(b) = cli.mem_budget {
-        solve_opts = solve_opts.with_mem_budget(b);
-    }
-    if let Some(n) = cli.sim_reps {
-        solve_opts = solve_opts.with_sim_replications(n);
-    }
-    if let Some(x) = cli.sim_precision {
-        solve_opts = solve_opts.with_sim_rel_precision(x);
-    }
-    if let Some(s) = cli.sim_seed {
-        solve_opts = solve_opts.with_sim_seed(s);
-    }
-    if let Some(n) = cli.uncert_samples {
-        solve_opts = solve_opts.with_uncert_samples(n);
-    }
-    if let Some(x) = cli.fixed_point_tol {
-        solve_opts = solve_opts.with_fixed_point_tol(x);
-    }
-    if let Some(n) = cli.truncation_order {
-        solve_opts = solve_opts.with_truncation_order(n);
-    }
     // Per input slot, in input order: the solved outcome, the daemon's
     // response, or the structured error that replaces it.
     let slots: Vec<(&String, Outcome)> = if let Some(addr) = &cli.connect {
@@ -651,7 +520,7 @@ fn main() {
     } else {
         let engine = BatchEngine::new()
             .with_jobs(cli.jobs)
-            .with_options(solve_opts);
+            .with_options(cli.options);
         let texts: Vec<&String> = sources.iter().filter_map(|s| s.as_ref().ok()).collect();
         let mut reports = engine.solve_texts(&texts).into_iter();
         // solve_texts preserves the order of the readable inputs.

@@ -42,7 +42,7 @@ use reliab_obs as obs;
 use reliab_spec::wire::{
     error_response, result_response, ErrorKind, RequestSource, SolveRequest, WireError,
 };
-use reliab_spec::{json, ModelSpec, SolveOptions, SolveReport};
+use reliab_spec::{json, ModelSpec, SolveReport};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 use std::io::{Read as _, Write as _};
@@ -98,8 +98,6 @@ pub struct ServeConfig {
     /// When set, each request's convergence telemetry is exported to
     /// `record-<trace>.jsonl` in this directory.
     pub artifact_dir: Option<PathBuf>,
-    /// Per-solve options applied to every request.
-    pub options: SolveOptions,
     /// Memo-cache capacity handed to [`BatchEngine::with_cache_capacity`].
     pub cache_capacity: usize,
 }
@@ -116,7 +114,6 @@ impl Default for ServeConfig {
             max_connections: 256,
             spec_dir: None,
             artifact_dir: None,
-            options: SolveOptions::default(),
             cache_capacity: crate::DEFAULT_CACHE_CAPACITY,
         }
     }
@@ -208,7 +205,6 @@ impl Server {
             .unwrap_or_default();
         let engine = BatchEngine::new()
             .with_jobs(1)
-            .with_options(config.options.clone())
             .with_cache_capacity(config.cache_capacity);
         let shared = Arc::new(Shared {
             config,

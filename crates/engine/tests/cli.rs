@@ -129,6 +129,59 @@ fn usage_errors_exit_two() {
     assert_eq!(run(cli().arg("--bogus-flag")).status.code(), Some(2));
 }
 
+/// A model's own numbers are keys of its document: the flags that
+/// restated them are unknown options, and the help names none of them.
+#[test]
+fn model_number_flags_are_unknown_options() {
+    let help = run(cli().arg("--help"));
+    assert_eq!(help.status.code(), Some(0));
+    let help = String::from_utf8_lossy(&help.stderr);
+    assert!(help.contains("--mem-budget"), "{help}");
+    for flag in [
+        "--sim-reps",
+        "--sim-precision",
+        "--sim-seed",
+        "--var-order",
+        "--ite-cache",
+        "--gc-threshold",
+        "--uncert-samples",
+        "--fixed-point-tol",
+        "--truncation-order",
+    ] {
+        let out = run(cli().args([flag, "1", &spec("two_component.json")]));
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown option {flag}")),
+            "{flag}: {stderr}"
+        );
+        assert!(!help.contains(flag), "help still names {flag}");
+    }
+}
+
+/// A daemon solves with default options, so a flag that sets them is a
+/// usage error next to `--connect` instead of being dropped; the check
+/// runs before any connection is made.
+#[test]
+fn connect_refuses_solve_option_flags() {
+    let file = spec("two_component.json");
+    for (args, flag) in [
+        (["--method", "gth", "--connect", "127.0.0.1:9"], "--method"),
+        (
+            ["--connect", "127.0.0.1:9", "--mem-budget", "4K"],
+            "--mem-budget",
+        ),
+    ] {
+        let out = run(cli().args(args).arg(&file));
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("{flag} cannot be used with --connect")),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
 /// Every `--json` failure entry is the shared wire-error document —
 /// `kind` / `message` / `path` — and the process exit code is exactly
 /// what `WireError::exit_code` assigns to that kind. The daemon serves

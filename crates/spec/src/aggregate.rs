@@ -34,11 +34,11 @@ pub(crate) fn macro_states_for_budget(budget: usize) -> usize {
 ///
 /// Returns [`Error::InvalidParameter`] for a zero macro-state count or
 /// a non-finite reward; numerical errors propagate from the macro-chain
-/// GTH solve; row-source errors propagate.
+/// GTH solve; row-source and reward errors propagate.
 pub(crate) fn bounded_steady_reward(
     src: &dyn RowSource,
     macro_states: usize,
-    reward: &mut dyn FnMut(u32) -> f64,
+    reward: &mut dyn FnMut(u32) -> Result<f64>,
 ) -> Result<Bounds> {
     let _span = obs::span("stream.bounds");
     if macro_states == 0 {
@@ -92,7 +92,7 @@ pub(crate) fn bounded_steady_reward(
         let mut rmin = f64::INFINITY;
         let mut rmax = f64::NEG_INFINITY;
         for i in lo..hi {
-            let r = reward(i as u32);
+            let r = reward(i as u32)?;
             if !r.is_finite() {
                 return Err(Error::invalid(format!(
                     "reward of state {i} is {r}; rewards must be finite"
@@ -139,7 +139,7 @@ mod tests {
         let c = birth_death(10, 1.0, 2.0);
         let exact = c.steady_state().unwrap();
         let expected: f64 = exact.iter().enumerate().map(|(i, p)| i as f64 * p).sum();
-        let b = bounded_steady_reward(&c, 10, &mut |i| f64::from(i)).unwrap();
+        let b = bounded_steady_reward(&c, 10, &mut |i| Ok(f64::from(i))).unwrap();
         assert!(b.gap() < 1e-12);
         assert!((b.midpoint() - expected).abs() < 1e-9);
     }
@@ -147,7 +147,7 @@ mod tests {
     #[test]
     fn coarse_bracket_contains_the_lumped_answer_and_orders() {
         let c = birth_death(12, 1.0, 1.0);
-        let b = bounded_steady_reward(&c, 3, &mut |i| f64::from(i)).unwrap();
+        let b = bounded_steady_reward(&c, 3, &mut |i| Ok(f64::from(i))).unwrap();
         assert!(b.lower <= b.upper);
         assert!(b.gap() > 0.0);
         // Symmetric chain: reward bracket straddles the true mean 5.5.
@@ -157,7 +157,7 @@ mod tests {
     #[test]
     fn constant_reward_has_zero_gap() {
         let c = birth_death(9, 2.0, 3.0);
-        let b = bounded_steady_reward(&c, 2, &mut |_| 4.25).unwrap();
+        let b = bounded_steady_reward(&c, 2, &mut |_| Ok(4.25)).unwrap();
         assert!((b.lower - 4.25).abs() < 1e-12);
         assert!((b.upper - 4.25).abs() < 1e-12);
     }
@@ -165,8 +165,8 @@ mod tests {
     #[test]
     fn inputs_validated() {
         let c = birth_death(4, 1.0, 1.0);
-        assert!(bounded_steady_reward(&c, 0, &mut |_| 1.0).is_err());
-        assert!(bounded_steady_reward(&c, 2, &mut |_| f64::NAN).is_err());
+        assert!(bounded_steady_reward(&c, 0, &mut |_| Ok(1.0)).is_err());
+        assert!(bounded_steady_reward(&c, 2, &mut |_| Ok(f64::NAN)).is_err());
     }
 
     #[test]

@@ -12,9 +12,7 @@ use reliab_ftree::{
     CompileOptions, EventId, FaultTree, FaultTreeBuilder, FtNode, Polarity, Rbd, RbdBuilder,
     VariableOrdering,
 };
-use reliab_markov::{
-    Ctmc, CtmcBuilder, IterativeOptions, StateId, SteadyMethod, SteadyOptions, TransientOptions,
-};
+use reliab_markov::{Ctmc, CtmcBuilder, StateId, SteadyOptions, TransientOptions};
 use reliab_obs as obs;
 use reliab_relgraph::CompiledGraph;
 use reliab_sim::{Measure as SimRunMeasure, SimOptions, SystemSimulator};
@@ -592,9 +590,9 @@ pub(crate) fn solve_model(
             ModelSpec::RelGraph(g) => solve_relgraph(g)?,
             ModelSpec::Spn(s) => solve_spn(s, opts)?,
             ModelSpec::Hierarchy(h) => crate::scenario::solve_hierarchy(h, opts)?,
-            ModelSpec::SemiMarkov(s) => crate::scenario::solve_semi_markov(s, opts)?,
+            ModelSpec::SemiMarkov(s) => crate::scenario::solve_semi_markov(s)?,
             ModelSpec::Uncertainty(u) => crate::scenario::solve_uncertainty(u, opts)?,
-            ModelSpec::Bounds(b) => crate::scenario::solve_bounds(b, opts)?,
+            ModelSpec::Bounds(b) => crate::scenario::solve_bounds(b)?,
         };
         let (kind, iterations) = (measures.kind(), stats.iterations);
         Ok(((measures, stats), kind, iterations))
@@ -998,8 +996,8 @@ fn simulate(
     run_simulation(&simulator, sim, opts)
 }
 
-/// Merges spec-level sim knobs with [`SolveOptions`] overrides
-/// (overrides win); the replications run on the solve's thread budget.
+/// The spec's sim knobs over the simulator's defaults; the replications
+/// run on the solve's thread budget.
 fn effective_sim_options(sim: &SimSpec, opts: &SolveOptions) -> SimOptions {
     let mut o = SimOptions::default().with_jobs(opts.threads);
     if let Some(s) = sim.seed {
@@ -1022,15 +1020,6 @@ fn effective_sim_options(sim: &SimSpec, opts: &SolveOptions) -> SimOptions {
     }
     if let Some(w) = sim.warmup_fraction {
         o.warmup_fraction = w;
-    }
-    if let Some(s) = opts.sim_seed {
-        o.seed = s;
-    }
-    if let Some(m) = opts.sim_replications {
-        o.max_replications = m;
-    }
-    if let Some(p) = opts.sim_rel_precision {
-        o.rel_precision = p;
     }
     // Keep a tight replication cap self-consistent rather than
     // erroring on min > max.
@@ -1096,15 +1085,10 @@ fn run_simulation(
     ))
 }
 
-/// The variable ordering a fault-tree solve actually uses: a non-`Auto`
-/// option overrides the spec's `var_order` hint; both absent means the
-/// depth-first heuristic.
-fn effective_ordering(spec: &FaultTreeSpec, opts: &SolveOptions) -> VariableOrdering {
-    let chosen = match opts.var_order {
-        VarOrder::Auto => spec.var_order.unwrap_or(VarOrder::Auto),
-        other => other,
-    };
-    match chosen {
+/// The variable ordering a fault-tree solve uses: the spec's
+/// `var_order`, and the depth-first heuristic when it is absent.
+fn effective_ordering(spec: &FaultTreeSpec) -> VariableOrdering {
+    match spec.var_order.unwrap_or_default() {
         VarOrder::Auto | VarOrder::DepthFirst => VariableOrdering::DepthFirst,
         VarOrder::Input => VariableOrdering::Declaration,
         VarOrder::Weighted => VariableOrdering::Weighted,
@@ -1123,20 +1107,17 @@ pub(crate) fn solve_fault_tree(
     if let Some(sim) = sim_block(&FAULT_TREE, spec.sim.as_ref(), opts)? {
         return simulate(&FAULT_TREE, &spec.events, &spec.top, sim, opts);
     }
-    let (measures, stats, _) = solve_fault_tree_analytic(spec, opts)?;
+    let (measures, stats, _) = solve_fault_tree_analytic(spec)?;
     Ok((measures, stats))
 }
 
-/// A fault tree compiled under the solve's BDD options, and each basic
-/// event's failure probability.
-fn compile_fault_tree(spec: &FaultTreeSpec, opts: &SolveOptions) -> Result<(FaultTree, Vec<f64>)> {
+/// A fault tree compiled in its variable order at the kernel's cache
+/// and GC defaults, and each basic event's failure probability.
+fn compile_fault_tree(spec: &FaultTreeSpec) -> Result<(FaultTree, Vec<f64>)> {
     let mut b = FaultTreeBuilder::new();
     let handles: Vec<EventId> = spec.events.iter().map(|e| b.basic_event(&e.name)).collect();
     let (top, probs) = analytic_inputs(&FAULT_TREE, &spec.events, &spec.top, &handles)?;
-    let compile = CompileOptions::new()
-        .with_ordering(effective_ordering(spec, opts))
-        .with_ite_cache_capacity(opts.ite_cache_capacity)
-        .with_gc_node_threshold(opts.gc_node_threshold);
+    let compile = CompileOptions::new().with_ordering(effective_ordering(spec));
     Ok((b.build_with(top, &compile)?, probs))
 }
 
@@ -1145,9 +1126,8 @@ fn compile_fault_tree(spec: &FaultTreeSpec, opts: &SolveOptions) -> Result<(Faul
 /// compiled tree for callers that read more off it.
 pub(crate) fn solve_fault_tree_analytic(
     spec: &FaultTreeSpec,
-    opts: &SolveOptions,
 ) -> Result<(SolvedMeasures, SolveStats, FaultTree)> {
-    let (mut ft, probs) = compile_fault_tree(spec, opts)?;
+    let (mut ft, probs) = compile_fault_tree(spec)?;
     let q = ft.top_event_probability(&probs)?;
     let cuts = ft.minimal_cut_sets(spec.max_cut_sets.unwrap_or(DEFAULT_MAX_CUT_SETS))?;
     let named_cuts: Vec<Vec<String>> = cuts
@@ -1275,53 +1255,22 @@ fn solve_spn(spec: &SpnSpec, opts: &SolveOptions) -> Result<(SolvedMeasures, Sol
                     .map(|name| {
                         let idx = place(name, &place_ids)?.index();
                         let b = bounded_steady_reward(&src, m, &mut |i| {
-                            f64::from(space.marking(i)[idx])
+                            Ok(f64::from(space.marking(i)[idx]))
                         })?;
                         max_gap = max_gap.max(b.gap());
                         Ok((name.clone(), b.midpoint()))
                     })
                     .collect::<Result<Vec<_>>>()?;
                 // Throughput as a per-state reward: the transition's
-                // rate where its input and inhibitor arcs enable it,
-                // zero elsewhere (constant rates, so this is exact per
-                // state; only the aggregation introduces the bracket).
+                // firing rate in each marking.
                 let throughput = want_throughput
                     .iter()
                     .map(|name| {
-                        let t = spec
-                            .transitions
-                            .iter()
-                            .find(|t| &t.name == name)
+                        let id = trans_ids
+                            .get(name)
+                            .copied()
                             .ok_or_else(|| Error::model(format!("unknown transition '{name}'")))?;
-                        let rate = match t.timing {
-                            SpnTimingSpec::Timed { rate } => rate,
-                            SpnTimingSpec::Immediate { .. } => {
-                                return Err(Error::invalid(format!(
-                                    "throughput of immediate transition '{name}' is undefined; \
-                                     immediate firings take zero time"
-                                )));
-                            }
-                        };
-                        let inputs = t
-                            .inputs
-                            .iter()
-                            .map(|a| Ok((place(&a.place, &place_ids)?.index(), a.count)))
-                            .collect::<Result<Vec<_>>>()?;
-                        let inhibitors = t
-                            .inhibitors
-                            .iter()
-                            .map(|a| Ok((place(&a.place, &place_ids)?.index(), a.count)))
-                            .collect::<Result<Vec<_>>>()?;
-                        let b = bounded_steady_reward(&src, m, &mut |i| {
-                            let mk = space.marking(i);
-                            let enabled = inputs.iter().all(|&(p, c)| mk[p] >= c)
-                                && inhibitors.iter().all(|&(p, c)| mk[p] < c);
-                            if enabled {
-                                rate
-                            } else {
-                                0.0
-                            }
-                        })?;
+                        let b = bounded_steady_reward(&src, m, &mut space.firing_rate(id)?)?;
                         max_gap = max_gap.max(b.gap());
                         Ok((name.clone(), b.midpoint()))
                     })
@@ -1345,22 +1294,11 @@ fn solve_spn(spec: &SpnSpec, opts: &SolveOptions) -> Result<(SolvedMeasures, Sol
     ))
 }
 
-/// The steady-state options a solve runs under: its method, the
-/// library's iterative defaults under `Auto` and the solve's tolerance
-/// and sweep budget otherwise. An SPN solve adds its memory budget.
+/// The steady-state options a solve runs under: its method at the
+/// library's iterative defaults. An SPN solve adds its memory budget.
 fn steady_options(opts: &SolveOptions) -> SteadyOptions {
-    let method = opts.steady_solver;
-    let iterative = match method {
-        SteadyMethod::Auto => IterativeOptions::default(),
-        _ => IterativeOptions {
-            tolerance: opts.tolerance,
-            max_iterations: opts.max_iterations,
-            relaxation: 1.0,
-        },
-    };
     SteadyOptions {
-        iterative,
-        method,
+        method: opts.steady_solver,
         ..Default::default()
     }
 }
@@ -1677,7 +1615,7 @@ pub(crate) fn solve_demanded(
             }
         }
         (_, Demand::Probability { complement }) => {
-            let (p, kind) = structure_probability(spec, compiled, opts)?;
+            let (p, kind) = structure_probability(spec, compiled)?;
             Ok((if *complement { 1.0 - p } else { p }, kind, 0))
         }
         _ => unreachable!("a state demand is made of CTMCs only"),
@@ -1716,7 +1654,6 @@ fn refilled_chain<'a>(spec: &CtmcSpec, compiled: &'a mut Option<Compiled>) -> Re
 fn structure_probability(
     spec: &ModelSpec,
     compiled: &mut Option<Compiled>,
-    opts: &SolveOptions,
 ) -> Result<(f64, &'static str)> {
     // Once compiled, the structure holds no repeated name, so the values
     // fail as the full solve's inputs would.
@@ -1731,7 +1668,7 @@ fn structure_probability(
             let (c, values) = match spec {
                 ModelSpec::Rbd(r) => compile_rbd(r).map(|(x, v)| (Compiled::Rbd(x), v))?,
                 ModelSpec::FaultTree(f) => {
-                    compile_fault_tree(f, opts).map(|(x, v)| (Compiled::FaultTree(x), v))?
+                    compile_fault_tree(f).map(|(x, v)| (Compiled::FaultTree(x), v))?
                 }
                 ModelSpec::RelGraph(g) => {
                     compile_relgraph(g).map(|(x, v)| (Compiled::RelGraph(x), v))?
@@ -1903,10 +1840,6 @@ mod tests {
                 "var_order {hint}: {q} vs {expected}"
             );
         }
-        // A non-Auto option overrides the spec's hint.
-        let opts = SolveOptions::default().with_var_order(VarOrder::Sift);
-        let q = q_of(solve_str_with(&spec("input"), &opts).unwrap());
-        assert!((q - expected).abs() < 1e-12);
     }
 
     #[test]
@@ -1921,10 +1854,7 @@ mod tests {
                 "top": {"k_of_n": {"k": 2, "of": ["a", "b", "c"]}}
               }
             }"#;
-        let opts = SolveOptions::default()
-            .with_ite_cache_capacity(64)
-            .with_gc_node_threshold(16);
-        let out = solve_str_with(json, &opts).unwrap();
+        let out = run(json).unwrap();
         assert!(out.stats.bdd_cache_evictions.is_some());
         assert!(out.stats.bdd_gc_runs.is_some());
         assert!(out.stats.bdd_gc_reclaimed.is_some());
@@ -2048,19 +1978,17 @@ mod tests {
 
     #[test]
     fn steady_state_failures_keep_their_kind() {
-        // SOR runs out of sweeps on a long birth-death chain: a
-        // convergence failure, not a chain without a stationary vector.
+        // SOR runs out of its 20 000 sweeps on a long birth-death
+        // chain: a convergence failure, not a chain without a stationary
+        // vector.
         let text = birth_death_spec(2000);
-        let few_sweeps = SolveOptions {
-            max_iterations: 500,
-            ..SolveOptions::default().with_steady_solver(SteadySolver::Sor)
-        };
-        let err = solve_str_with(&text, &few_sweeps).unwrap_err();
+        let sor = SolveOptions::default().with_steady_solver(SteadySolver::Sor);
+        let err = solve_str_with(&text, &sor).unwrap_err();
         assert!(
             matches!(
                 err,
                 Error::Convergence {
-                    iterations: 500,
+                    iterations: 20_000,
                     ..
                 }
             ),
@@ -2098,16 +2026,13 @@ mod tests {
         if let ModelSpec::Ctmc(c) = &mut spec {
             c.up_states = None;
         }
-        let few_sweeps = SolveOptions {
-            max_iterations: 500,
-            ..SolveOptions::default().with_steady_solver(SteadySolver::Sor)
-        };
-        let err = solve_with(&spec, &few_sweeps).unwrap_err();
+        let sor = SolveOptions::default().with_steady_solver(SteadySolver::Sor);
+        let err = solve_with(&spec, &sor).unwrap_err();
         assert!(
             matches!(
                 err,
                 Error::Convergence {
-                    iterations: 500,
+                    iterations: 20_000,
                     ..
                 }
             ),
@@ -2234,6 +2159,34 @@ mod tests {
         let rendered = out.to_json().to_json();
         assert!(rendered.contains("\"spn\":"));
         assert!(rendered.contains("\"spn_markings\":4"));
+    }
+
+    #[test]
+    fn spn_without_expected_tokens_reports_none() {
+        // An absent list asks for no place, as an empty one does.
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs");
+        let text = std::fs::read_to_string(format!("{dir}/tandem_queue.json")).unwrap();
+        let mut spec = ModelSpec::from_json_str(&text).unwrap();
+        let ModelSpec::Spn(s) = &mut spec else {
+            panic!("expected an SPN spec");
+        };
+        s.expected_tokens = None;
+        let out = solve_with(&spec, &SolveOptions::default()).unwrap();
+        let SolvedMeasures::Spn {
+            expected_tokens,
+            throughput,
+            ..
+        } = &out.measures
+        else {
+            panic!("expected SPN measures");
+        };
+        assert!(expected_tokens.is_empty());
+        assert_eq!(throughput.len(), 1);
+        assert!(out
+            .measures
+            .to_json()
+            .to_json()
+            .contains("\"expected_tokens\":[]"));
     }
 
     #[test]
@@ -2459,19 +2412,13 @@ mod tests {
     }
 
     #[test]
-    fn sim_options_override_the_spec_block() {
-        let out = solve_str_with(
-            SIM_RBD,
-            &SolveOptions::default()
-                .with_sim_replications(64)
-                .with_sim_seed(1234),
-        )
-        .unwrap();
+    fn sim_block_replications_and_seed_steer_the_run() {
+        let capped = SIM_RBD.replace("\"max_replications\": 128", "\"max_replications\": 64");
+        let out = run(&capped.replace("\"seed\": 8", "\"seed\": 1234")).unwrap();
         assert_eq!(out.stats.sim_replications, Some(64));
         // A different seed must change the estimate (vanishingly
         // unlikely to collide to the same 64 trajectories).
-        let base =
-            solve_str_with(SIM_RBD, &SolveOptions::default().with_sim_replications(64)).unwrap();
+        let base = run(&capped).unwrap();
         assert_ne!(out.measures, base.measures);
     }
 

@@ -37,11 +37,12 @@
 //! # }
 //! ```
 //!
-//! [`SolveOptions`] selects the CTMC steady-state method
-//! ([`SteadySolver::Gth`] vs. [`SteadySolver::Power`] vs.
-//! [`SteadySolver::Sor`]), tolerances, iteration budgets, and the
-//! number of threads used for transient time sweeps; its `Default`
-//! reproduces the historical un-parameterized behavior exactly. For
+//! [`SolveOptions`] selects how a document is solved: the CTMC
+//! steady-state method ([`SteadySolver::Gth`] vs.
+//! [`SteadySolver::Power`] vs. [`SteadySolver::Sor`]), the thread
+//! budget, forced simulation and the SPN memory budget. The model's
+//! own numbers (seeds, sample counts, tolerances, truncation order,
+//! variable order) are keys of the document. For
 //! solving many documents at once on a thread pool, see the
 //! `reliab-engine` crate, which wraps this API in a batch front end
 //! with memoization.

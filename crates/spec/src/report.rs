@@ -5,11 +5,14 @@ use crate::convert::SolvedMeasures;
 use crate::json::{self, JsonValue};
 use std::time::Duration;
 
-/// Tuning knobs for a specification solve.
+/// How a specification is solved: the thread budget, the steady-state
+/// method, whether to simulate, and the SPN memory budget. The model's
+/// own numbers (simulation seed and replications, sample counts,
+/// tolerances, truncation order, variable order) are keys of its
+/// document.
 ///
-/// `SolveOptions::default()` reproduces the historical behavior of the
-/// un-parameterized `solve` exactly: automatic steady-state method
-/// selection, `1e-12` tolerance and a 20 000-sweep budget.
+/// `SolveOptions::default()` solves on the calling thread with
+/// automatic steady-state method selection and no memory budget.
 ///
 /// The struct is `#[non_exhaustive]`; construct it with
 /// [`SolveOptions::default`] and adjust fields directly or through the
@@ -20,30 +23,16 @@ use std::time::Duration;
 ///
 /// let opts = SolveOptions::default()
 ///     .with_steady_solver(SteadySolver::Power)
-///     .with_tolerance(1e-10);
-/// assert_eq!(opts.tolerance, 1e-10);
+///     .with_threads(4);
+/// assert_eq!(opts.steady_solver, SteadySolver::Power);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub struct SolveOptions {
-    /// Convergence tolerance for iterative steady-state methods
-    /// (SOR, power iteration).
-    pub tolerance: f64,
-    /// Sweep budget for iterative steady-state methods.
-    pub max_iterations: usize,
-    /// Steady-state method for CTMC and SPN models.
+    /// Steady-state method for CTMC and SPN models. An explicit SOR or
+    /// power solve runs the library's tolerance (`1e-12`) and sweep
+    /// budget (20 000).
     pub steady_solver: SteadySolver,
-    /// BDD variable ordering for fault-tree models. [`VarOrder::Auto`]
-    /// defers to the spec's `var_order` field, falling back to the
-    /// depth-first heuristic; any other value overrides the spec.
-    pub var_order: VarOrder,
-    /// ITE computed-cache capacity bound for BDD-based models, in
-    /// entries (rounded to a power of two). `0` keeps the kernel
-    /// default.
-    pub ite_cache_capacity: usize,
-    /// Live-node count above which the BDD kernel considers garbage
-    /// collection. `0` keeps the kernel default.
-    pub gc_node_threshold: usize,
     /// The solve's thread budget: `1` (the default) solves on the
     /// calling thread, `0` means one thread per available CPU. The
     /// outermost layer with items to spread (uncertainty samples,
@@ -59,24 +48,6 @@ pub struct SolveOptions {
     /// `sim` block other than producing an error, which keeps a typo'd
     /// `--method sim` from silently solving analytically.
     pub simulate: bool,
-    /// Replication cap for simulation, overriding the spec's
-    /// `max_replications` when set.
-    pub sim_replications: Option<usize>,
-    /// Relative CI half-width stopping target for simulation,
-    /// overriding the spec's `rel_precision` when set.
-    pub sim_rel_precision: Option<f64>,
-    /// Master seed for simulation, overriding the spec's `seed` when
-    /// set. Results are a pure function of the seed and the model.
-    pub sim_seed: Option<u64>,
-    /// Monte-Carlo samples for uncertainty models, overriding the
-    /// spec's `samples` when set.
-    pub uncert_samples: Option<usize>,
-    /// Convergence tolerance for the hierarchy fixed-point sweep,
-    /// overriding the spec's `tolerance` when set.
-    pub fixed_point_tol: Option<f64>,
-    /// Cut-set truncation order for bounds models, overriding the
-    /// spec's `truncation_order` when set.
-    pub truncation_order: Option<usize>,
     /// Total byte budget of an SPN solve (row source, iteration vectors
     /// and slice cache combined). `None` means unlimited: the state-space
     /// walk keeps every generator row. With a budget the walk keeps them
@@ -91,65 +62,19 @@ pub struct SolveOptions {
 impl Default for SolveOptions {
     fn default() -> Self {
         SolveOptions {
-            tolerance: 1e-12,
-            max_iterations: 20_000,
             steady_solver: SteadySolver::Auto,
-            var_order: VarOrder::Auto,
-            ite_cache_capacity: 0,
-            gc_node_threshold: 0,
             threads: 1,
             simulate: false,
-            sim_replications: None,
-            sim_rel_precision: None,
-            sim_seed: None,
-            uncert_samples: None,
-            fixed_point_tol: None,
-            truncation_order: None,
             mem_budget: None,
         }
     }
 }
 
 impl SolveOptions {
-    /// Sets the convergence tolerance.
-    #[must_use]
-    pub fn with_tolerance(mut self, tolerance: f64) -> Self {
-        self.tolerance = tolerance;
-        self
-    }
-
-    /// Sets the iteration budget.
-    #[must_use]
-    pub fn with_max_iterations(mut self, max_iterations: usize) -> Self {
-        self.max_iterations = max_iterations;
-        self
-    }
-
     /// Selects the CTMC steady-state method.
     #[must_use]
     pub fn with_steady_solver(mut self, solver: SteadySolver) -> Self {
         self.steady_solver = solver;
-        self
-    }
-
-    /// Selects the BDD variable ordering for fault-tree models.
-    #[must_use]
-    pub fn with_var_order(mut self, order: VarOrder) -> Self {
-        self.var_order = order;
-        self
-    }
-
-    /// Bounds the ITE computed-cache size (entries; `0` = default).
-    #[must_use]
-    pub fn with_ite_cache_capacity(mut self, capacity: usize) -> Self {
-        self.ite_cache_capacity = capacity;
-        self
-    }
-
-    /// Sets the BDD garbage-collection threshold (`0` = default).
-    #[must_use]
-    pub fn with_gc_node_threshold(mut self, threshold: usize) -> Self {
-        self.gc_node_threshold = threshold;
         self
     }
 
@@ -167,49 +92,6 @@ impl SolveOptions {
         self
     }
 
-    /// Caps simulation replications, overriding the spec.
-    #[must_use]
-    pub fn with_sim_replications(mut self, replications: usize) -> Self {
-        self.sim_replications = Some(replications);
-        self
-    }
-
-    /// Sets the simulation stopping precision, overriding the spec.
-    #[must_use]
-    pub fn with_sim_rel_precision(mut self, rel_precision: f64) -> Self {
-        self.sim_rel_precision = Some(rel_precision);
-        self
-    }
-
-    /// Sets the simulation master seed, overriding the spec.
-    #[must_use]
-    pub fn with_sim_seed(mut self, seed: u64) -> Self {
-        self.sim_seed = Some(seed);
-        self
-    }
-
-    /// Sets the uncertainty Monte-Carlo sample count, overriding the
-    /// spec.
-    #[must_use]
-    pub fn with_uncert_samples(mut self, samples: usize) -> Self {
-        self.uncert_samples = Some(samples);
-        self
-    }
-
-    /// Sets the hierarchy fixed-point tolerance, overriding the spec.
-    #[must_use]
-    pub fn with_fixed_point_tol(mut self, tolerance: f64) -> Self {
-        self.fixed_point_tol = Some(tolerance);
-        self
-    }
-
-    /// Sets the bounds truncation order, overriding the spec.
-    #[must_use]
-    pub fn with_truncation_order(mut self, order: usize) -> Self {
-        self.truncation_order = Some(order);
-        self
-    }
-
     /// Sets the SPN solve's total byte budget.
     #[must_use]
     pub fn with_mem_budget(mut self, bytes: usize) -> Self {
@@ -218,12 +100,13 @@ impl SolveOptions {
     }
 }
 
-/// BDD variable-ordering selection for fault-tree solves.
+/// BDD variable ordering of a fault-tree solve: the type of a fault
+/// tree's `var_order` key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 #[non_exhaustive]
 pub enum VarOrder {
-    /// Use the spec's `var_order` field if present, otherwise the
-    /// depth-first heuristic (the recommended default).
+    /// The depth-first heuristic (the recommended default, and what an
+    /// absent `var_order` key means).
     #[default]
     Auto,
     /// Declaration order of the `events` array — the pre-heuristic
@@ -241,7 +124,7 @@ pub enum VarOrder {
 }
 
 impl VarOrder {
-    /// Parses the CLI / JSON spelling (`"auto"`, `"input"`, `"dfs"`,
+    /// Parses the JSON spelling (`"auto"`, `"input"`, `"dfs"`,
     /// `"weighted"`, `"sift"`).
     pub fn parse(s: &str) -> Option<VarOrder> {
         match s {
@@ -268,8 +151,7 @@ impl VarOrder {
 }
 
 /// The steady-state method of CTMC and SPN solves: `reliab-markov`'s
-/// one method type. Under `Auto` the iterative tolerances are the
-/// library defaults, not the [`SolveOptions`] values.
+/// one method type.
 pub type SteadySolver = reliab_markov::SteadyMethod;
 
 /// Telemetry recorded while solving one specification.
@@ -501,22 +383,24 @@ mod tests {
     #[test]
     fn default_options_match_historical_solver_settings() {
         let opts = SolveOptions::default();
-        assert_eq!(opts.tolerance, 1e-12);
-        assert_eq!(opts.max_iterations, 20_000);
         assert_eq!(opts.steady_solver, SteadySolver::Auto);
         assert_eq!(opts.threads, 1);
+        assert!(!opts.simulate);
+        assert_eq!(opts.mem_budget, None);
         assert_eq!(SolveOptions::default().with_threads(0).threads, 0);
     }
 
     #[test]
     fn builders_compose() {
         let opts = SolveOptions::default()
-            .with_tolerance(1e-8)
-            .with_max_iterations(99)
-            .with_steady_solver(SteadySolver::Gth);
-        assert_eq!(opts.tolerance, 1e-8);
-        assert_eq!(opts.max_iterations, 99);
+            .with_steady_solver(SteadySolver::Gth)
+            .with_threads(4)
+            .with_simulate(true)
+            .with_mem_budget(1 << 20);
         assert_eq!(opts.steady_solver, SteadySolver::Gth);
+        assert_eq!(opts.threads, 4);
+        assert!(opts.simulate);
+        assert_eq!(opts.mem_budget, Some(1 << 20));
     }
 
     #[test]
@@ -546,25 +430,6 @@ mod tests {
     }
 
     #[test]
-    fn sim_builders_compose_and_default_off() {
-        let opts = SolveOptions::default();
-        assert!(!opts.simulate);
-        assert_eq!(opts.sim_replications, None);
-        assert_eq!(opts.sim_rel_precision, None);
-        assert_eq!(opts.sim_seed, None);
-
-        let opts = SolveOptions::default()
-            .with_simulate(true)
-            .with_sim_replications(512)
-            .with_sim_rel_precision(0.01)
-            .with_sim_seed(42);
-        assert!(opts.simulate);
-        assert_eq!(opts.sim_replications, Some(512));
-        assert_eq!(opts.sim_rel_precision, Some(0.01));
-        assert_eq!(opts.sim_seed, Some(42));
-    }
-
-    #[test]
     fn sim_stats_serialize_with_nulls_when_absent() {
         let stats = SolveStats::default();
         let text = stats.to_json().to_json();
@@ -579,16 +444,5 @@ mod tests {
         let text = stats.to_json().to_json();
         assert!(text.contains("\"sim_replications\":128"));
         assert!(text.contains("\"sim_converged\":true"));
-    }
-
-    #[test]
-    fn bdd_knob_builders_compose() {
-        let opts = SolveOptions::default()
-            .with_var_order(VarOrder::Sift)
-            .with_ite_cache_capacity(1 << 12)
-            .with_gc_node_threshold(4096);
-        assert_eq!(opts.var_order, VarOrder::Sift);
-        assert_eq!(opts.ite_cache_capacity, 1 << 12);
-        assert_eq!(opts.gc_node_threshold, 4096);
     }
 }

@@ -155,7 +155,7 @@ pub(crate) fn solve_hierarchy(
     };
 
     let fp_opts = FixedPointOptions::default()
-        .with_tolerance(opts.fixed_point_tol.or(spec.tolerance).unwrap_or(1e-10))
+        .with_tolerance(spec.tolerance.unwrap_or(1e-10))
         .with_max_iterations(spec.max_iterations.unwrap_or(10_000))
         .with_damping(spec.damping.unwrap_or(1.0));
     // Import-free submodels export a constant: solve them once up
@@ -329,13 +329,14 @@ fn build_smp(spec: &SemiMarkovSpec) -> Result<(SemiMarkov, impl Fn(&str) -> SmpS
     Ok((builder.build()?, id_of))
 }
 
+/// Truncation error of the uniformization behind a semi-Markov
+/// interval availability.
+const INTERVAL_EPSILON: f64 = 1e-12;
+
 /// Solves a semi-Markov specification: steady state on the embedded
 /// chain, first passage, and interval availability on the phase-type
 /// expansion.
-pub(crate) fn solve_semi_markov(
-    spec: &SemiMarkovSpec,
-    opts: &SolveOptions,
-) -> Result<(SolvedMeasures, SolveStats)> {
+pub(crate) fn solve_semi_markov(spec: &SemiMarkovSpec) -> Result<(SolvedMeasures, SolveStats)> {
     let _span = obs::span("spec.solve.semi_markov");
     let (smp, id_of) = build_smp(spec)?;
 
@@ -378,7 +379,7 @@ pub(crate) fn solve_semi_markov(
             stats.smp_expanded_states = Some(expanded.ctmc.num_states());
             let mut rows = Vec::with_capacity(times.len());
             for &t in times {
-                let a = expanded.interval_availability(initial, &up_ids, t, opts.tolerance)?;
+                let a = expanded.interval_availability(initial, &up_ids, t, INTERVAL_EPSILON)?;
                 rows.push((t, a));
             }
             Some(rows)
@@ -420,7 +421,7 @@ pub(crate) fn solve_uncertainty(
     let measure = spec.measure;
     // At least two samples are drawn, so a budget above one always
     // runs several sampler workers, each sample solved on one thread.
-    let samples = opts.uncert_samples.or(spec.samples).unwrap_or(1000);
+    let samples = spec.samples.unwrap_or(1000);
     let split = Split::new(opts.threads, samples);
     let inner = opts.clone().with_threads(split.per_item);
 
@@ -507,12 +508,9 @@ fn set_indices(names: &[String], sets: &[Vec<String>]) -> Vec<Vec<usize>> {
 
 /// Solves a bounds specification: exact SDP/BDD probability plus
 /// Esary–Proschan and truncated-enumeration brackets.
-pub(crate) fn solve_bounds(
-    spec: &BoundsSpec,
-    opts: &SolveOptions,
-) -> Result<(SolvedMeasures, SolveStats)> {
+pub(crate) fn solve_bounds(spec: &BoundsSpec) -> Result<(SolvedMeasures, SolveStats)> {
     let _span = obs::span("spec.solve.bounds");
-    let order = opts.truncation_order.or(spec.truncation_order).unwrap_or(2);
+    let order = spec.truncation_order.unwrap_or(2);
 
     // Resolve the event list, failure probabilities, cut/path sets
     // (as index sets), and the exact top probability, from either the
@@ -528,7 +526,7 @@ pub(crate) fn solve_bounds(
             }
             // The path sets are the dual minimal solutions of the tree
             // the cut sets came from.
-            let (m, ft_stats, tree) = solve_fault_tree_analytic(ft, opts)?;
+            let (m, ft_stats, tree) = solve_fault_tree_analytic(ft)?;
             stats = ft_stats;
             let SolvedMeasures::FaultTree {
                 top_event_probability,
@@ -1063,7 +1061,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn solve_options_knobs_override_the_spec() {
+    fn truncation_order_key_sets_the_enumerated_part() {
         // truncation_order 1 drops the order-2 cut set from the
         // enumerated part, loosening the upper bound.
         let spec = r#"{"bounds": {
@@ -1072,8 +1070,11 @@ pub(crate) mod tests {
              "cut_sets": [["a", "b"]],
              "truncation_order": 2}}"#;
         let tight = solve_str_with(spec, &SolveOptions::default()).unwrap();
-        let loose =
-            solve_str_with(spec, &SolveOptions::default().with_truncation_order(1)).unwrap();
+        let loose = solve_str_with(
+            &spec.replace("\"truncation_order\": 2", "\"truncation_order\": 1"),
+            &SolveOptions::default(),
+        )
+        .unwrap();
         let SolvedMeasures::Bounds {
             truncated_lower: tl,
             ..

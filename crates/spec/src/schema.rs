@@ -55,7 +55,7 @@ pub struct SpnSpec {
     /// Cap on tangible markings (default 1 000 000).
     pub max_markings: Option<usize>,
     /// Places to report steady-state expected token counts for
-    /// (default: every place).
+    /// (default: none).
     pub expected_tokens: Option<Vec<String>>,
     /// Timed transitions to report steady-state throughput for
     /// (default: none).
@@ -274,9 +274,7 @@ impl SimMeasure {
 /// Discrete-event simulation request attached to an RBD or fault tree.
 ///
 /// Only `measure` and its matching time parameter are required; every
-/// other knob inherits the `reliab-sim` driver default and may be
-/// overridden from `SolveOptions` / the CLI (`--sim-seed` etc.), which
-/// win over the spec.
+/// other knob inherits the `reliab-sim` driver default.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimSpec {
     /// The estimated measure.
@@ -400,9 +398,9 @@ pub struct FaultTreeSpec {
     /// against their exact count before any is listed; a larger family
     /// is a model error. The BDD probability has no such cap.
     pub max_cut_sets: Option<usize>,
-    /// BDD variable-ordering hint: `"auto"`, `"input"`, `"dfs"`,
-    /// `"weighted"`, or `"sift"`. Overridden by a non-`Auto`
-    /// `SolveOptions::var_order`; absent means `"auto"`.
+    /// BDD variable ordering: `"auto"`, `"input"`, `"dfs"`,
+    /// `"weighted"`, or `"sift"`; absent means `"auto"`, the
+    /// depth-first heuristic.
     pub var_order: Option<crate::report::VarOrder>,
     /// Discrete-event simulation request: when present, the model is
     /// solved by simulating event lifetimes (which then need
@@ -493,8 +491,7 @@ pub struct HierarchySpec {
     /// The submodel whose exported measure is the hierarchy's headline
     /// value. Defaults to the last submodel.
     pub output: Option<String>,
-    /// Fixed-point convergence tolerance (default `1e-10`). Overridden
-    /// by a non-default `SolveOptions::fixed_point_tol`.
+    /// Fixed-point convergence tolerance (default `1e-10`).
     pub tolerance: Option<f64>,
     /// Fixed-point sweep budget (default 10 000).
     pub max_iterations: Option<usize>,
@@ -591,8 +588,7 @@ pub struct UncertaintySpec {
     /// The output measure extracted from each inner solve (default
     /// `primary`).
     pub measure: ScenarioMeasure,
-    /// Monte-Carlo samples (default 1000). Overridden by
-    /// `SolveOptions::uncert_samples`.
+    /// Monte-Carlo samples (default 1000).
     pub samples: Option<usize>,
     /// Confidence level of the percentile interval (default 0.95).
     pub level: Option<f64>,
@@ -653,8 +649,7 @@ pub struct BoundsSpec {
     /// `events`/`cut_sets`/`path_sets`.
     pub fault_tree: Option<Box<FaultTreeSpec>>,
     /// Cut-set order above which enumeration is considered truncated
-    /// (default 2; must be ≥ 1). Overridden by
-    /// `SolveOptions::truncation_order`.
+    /// (default 2; must be ≥ 1).
     pub truncation_order: Option<usize>,
 }
 

@@ -435,6 +435,49 @@ fn hopeless_budget_escalates_to_bounds_with_telemetry() {
     }
 }
 
+/// The bounds path reads a throughput off the space's firing rate, as
+/// the exact path does: an immediate transition's throughput fails
+/// alike on both, and the shipped tandem nets' throughput midpoints at
+/// a 4-KiB budget keep their bits.
+#[test]
+fn bounds_throughput_is_the_space_firing_rate() {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs");
+    let rework = fs::read_to_string(format!("{dir}/tandem_rework.json")).unwrap();
+    let forward = rework.replace(
+        "\"throughput\": [\"serve1\", \"serve3\"]",
+        "\"throughput\": [\"forward\"]",
+    );
+    assert_ne!(forward, rework);
+    let exact = solve_str_with(&forward, &SolveOptions::default()).unwrap_err();
+    let bounded =
+        solve_str_with(&forward, &SolveOptions::default().with_mem_budget(4096)).unwrap_err();
+    assert_eq!(bounded, exact);
+    assert_eq!(
+        bounded.to_string(),
+        "model error: throughput of immediate transition 'forward' is not defined; \
+         attach the measure to a timed transition"
+    );
+
+    for (name, want) in [
+        ("tandem_queue", vec![("serve2", 1.7053463416865209_f64)]),
+        (
+            "tandem_rework",
+            vec![("serve1", 1.05), ("serve3", 1.706063911900357)],
+        ),
+    ] {
+        let text = fs::read_to_string(format!("{dir}/{name}.json")).unwrap();
+        let r = solve_str_with(&text, &SolveOptions::default().with_mem_budget(4096)).unwrap();
+        assert_eq!(r.stats.method, Some("stream-bounds"), "{name}");
+        let (_, _, throughput) = spn_measures(&r.measures);
+        let got: Vec<(&str, u64)> = throughput
+            .iter()
+            .map(|(t, x)| (t.as_str(), x.to_bits()))
+            .collect();
+        let want: Vec<(&str, u64)> = want.iter().map(|&(t, x)| (t, x.to_bits())).collect();
+        assert_eq!(got, want, "{name}");
+    }
+}
+
 /// The spec's `"solver"` key is checked and then ignored: hinted and
 /// unhinted documents solve alike, bit for bit and by the same method,
 /// and a budget that admits the model moves no bit either — on the

@@ -348,7 +348,8 @@ impl TangibleSpace<'_> {
     }
 
     /// Throughput of a **timed** transition under the distribution
-    /// `pi`: `Σ_m π_m · rate_t(m) · 1[t enabled in m]`.
+    /// `pi`: `Σ_m π_m · rate_t(m) · 1[t enabled in m]`, the mean of its
+    /// [`TangibleSpace::firing_rate`].
     ///
     /// # Errors
     ///
@@ -357,6 +358,23 @@ impl TangibleSpace<'_> {
     /// propagates rate-evaluation errors.
     pub fn throughput_given(&self, pi: &[f64], t: TransitionId) -> Result<f64> {
         self.check_pi(pi)?;
+        let mut rate = self.firing_rate(t)?;
+        let mut total = 0.0;
+        for (i, &p) in pi.iter().enumerate() {
+            total += p * rate(i as u32)?;
+        }
+        Ok(total)
+    }
+
+    /// The firing rate of a **timed** transition in each marking, by
+    /// canonical id: `rate_t(m)` where `t` is enabled in `m`, zero
+    /// elsewhere. One marking buffer serves every call.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Model`] for immediate transitions; the function
+    /// propagates rate-evaluation errors.
+    pub fn firing_rate(&self, t: TransitionId) -> Result<impl FnMut(u32) -> Result<f64> + '_> {
         let spn = self.expansion.spn;
         let idx = t.index();
         if !self.expansion.timed.contains(&idx) {
@@ -366,16 +384,16 @@ impl TangibleSpace<'_> {
                 spn.transitions[idx].name
             )));
         }
-        let mut total = 0.0;
         let mut m: Marking = Vec::with_capacity(spn.num_places());
-        for (i, &p) in pi.iter().enumerate() {
+        Ok(move |id: u32| {
             m.clear();
-            m.extend_from_slice(self.table.get(i as u32));
+            m.extend_from_slice(self.table.get(id));
             if spn.enabled(idx, &m) {
-                total += p * spn.rate_of(idx, &m)?;
+                spn.rate_of(idx, &m)
+            } else {
+                Ok(0.0)
             }
-        }
-        Ok(total)
+        })
     }
 
     fn check_pi(&self, pi: &[f64]) -> Result<()> {

@@ -1,7 +1,7 @@
 //! Periodic inspection of a standby safety system with latent
 //! failures: how often should you test the emergency generator? —
 //! then the inspected generators feed a site-blackout fault tree
-//! solved under explicit BDD variable-ordering hints.
+//! solved under each BDD variable ordering its document can name.
 //!
 //! Run with `cargo run --example safety_inspection`.
 
@@ -63,15 +63,15 @@ fn main() -> Result<(), Error> {
     // requires a grid outage AND loss of the emergency supply (both
     // generators unavailable, or the transfer switchgear stuck). Each
     // generator's unavailability is what the optimal test policy above
-    // leaves behind. The spec carries a `var_order` hint, and
-    // `SolveOptions::with_var_order` can override it per solve —
-    // `VarOrder::Input` reproduces the historical declaration-order
-    // compile, `Auto` defers to the spec/heuristic.
+    // leaves behind. The document's `var_order` key picks the BDD
+    // variable ordering: `input` reproduces the historical
+    // declaration-order compile, `auto` is the depth-first heuristic.
     let q_gen = 1.0 - m_opt.availability;
-    let blackout_spec = format!(
-        r#"{{
+    let blackout_spec = |order: VarOrder| {
+        format!(
+            r#"{{
           "fault_tree": {{
-            "var_order": "dfs",
+            "var_order": "{}",
             "events": [
               {{"name": "grid-outage", "probability": 2.7e-4}},
               {{"name": "gen-a-unavailable", "probability": {q_gen:.9}}},
@@ -86,8 +86,10 @@ fn main() -> Result<(), Error> {
               ]}}
             ]}}
           }}
-        }}"#
-    );
+        }}"#,
+            order.as_str()
+        )
+    };
 
     println!("\nsite-blackout fault tree (generator unavailability {q_gen:.6}):");
     println!(
@@ -96,10 +98,7 @@ fn main() -> Result<(), Error> {
     );
     let mut reference = None;
     for order in [VarOrder::Auto, VarOrder::Input, VarOrder::Sift] {
-        let opts = SolveOptions::default()
-            .with_var_order(order)
-            .with_gc_node_threshold(1 << 14);
-        let report = solve_str_with(&blackout_spec, &opts)?;
+        let report = solve_str_with(&blackout_spec(order), &SolveOptions::default())?;
         let q = report.measures.unreliability().expect("fault-tree measure");
         println!(
             "{:>10} {q:>16.3e} {:>10}",
